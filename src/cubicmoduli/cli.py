@@ -7,8 +7,10 @@ Subcommands:
   catalog list          available catalog entries
   selftest              recompute the built-in golden values
 
-Exit status: 0 on success, 1 on a failed contract or golden mismatch,
-2 on a usage error.
+Exit status: 0 on success; 1 on a golden mismatch or any package error
+(failed contract, inconsistent routes, infinite or non-projectively
+faithful group, unusable prime), reported as one `error:` line; 2 on a
+usage error or unknown entry.
 """
 
 import argparse
@@ -22,12 +24,7 @@ from .chars import (
     sym_cube,
     trivial_character,
 )
-from .errors import (
-    CubicModuliError,
-    ContractViolationError,
-    InconsistencyError,
-    ParseError,
-)
+from .errors import CubicModuliError
 from .invariants import CubicForm, invariant_basis
 from .smoothprobe import singular_scan
 
@@ -222,7 +219,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ParseError, ContractViolationError, InconsistencyError) as e:
+    except CubicModuliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

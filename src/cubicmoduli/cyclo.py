@@ -23,8 +23,6 @@ import re
 import threading
 from fractions import Fraction
 
-Rational = Fraction
-
 _LOCK = threading.Lock()
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 _POWER_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}

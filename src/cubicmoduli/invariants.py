@@ -8,10 +8,14 @@ action and matches how symmetries of a hypersurface in projective space
 compose.
 
 The invariant subspace of a finite group is computed from the Reynolds
-operator, the average of all substitution matrices.  Row reduction of
-its transpose gives a canonical echelon basis.  Every returned basis
-form is re-checked against the generators, so a wrong fast path cannot
-slip through.
+operator, the average of all substitution matrices, built in one loop:
+the sum is folded through the cosets of the diagonal element h of
+largest order, whose own average kills every monomial of nonzero
+h-weight, so only the surviving monomials are expanded, once per coset
+representative.  When the identity is the only diagonal element the
+fold is the plain sum.  Row reduction of the transpose gives a
+canonical echelon basis.  Every returned basis form is re-checked
+against the generators, so a wrong average cannot slip through.
 """
 
 from __future__ import annotations
@@ -230,78 +234,38 @@ def substitution_matrix(g: Matrix) -> Matrix:
     return Matrix([[cols[j][i] for j in range(35)] for i in range(35)])
 
 
-def _diagonal_root_exponents(m: Matrix):
-    """For a diagonal matrix of finite order n, the exponents k_i with
-    entry i equal to zeta_n^k_i, or None when not diagonal."""
-    d = m.rows
-    for i in range(d):
-        for j in range(d):
-            if i != j and m[i, j]:
-                return None
-    from .groups import matrix_order
-    n = matrix_order(m)
-    exps = []
-    for i in range(d):
-        entry = m[i, i]
-        for k in range(n):
-            if entry == root_of_unity(n, k):
-                exps.append(k)
-                break
-        else:
-            return None
-    return n, exps
+def _diagonal_of_largest_order(group):
+    """The diagonal element h of largest order n (the identity when no
+    other element is diagonal) and its exponents: entry i of h is
+    zeta_n^k_i."""
+    best = None
+    for i, m in enumerate(group.elements):
+        if any(m[a, b] for a in range(N_VARS) for b in range(N_VARS)
+               if a != b):
+            continue
+        n = group.element_order(i)
+        if best is None or n > best[0]:
+            best = (n, i)
+    n, h_idx = best
+    h = group.elements[h_idx]
+    roots = {root_of_unity(n, k): k for k in range(n)}
+    return n, h_idx, [roots[h[i, i]] for i in range(N_VARS)]
 
 
 def reynolds_operator(group) -> Matrix:
     """Average of the substitution matrices over the whole group.
 
-    For large groups containing a diagonal element h of decent order the
-    sum is folded through the cosets of <h> first: averaging over <h>
-    kills every monomial column whose weight under h is nonzero, so only
-    the few surviving columns need expansion, once per coset.
+    The sum is folded through the left cosets of <h>, h the diagonal
+    element of largest order n.  S_h scales the monomial x^a by a power
+    of zeta_n with exponent -sum a_i k_i, so averaging over <h> kills
+    every column whose h-weight is nonzero mod n and fixes the rest.
+    Since S_(r h^k) = S_r S_h^k, the group average on a surviving column
+    is the average of S_r over the coset representatives r alone.  With
+    h the identity this is the plain sum over every element.
     """
-    order = group.order
-    if order > 256:
-        fast = _reynolds_via_diagonal(group)
-        if fast is not None:
-            return fast
-    total = None
-    for i in range(order):
-        inv = group.elements[group.inverse_index(i)]
-        rows = _inverse_rows(inv)
-        s = _substitution_cols(rows)
-        total = s if total is None else [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, s)
-        ]
-    w = Fraction(1, order)
-    return Matrix([[v * w for v in row] for row in total])
-
-
-def _substitution_cols(rows):
-    out = [[_ZERO] * 35 for _ in range(35)]
-    for j, expo in enumerate(MONOMIALS):
-        for key, value in _expand_monomial(rows, expo).items():
-            out[MONOMIAL_INDEX[key]][j] = value
-    return out
-
-
-def _reynolds_via_diagonal(group):
-    best = None
-    for i, m in enumerate(group.elements):
-        got = _diagonal_root_exponents(m)
-        if got is None:
-            continue
-        n = group.element_order(i)
-        if n >= 5 and (best is None or n > best[0]):
-            best = (n, i, got[1])
-    if best is None:
-        return None
-    n, h_idx, exps = best
-
-    surviving = []
-    for j, expo in enumerate(MONOMIALS):
-        if sum(a * k for a, k in zip(expo, exps)) % n == 0:
-            surviving.append(j)
+    n, h_idx, exps = _diagonal_of_largest_order(group)
+    surviving = [j for j, expo in enumerate(MONOMIALS)
+                 if sum(a * k for a, k in zip(expo, exps)) % n == 0]
 
     # left coset representatives of <h>
     h_powers = [group.identity_index]
@@ -318,23 +282,20 @@ def _reynolds_via_diagonal(group):
         for p in h_powers:
             seen[group.mult(i, p)] = True
 
-    cols = {j: [_ZERO] * 35 for j in surviving}
+    cols = {j: {} for j in surviving}
     for r in reps:
-        inv = group.elements[group.inverse_index(r)]
-        rows = _inverse_rows(inv)
+        rows = _inverse_rows(group.elements[group.inverse_index(r)])
         for j in surviving:
-            image = _expand_monomial(rows, MONOMIALS[j])
             col = cols[j]
-            for key, value in image.items():
-                k = MONOMIAL_INDEX[key]
-                col[k] = col[k] + value
+            for key, value in _expand_monomial(rows, MONOMIALS[j]).items():
+                prev = col.get(key)
+                col[key] = value if prev is None else prev + value
     w = Fraction(1, len(reps))
     data = [[_ZERO] * 35 for _ in range(35)]
-    for j in surviving:
-        col = cols[j]
-        for i in range(35):
-            if col[i]:
-                data[i][j] = col[i] * w
+    for j, col in cols.items():
+        for key, value in col.items():
+            if value:
+                data[MONOMIAL_INDEX[key]][j] = value * w
     return Matrix(data)
 
 

@@ -269,8 +269,3 @@ def commutant_dimension(mats: list[Matrix]) -> int:
     if not rows:
         return d * d
     return d * d - rank(Matrix(rows))
-
-
-def matrix_from_strings(rows: list[list[str]]) -> Matrix:
-    """Matrix from E-notation entry strings (catalog format)."""
-    return Matrix([[cyclo(v) for v in row] for row in rows])

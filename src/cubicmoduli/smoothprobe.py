@@ -14,9 +14,12 @@ partials are the whole test.  Charts are scanned in order and points
 inside a chart in lexicographic order, so the first singular point
 found is a deterministic witness.
 
-A smooth reduction mod p proves the characteristic-zero cubic with the
-same (lifted) coefficients is smooth, so the probe can certify that a
-family contains smooth members, never the opposite.
+A reduction that is smooth over the algebraic closure of F_p proves the
+characteristic-zero cubic with the same (lifted) coefficients smooth.
+The scan, however, only sees the F_p-rational points: a cubic can be
+singular at a conjugate pair of points defined over F_(p^2) and still
+pass.  So a passing scan means "no rational singular point", and the
+probe's certificate is not yet a proof.
 """
 
 from __future__ import annotations
@@ -27,21 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import Cyclotomic, cyclo
+from .cyclo import Cyclotomic, _is_prime, cyclo
 from .errors import BadPrimeError
 from .invariants import MONOMIALS, N_VARS, CubicForm
 
 DEFAULT_PRIME_FLOOR = 7
 DEFAULT_PRIME_CEILING = 31
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, int(p ** 0.5) + 1):
-        if p % d == 0:
-            return False
-    return True
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -143,6 +137,12 @@ def _partials(coeffs_mod_p):
 
 
 def singular_scan(form: CubicForm, prime: int) -> ScanResult:
+    """Walk P^4(F_p) for a point where every partial vanishes.
+
+    `smooth` is True when no F_p-rational point is singular; singular
+    points over extensions of F_p are not seen.  Otherwise the first
+    singular point in scan order is the witness.
+    """
     red = PrimeReduction(prime)
     coeffs = red.reduce_form(form)
     partials = _partials(coeffs)
@@ -214,7 +214,8 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
     """Search for a smooth member of the family spanned by the basis.
 
     Random F_p coefficient vectors are tried against the reduced
-    spanning forms; one smooth member certifies that the family has
+    spanning forms until one passes `singular_scan`.  That member has
+    no F_p-rational singular point, which is evidence, not a proof, of
     smooth members in characteristic zero.  Exhausting the trials
     proves nothing.
     """

@@ -89,6 +89,34 @@ def test_bad_file_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _diag(*entries):
+    return [[entries[i] if i == j else "0" for j in range(5)]
+            for i in range(5)]
+
+
+@pytest.mark.parametrize("generator, conductor, order, character, message", [
+    (_diag(*["E(3)"] * 5), 3, 3, ["5", "-5 - 5*E(3)", "5*E(3)"], "scalar"),
+    ([["1", "1", "0", "0", "0"]] + _diag(*["1"] * 5)[1:], 1, 1, ["5"],
+     "not a finite group element"),
+], ids=["scalar", "unipotent"])
+def test_package_error_is_one_line_exit_1(tmp_path, capsys, generator,
+                                          conductor, order, character,
+                                          message):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({
+        "id": "entry",
+        "description": "error path",
+        "conductor": conductor,
+        "generators": [generator],
+        "notes": ["only generator"],
+        "contract": {"order": order, "character": character},
+    }))
+    assert main(["audit", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,6 @@ from cubicmoduli.invariants import (
     monomial_str,
     reynolds_operator,
     substitution_matrix,
-    _reynolds_via_diagonal,
 )
 from cubicmoduli.linalg import Matrix
 
@@ -97,12 +97,20 @@ def test_klein_group_invariants():
     assert space.basis[0] == CubicForm.parse(KLEIN)
 
 
-def test_reynolds_fast_path_matches_direct():
-    g = MatrixGroup.generate([fx.KLEIN_D, fx.KLEIN_P])
-    direct = reynolds_operator(g)  # small group, direct averaging
-    fast = _reynolds_via_diagonal(g)
-    assert fast is not None
-    assert fast == direct
+@pytest.mark.parametrize("gens", [
+    # a diagonal element of order 11 folds the sum over 5 cosets
+    [fx.KLEIN_D, fx.KLEIN_P],
+    # the only non-identity diagonal elements have order 2
+    [fx.ALT4_A, fx.ALT4_B],
+    # the identity is the only diagonal element: the plain sum
+    [fx.KLEIN_P],
+], ids=["klein-55", "alt4", "cyclic-shift"])
+def test_reynolds_operator_is_the_group_average(gens):
+    g = MatrixGroup.generate(gens)
+    total = substitution_matrix(g.elements[0])
+    for m in g.elements[1:]:
+        total = total + substitution_matrix(m)
+    assert reynolds_operator(g) == total * Fraction(1, g.order)
 
 
 def test_nine_element_diagonal_group():

@@ -82,6 +82,23 @@ def test_scan_is_deterministic():
     assert a == b
 
 
+# singular at (+-sqrt(3):1:0:0:0): rational over F_11, where 3 = 5^2, but
+# not over F_7, where 3 is not a square
+CONJUGATE_PAIR_SINGULAR = CubicForm.parse(
+    "x0^2*x2 - 3*x1^2*x2 + x2^3 + x3^3 + x4^3 + x2^2*x3")
+
+
+@pytest.mark.parametrize("prime", [
+    11,
+    pytest.param(7, marks=pytest.mark.xfail(
+        strict=True,
+        reason="the scan sees only F_p-rational points; ROADMAP item 1 "
+               "replaces it as a certificate by the Jacobian rank test")),
+])
+def test_scan_finds_singular_point_off_the_rational_points(prime):
+    assert not singular_scan(CONJUGATE_PAIR_SINGULAR, prime).smooth
+
+
 def test_cone_family_never_certifies():
     g = MatrixGroup.generate([fx.Z3C4_A, fx.Z3C4_B])
     space = invariant_basis(g)
