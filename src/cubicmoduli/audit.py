@@ -275,11 +275,12 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
                     f"smooth member found mod {probe.prime}",
                 )
             else:
-                nonempty = NonemptyStatus(
-                    "Inconclusive",
-                    f"no smooth member in {probe.trials} samples "
-                    f"mod {probe.prime}",
-                )
+                reason = (f"no smooth member in {probe.scans} scans of "
+                          f"{probe.trials} samples mod {probe.prime}")
+                if probe.scan is not None:
+                    point = ":".join(map(str, probe.scan.first_singular))
+                    reason += f"; last singular point ({point})"
+                nonempty = NonemptyStatus("Inconclusive", reason)
 
     if nonempty.status == "Certified":
         dim_moduli = dim_u - comm
@@ -294,6 +295,8 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
         "seed": seed,
         "trials": trials,
         "prime": probe.prime if probe is not None else prime,
+        "probe_scans": probe.scans if probe is not None else 0,
+        "probe_points": probe.points if probe is not None else 0,
     }
     return AuditReport(
         group_id=group_id,
@@ -309,19 +312,6 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
         nonempty=nonempty,
         provenance=provenance,
     )
-
-
-def moduli_dimension(group: MatrixGroup, nonempty_certified: bool):
-    """The dimension formula dim U - dim C, gated on the non-emptiness
-    evidence it needs to be meaningful."""
-    if not group.is_projectively_faithful():
-        raise NotProjectivelyFaithfulError(
-            "moduli dimension needs a projectively faithful group"
-        )
-    if not nonempty_certified:
-        return None
-    dim_u, comm, _, _ = dims_dual_route(group)
-    return dim_u - comm
 
 
 # ----------------------------------------------------------------------

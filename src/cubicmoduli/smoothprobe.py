@@ -14,6 +14,16 @@ partials are the whole test.  Charts are scanned in order and points
 inside a chart in lexicographic order, so the first singular point
 found is a deterministic witness.
 
+Each partial is a quadric.  On chart k it is restricted once, with
+x_k = 1 and x_0..x_(k-1) = 0, to a polynomial of degree <= 2 in the
+free coordinates, held as at most six p x p tables, one per pair of
+free coordinates.  One partial that does not vanish on the chart is
+summed over the whole chart grid by broadcasting its tables; it
+vanishes at about p^(free-1) of the p^free points.  Only those
+survivors are passed to the other partials, one at a time, by table
+lookups, and the chart is done as soon as none survive.  The smallest
+surviving index is the first singular point in scan order.
+
 A reduction that is smooth over the algebraic closure of F_p proves the
 characteristic-zero cubic with the same (lifted) coefficients smooth.
 The scan, however, only sees the F_p-rational points: a cubic can be
@@ -24,6 +34,7 @@ probe's certificate is not yet a proof.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -120,20 +131,72 @@ class ScanResult:
     first_singular: tuple | None
 
 
-def _partials(coeffs_mod_p):
-    """Per variable: list of (coefficient mod p, exponent tuple) for the
-    derivative, coefficients folded but not reduced to a canonical poly
-    since the monomial list has no duplicates anyway."""
-    out = []
-    for i in range(N_VARS):
-        terms = []
-        for expo, c in zip(MONOMIALS, coeffs_mod_p):
-            if c and expo[i]:
+# the 15 quadratic monomials x_a*x_b (a <= b) that the partials are made of
+_QUADS = [(a, b) for a in range(N_VARS) for b in range(a, N_VARS)]
+
+
+def _derivative_tensor():
+    """(35, 5 * 15) integers: row m holds the multiple of each quadratic
+    monomial in dx^m/dx_i, for i = 0..4 in turn."""
+    out = np.zeros((len(MONOMIALS), N_VARS, len(_QUADS)), dtype=np.int64)
+    for m, expo in enumerate(MONOMIALS):
+        for i in range(N_VARS):
+            if expo[i]:
                 d = list(expo)
                 d[i] -= 1
-                terms.append((c * expo[i], tuple(d)))
-        out.append(terms)
-    return out
+                a, b = [v for v in range(N_VARS) for _ in range(d[v])]
+                out[m, i, _QUADS.index((a, b))] = expo[i]
+    return out.reshape(len(MONOMIALS), -1)
+
+
+def _chart_layout(chart):
+    """How a partial restricted to a chart splits into small tables.
+
+    On chart k < 4, x_k = 1 and x_0..x_(k-1) = 0, so each quadratic
+    monomial becomes a monomial of degree <= 2 in the free coordinates
+    x_(k+1)..x_4 (axes 0..free-1 of the chart's grid), or vanishes.
+    The tables ("factors") are indexed by the pairs of free axes (by the
+    one free axis on chart 3); a monomial goes into the first factor
+    whose axes cover the ones it uses, at the slot of its exponents on
+    those axes.  Returns the factors' axes, the slots' exponents and the
+    0/1 matrix (15, factors * slots) taking quadratic-monomial
+    coefficients to slot coefficients.
+    """
+    free = N_VARS - 1 - chart
+    # pairs ordered by their larger axis, so that a running sum over
+    # them stays below the full grid size for as long as it can
+    factors = (sorted(itertools.combinations(range(free), 2),
+                      key=lambda pair: pair[::-1]) if free >= 2
+               else [(0,)])
+    slots = [e for e in itertools.product(range(3), repeat=len(factors[0]))
+             if sum(e) <= 2]
+    spread = np.zeros((len(_QUADS), len(factors) * len(slots)),
+                      dtype=np.int64)
+    for q, (a, b) in enumerate(_QUADS):
+        if a < chart:
+            continue
+        expo = [0] * free
+        for v in (a, b):
+            if v > chart:
+                expo[v - chart - 1] += 1
+        used = {t for t in range(free) if expo[t]}
+        j = next(j for j, axes in enumerate(factors) if used <= set(axes))
+        slot = slots.index(tuple(expo[t] for t in factors[j]))
+        spread[q, j * len(slots) + slot] = 1
+    return factors, slots, spread
+
+
+_DERIVATIVE = _derivative_tensor()
+_LAYOUTS = [_chart_layout(chart) for chart in range(N_VARS - 1)]
+_LAST = _QUADS.index((N_VARS - 1, N_VARS - 1))
+
+
+def _slot_tables(slots, p):
+    """(slots, p^arity): each slot's monomial evaluated on the grid of
+    its factor's axes, mod p."""
+    arity = len(slots[0])
+    axes = np.indices((p,) * arity, dtype=np.int64).reshape(1, arity, -1)
+    return (axes ** np.array(slots)[:, :, None]).prod(axis=1) % p
 
 
 def singular_scan(form: CubicForm, prime: int) -> ScanResult:
@@ -141,72 +204,82 @@ def singular_scan(form: CubicForm, prime: int) -> ScanResult:
 
     `smooth` is True when no F_p-rational point is singular; singular
     points over extensions of F_p are not seen.  Otherwise the first
-    singular point in scan order is the witness.
+    singular point in scan order is the witness.  `points` counts the
+    points walked up to and including the witness, or all of P^4(F_p).
     """
     red = PrimeReduction(prime)
     coeffs = red.reduce_form(form)
-    partials = _partials(coeffs)
     p = prime
+    partials = ((np.array(coeffs, dtype=np.int64) @ _DERIVATIVE) % p
+                ).reshape(N_VARS, -1)
 
     points_seen = 0
-    for chart in range(N_VARS):
+    for chart, (factors, slots, spread) in enumerate(_LAYOUTS):
         free = N_VARS - 1 - chart
-        if free:
-            grid = np.indices((p,) * free, dtype=np.int64).reshape(free, -1)
+        grid = (p,) * free
+        arity = len(slots[0])
+        restricted = (partials @ spread) % p
+        tables = (restricted.reshape(-1, len(slots))
+                  @ _slot_tables(slots, p)) % p
+        tables = tables.reshape((N_VARS, len(factors)) + (p,) * arity)
+        live = [i for i in range(N_VARS) if tables[i].any()]
+        if live:
+            # every table entry is below p, so the sum fits the smallest
+            # type that holds len(factors) * (p - 1)
+            first = tables[live[0]].astype(
+                np.min_scalar_type(len(factors) * (p - 1)))
+            total = 0
+            for axes, table in zip(factors, first):
+                shape = [1] * free
+                for t in axes:
+                    shape[t] = p
+                total = total + table.reshape(shape)
+            survivors = np.flatnonzero(total % p == 0)
         else:
-            grid = np.zeros((0, 1), dtype=np.int64)
-        count = grid.shape[1]
-        coords = np.zeros((N_VARS, count), dtype=np.int64)
-        coords[chart] = 1
-        for row in range(free):
-            coords[chart + 1 + row] = grid[row]
-
-        pows = {}
-
-        def power(var, e):
-            if e == 0:
-                return None
-            key = (var, e)
-            if key not in pows:
-                pows[key] = coords[var] ** e
-            return pows[key]
-
-        singular = np.ones(count, dtype=bool)
-        for terms in partials:
-            value = np.zeros(count, dtype=np.int64)
-            for c, expo in terms:
-                t = np.full(count, c, dtype=np.int64)
-                for var, e in enumerate(expo):
-                    pw = power(var, e)
-                    if pw is not None:
-                        t = t * pw
-                value += t
-            singular &= (value % p) == 0
-            if not singular.any():
+            # every partial vanishes on the chart: its first point is
+            # singular
+            survivors = np.arange(1)
+        ys = np.unravel_index(survivors, grid)
+        for i in live[1:]:
+            if not len(survivors):
                 break
+            value = sum(table[tuple(ys[t] for t in axes)]
+                        for axes, table in zip(factors, tables[i]))
+            keep = value % p == 0
+            survivors = survivors[keep]
+            ys = tuple(y[keep] for y in ys)
 
-        if singular.any():
-            idx = int(np.argmax(singular))
-            witness = tuple(int(coords[i, idx]) for i in range(N_VARS))
+        if len(survivors):
+            witness = ((0,) * chart + (1,)
+                       + tuple(int(y[0]) for y in ys))
             return ScanResult(
                 prime=p,
                 smooth=False,
-                points=points_seen + idx + 1,
+                points=points_seen + int(survivors[0]) + 1,
                 first_singular=witness,
             )
-        points_seen += count
+        points_seen += p ** free
 
-    return ScanResult(prime=p, smooth=True, points=points_seen,
-                      first_singular=None)
+    # the last chart is the single point e_4, where each partial is its
+    # x4^2 coefficient
+    points_seen += 1
+    if partials[:, _LAST].any():
+        return ScanResult(prime=p, smooth=True, points=points_seen,
+                          first_singular=None)
+    return ScanResult(prime=p, smooth=False, points=points_seen,
+                      first_singular=(0,) * (N_VARS - 1) + (1,))
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     certified: bool
     prime: int
-    trials: int
-    witness: tuple | None  # coefficients of the smooth member found
-    scan: ScanResult | None
+    trials: int  # samples requested
+    # F_p weights over space.spanning of the smooth member found
+    witness: tuple | None
+    scan: ScanResult | None  # the last scan made
+    scans: int  # scans actually made
+    points: int  # sum of the scans' points
 
 
 def probe_nonempty(space, prime: int | None = None, trials: int = 20,
@@ -217,10 +290,11 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
     spanning forms until one passes `singular_scan`.  That member has
     no F_p-rational singular point, which is evidence, not a proof, of
     smooth members in characteristic zero.  Exhausting the trials
-    proves nothing.
+    proves nothing.  A sample whose weights or reduced member vanish is
+    drawn but not scanned, so `scans` can be below `trials`.
     """
     if not space.basis:
-        return ProbeResult(False, prime or 0, 0, None, None)
+        return ProbeResult(False, prime or 0, 0, None, None, 0, 0)
     forms = space.spanning
     if prime is None:
         n = 1
@@ -236,6 +310,7 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
     p = prime
 
     last = None
+    scans = points = 0
     for _ in range(trials):
         weights = [rng.randrange(p) for _ in reduced]
         if not any(weights):
@@ -248,9 +323,12 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
             continue
         result = _scan_reduced(coeffs, p)
         last = result
+        scans += 1
+        points += result.points
         if result.smooth:
-            return ProbeResult(True, p, trials, tuple(weights), result)
-    return ProbeResult(False, p, trials, None, last)
+            return ProbeResult(True, p, trials, tuple(weights), result,
+                               scans, points)
+    return ProbeResult(False, p, trials, None, last, scans, points)
 
 
 def _clear_denominators(form: CubicForm) -> CubicForm:

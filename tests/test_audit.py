@@ -8,7 +8,6 @@ from cubicmoduli.audit import (
     lattice_report,
     lattice_text,
     liftability_check,
-    moduli_dimension,
 )
 from cubicmoduli.cyclo import root_of_unity
 from cubicmoduli.errors import NotProjectivelyFaithfulError
@@ -139,14 +138,23 @@ def test_scalars_rejected():
     g = MatrixGroup.generate([Matrix.scalar(5, root_of_unity(3))])
     with pytest.raises(NotProjectivelyFaithfulError):
         check_criterion(g)
-    with pytest.raises(NotProjectivelyFaithfulError):
-        moduli_dimension(g, True)
 
 
-def test_moduli_dimension_gate():
-    g = MatrixGroup.generate([], dim=5)
-    assert moduli_dimension(g, True) == 10
-    assert moduli_dimension(g, False) is None
+def test_probe_evidence_in_report():
+    g = MatrixGroup.generate([fx.C5_REGULAR])
+    # one sample, singular at (0:0:1:0:0) after 2745 of the 2801 points
+    r = check_criterion(g, trials=1, seed=0)
+    assert r.nonempty.status == "Inconclusive"
+    assert r.nonempty.reason == ("no smooth member in 1 scans of 1 samples "
+                                 "mod 7; last singular point (0:0:1:0:0)")
+    assert (r.provenance["probe_scans"], r.provenance["probe_points"]) == \
+        (1, 2745)
+    assert r.dim_moduli is None
+
+    r = check_criterion(g, seed=0)
+    assert r.nonempty.status == "Certified"
+    assert (r.provenance["probe_scans"], r.provenance["probe_points"]) == \
+        (2, 2745 + 2801)
 
 
 def test_lattice_on_order55():

@@ -132,3 +132,21 @@ def test_audit_file_path(tmp_path, capsys):
     shutil.copy(src, dst)
     assert main(["audit", str(dst)]) == 0
     assert "dim moduli       6" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_from_a_checkout(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cubicmoduli
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cubicmoduli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cubicmoduli", "selftest"], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "ok   Fermat cubic scan mod 7" in done.stdout
+    assert done.stdout.rstrip().endswith("all checks passed")

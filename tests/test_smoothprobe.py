@@ -1,10 +1,21 @@
+import itertools
+import random
+
 import pytest
 
+from cubicmoduli import catalog
 from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.groups import MatrixGroup
-from cubicmoduli.invariants import CubicForm, invariant_basis
+from cubicmoduli.invariants import (
+    MONOMIAL_INDEX,
+    MONOMIALS,
+    N_VARS,
+    CubicForm,
+    invariant_basis,
+)
 from cubicmoduli.smoothprobe import (
     PrimeReduction,
+    ScanResult,
     choose_prime,
     form_conductor,
     probe_nonempty,
@@ -113,6 +124,8 @@ def test_cone_family_never_certifies():
     assert not probe.certified
     assert probe.witness is None
     assert probe.scan is not None and not probe.scan.smooth
+    assert 1 <= probe.scans <= 5
+    assert probe.points >= probe.scan.points
 
 
 def test_probe_certifies_generic_family():
@@ -133,3 +146,147 @@ def test_probe_picks_split_prime():
     probe = probe_nonempty(space, trials=20, seed=0)
     assert probe.prime == 7
     assert probe.certified
+
+
+def test_probe_counts_the_scans_it_makes():
+    g = MatrixGroup.generate([fx.C5_REGULAR])
+    space = invariant_basis(g)
+    probe = probe_nonempty(space, trials=20, seed=0)
+    assert probe.certified and probe.trials == 20
+    # the first sample is singular at (0:0:1:0:0), the 2745th point; the
+    # second passes after all 2801
+    assert (probe.scans, probe.points) == (2, 2745 + 2801)
+
+    empty = probe_nonempty(space, trials=0)
+    assert (empty.scans, empty.points, empty.scan) == (0, 0, None)
+
+
+# ----------------------------------------------------------------------
+# the scan against a point-by-point walk of P^4(F_p)
+
+def _walk(coeffs, p):
+    """The scan's definition in plain Python: the points of P^4(F_p)
+    chart by chart (first nonzero coordinate scaled to 1), each chart in
+    lexicographic order, stopping at the first point where all five
+    partials vanish mod p."""
+    partials = []
+    for i in range(N_VARS):
+        terms = []
+        for c, m in zip(coeffs, MONOMIALS):
+            if c and m[i]:
+                d = list(m)
+                d[i] -= 1
+                terms.append((c * m[i], d))
+        partials.append(terms)
+    seen = 0
+    for chart in range(N_VARS):
+        for rest in itertools.product(range(p), repeat=N_VARS - 1 - chart):
+            point = (0,) * chart + (1,) + rest
+            seen += 1
+            if all(sum(c * _power_product(point, d) for c, d in terms) % p
+                   == 0 for terms in partials):
+                return ScanResult(p, False, seen, point)
+    return ScanResult(p, True, seen, None)
+
+
+def _power_product(point, expo):
+    out = 1
+    for x, e in zip(point, expo):
+        if e:
+            out *= x ** e
+    return out
+
+
+def _substitute(coeffs, chart, shifts, p):
+    """Coefficients of F with x_j replaced by x_j + shifts[j] * x_chart
+    for every j > chart."""
+    out = [0] * len(MONOMIALS)
+    for c, m in zip(coeffs, MONOMIALS):
+        if not c:
+            continue
+        poly = {(0,) * N_VARS: c}
+        for j in range(N_VARS):
+            lin = {j: 1}
+            if j > chart and shifts[j]:
+                lin[chart] = shifts[j]
+            for _ in range(m[j]):
+                grown = {}
+                for e, v in poly.items():
+                    for var, w in lin.items():
+                        e2 = e[:var] + (e[var] + 1,) + e[var + 1:]
+                        grown[e2] = (grown.get(e2, 0) + v * w) % p
+                poly = grown
+        for e, v in poly.items():
+            out[MONOMIAL_INDEX[e]] = (out[MONOMIAL_INDEX[e]] + v) % p
+    return out
+
+
+def _random_cubic(rng, p, kind):
+    """Seeded test cubics mod p:
+    dense    every coefficient random
+    sparse   three to eight random monomials
+    cone     one or two variables missing (two give a line of singular
+             points in one chart)
+    line     x3 and x4 missing: every partial vanishes on charts 3 and 4
+    late     singular at a random point of chart 2, 3 or 4 and at no
+             point of charts 0 and 1
+    """
+    while True:
+        if kind == "dense":
+            coeffs = [rng.randrange(p) for _ in MONOMIALS]
+        elif kind == "sparse":
+            coeffs = [0] * len(MONOMIALS)
+            for i in rng.sample(range(len(MONOMIALS)), rng.randint(3, 8)):
+                coeffs[i] = rng.randrange(1, p)
+        elif kind == "cone":
+            missing = rng.sample(range(N_VARS), rng.randint(1, 2))
+            coeffs = [0 if any(m[v] for v in missing) else rng.randrange(p)
+                      for m in MONOMIALS]
+        elif kind == "line":
+            coeffs = [0 if m[3] or m[4] else rng.randrange(p)
+                      for m in MONOMIALS]
+        else:
+            # no monomial with x_k^2 or x_k^3 makes e_k singular; the
+            # substitution moves that point within chart k
+            chart = rng.choice((2, 3, 4))
+            coeffs = [0 if m[chart] >= 2 else rng.randrange(p)
+                      for m in MONOMIALS]
+            shifts = [rng.randrange(p) for _ in range(N_VARS)]
+            coeffs = _substitute(coeffs, chart, shifts, p)
+        if not any(coeffs):
+            continue
+        if kind == "late":
+            ref = _walk(coeffs, p)
+            if ref.smooth or ref.first_singular.index(1) < 2:
+                continue
+        return coeffs
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "cone", "line",
+                                  "late"])
+@pytest.mark.parametrize("prime,count", [(5, 12), (7, 6), (11, 2)])
+def test_scan_matches_point_by_point_walk(prime, count, kind):
+    rng = random.Random(f"{prime}/{kind}")
+    for _ in range(count):
+        coeffs = _random_cubic(rng, prime, kind)
+        assert singular_scan(CubicForm(coeffs), prime) == \
+            _walk(coeffs, prime), coeffs
+
+
+# ----------------------------------------------------------------------
+# the probe's walk at a large prime, as computed by the array scan that
+# walked every point of a chart at once; any later scan kernel must
+# reproduce it
+
+@pytest.mark.parametrize("entry,seed,expected", [
+    # (certified, scans, points, last scan's points, its witness)
+    ("alt5-sixpoint", 0, (True, 1, 3500201, 3500201, None)),
+    ("alt5-sixpoint", 1, (True, 2, 146366 + 3500201, 3500201, None)),
+    ("trivial", 0, (True, 1, 3500201, 3500201, None)),
+    ("trivial", 1, (True, 1, 3500201, 3500201, None)),
+])
+def test_probe_walk_at_43_is_pinned(entry, seed, expected):
+    space = invariant_basis(catalog.load(entry))
+    probe = probe_nonempty(space, prime=43, seed=seed)
+    assert (probe.certified, probe.scans, probe.points, probe.scan.points,
+            probe.scan.first_singular) == expected
