@@ -3,8 +3,10 @@
 Given a finite group of 5x5 matrices over cyclotomic fields, the package
 computes the dimension of the family of invariant cubic forms, the moduli
 dimension of that family, the dimension of the associated special
-subvariety of the period domain, and decides whether the two agree.  All
-arithmetic is exact.
+subvariety of the period domain, and decides whether the two agree.
+Invariant bases, averaging operators and class traces are exact; the
+commutant dimension is a rank mod a large prime, accepted only when it
+equals the character inner product <chi, chi>.
 """
 
 __version__ = "0.1.0"

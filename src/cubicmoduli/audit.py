@@ -1,12 +1,17 @@
 """Per-group audit pipeline and lattice-wide reports.
 
 check_criterion assembles everything known about one group: the
-dimension of its invariant cubics (computed twice, by Reynolds averaging
-and by character theory, and compared), the commutant dimension
-(likewise twice), whether the family of invariant cubics has smooth
-members, the moduli dimension when that is settled, the dimension of the
-special subvariety, and the verdict of the equality criterion between
-the two.
+dimension of its invariant cubics (exact, from the Reynolds average,
+and compared with the character count), the commutant dimension (a rank
+mod a split prime, certified by the character inner product <chi, chi>),
+whether the family of invariant cubics has smooth members, the moduli
+dimension when that is settled, the dimension of the special
+subvariety, and the verdict of the equality criterion between the two.
+
+Reduction mod p can only lower a rank, so the F_p commutant dimension is
+never below the exact one, which is <chi, chi>.  Equality certifies the
+value; an excess means p divides a minor of the system, and the next
+split prime is tried; a deficit is an inconsistency between the routes.
 
 The moduli dimension formula dim U - dim C is only meaningful when the
 family contains a smooth member, so dim_moduli is withheld (None), not
@@ -19,6 +24,7 @@ probe can only ever certify the positive direction.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,11 +44,14 @@ from .errors import (
 )
 from .groups import EigenProfile, MatrixGroup
 from .invariants import InvariantSpace, invariant_basis
-from .linalg import commutant_dimension
+from .linalg import commutant_dimension, split_primes
 from .smoothprobe import probe_nonempty
 
 DEFAULT_TRIALS = 20
 DEFAULT_SEED = 0
+# split primes tried for the commutant rank before an excess over
+# <chi, chi> is reported as an inconsistency
+RANK_PRIME_ATTEMPTS = 4
 
 
 @dataclass(frozen=True)
@@ -211,8 +220,10 @@ def cyclic_locus_flag(group: MatrixGroup,
 
 
 def dims_dual_route(group: MatrixGroup, space: InvariantSpace | None = None):
-    """dim U and commutant dim, each computed along two independent
-    routes that must agree."""
+    """dim U and commutant dim, each checked against the character route.
+
+    Returns (dim U, commutant dim, chi, space, rank primes), the last
+    being the split primes tried for the commutant, in order."""
     if space is None:
         space = invariant_basis(group)
     chi = character_of(group)
@@ -223,14 +234,23 @@ def dims_dual_route(group: MatrixGroup, space: InvariantSpace | None = None):
             f"invariant dimension: averaging says {dim_u_matrix}, "
             f"characters say {dim_u_char}"
         )
-    comm_matrix = commutant_dimension(group.generators)
     comm_char = commutant_dimension_from_character(chi)
-    if comm_matrix != comm_char:
-        raise InconsistencyError(
-            f"commutant dimension: linear algebra says {comm_matrix}, "
-            f"characters say {comm_char}"
-        )
-    return dim_u_matrix, comm_matrix, chi, space
+    primes = []
+    for p in itertools.islice(split_primes(group.conductor),
+                              RANK_PRIME_ATTEMPTS):
+        primes.append(p)
+        comm_matrix = commutant_dimension(group.generators, prime=p)
+        if comm_matrix == comm_char:
+            return dim_u_matrix, comm_matrix, chi, space, primes
+        if comm_matrix < comm_char:
+            raise InconsistencyError(
+                f"commutant dimension: rank mod {p} says {comm_matrix}, "
+                f"characters say {comm_char}"
+            )
+    raise InconsistencyError(
+        f"commutant dimension: characters say {comm_char}, but the rank "
+        f"mod each of the primes {primes} leaves more"
+    )
 
 
 def check_criterion(group: MatrixGroup, group_id: str = "group",
@@ -243,7 +263,7 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
             "projective representative instead"
         )
 
-    dim_u, comm, chi, space = dims_dual_route(group)
+    dim_u, comm, chi, space, rank_primes = dims_dual_route(group)
     dim_z = dim_special_subvariety(chi, det_character(group))
     violations = tuple(liftability_check(group))
     locus = cyclic_locus_flag(group, space)
@@ -295,6 +315,7 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
         "seed": seed,
         "trials": trials,
         "prime": probe.prime if probe is not None else prime,
+        "rank_primes": rank_primes,
         "probe_scans": probe.scans if probe is not None else 0,
         "probe_points": probe.points if probe is not None else 0,
     }

@@ -172,14 +172,31 @@ def _descents(n: int):
     return solvers
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the first twelve primes as witnesses, which is
+    exact for every p below 3.3 * 10^24."""
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -444,6 +461,8 @@ class Cyclotomic:
 
     def __hash__(self):
         if self._n == 1:
+            if self._den == 1:
+                return hash(self._num[0])
             return hash(Fraction(self._num[0], self._den))
         return hash((self._n, self._num, self._den))
 
@@ -540,6 +559,17 @@ def cyclo(value) -> Cyclotomic:
     if got is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
     return got
+
+
+def power_basis(value: Cyclotomic, n: int) -> tuple[list[int], int]:
+    """(num, den) with value = sum_k num[k] * zeta_n^k / den, for n a
+    multiple of the conductor; den > 0 and num is a list of ints."""
+    return value._promoted(n), value._den
+
+
+def from_power_basis(n: int, num, den: int = 1) -> Cyclotomic:
+    """The value sum_k num[k] * zeta_n^k / den, num of length phi(n)."""
+    return Cyclotomic._make(n, list(num), den)
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:

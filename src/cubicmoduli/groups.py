@@ -102,13 +102,14 @@ def eigen_profile(m: Matrix, bound: int = DEFAULT_ORDER_BOUND) -> EigenProfile:
 
 
 def _profile_from_traces(n: int, traces: list[Cyclotomic], dim: int) -> EigenProfile:
+    roots = [root_of_unity(n, k) for k in range(n)]
     mults = []
     total = 0
     for k in range(n):
         acc = cyclo(0)
         for j, t in enumerate(traces):
             if t:
-                acc = acc + t * root_of_unity(n, (-j * k) % n)
+                acc = acc + t * roots[(-j * k) % n]
         value = (acc * Fraction(1, n)).as_rational()
         assert value.denominator == 1 and value >= 0, (
             f"eigenvalue multiplicity came out as {value}"

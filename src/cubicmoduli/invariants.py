@@ -13,27 +13,52 @@ the sum is folded through the cosets of the diagonal element h of
 largest order, whose own average kills every monomial of nonzero
 h-weight, so only the surviving monomials are expanded, once per coset
 representative.  When the identity is the only diagonal element the
-fold is the plain sum.  Row reduction of the transpose gives a
-canonical echelon basis.  Every returned basis form is re-checked
-against the generators, so a wrong average cannot slip through.
+fold is the plain sum.
+
+The loop runs on integer arrays (`linalg.int_array`): each
+representative's inverse is a (5, 5, phi(n)) array of coefficients on
+the zeta_n power basis over one common denominator, n the group's
+conductor.  For a surviving monomial x_p*x_q*x_r the products
+A[p, a] * A[q, b] * A[r, c] of one nonzero entry from each factor's row
+(at most 125 of them) are formed as integer polynomials in zeta_n and
+added into one accumulator, one representative at a time.  Only at the
+end are the 125 products collapsed onto the 35 monomials, reduced mod
+Phi_n, divided by the denominator and turned into exact numbers, one
+per nonzero entry.  int64 is used when a bound on the sums, computed
+from the input, proves it cannot overflow; otherwise the same code runs
+on Python ints.
+
+Row reduction of the transpose gives a canonical echelon basis.  Every
+returned basis form is re-checked against the generators by exact
+substitution (`_expand_monomial`, the route behind `act` and
+`substitution_matrix`), which shares no code with the integer arrays,
+so a wrong average cannot slip through.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from fractions import Fraction
-from itertools import combinations_with_replacement
 
-from .cyclo import Cyclotomic, cyclo, parse_cyclo, root_of_unity
+import numpy as np
+
+from .cyclo import (
+    Cyclotomic,
+    _power_table,
+    cyclo,
+    from_power_basis,
+    parse_cyclo,
+    root_of_unity,
+)
 from .errors import ContractViolationError
-from .linalg import Matrix, rref, solve_in_span
+from .linalg import Matrix, int_array, rref, solve_in_span
 
 N_VARS = 5
 
 
 def _all_monomials():
     out = set()
-    for picks in combinations_with_replacement(range(N_VARS), 3):
+    for picks in itertools.combinations_with_replacement(range(N_VARS), 3):
         e = [0] * N_VARS
         for i in picks:
             e[i] += 1
@@ -44,6 +69,29 @@ def _all_monomials():
 MONOMIALS = _all_monomials()
 MONOMIAL_INDEX = {e: i for i, e in enumerate(MONOMIALS)}
 assert len(MONOMIALS) == 35 and MONOMIALS[0] == (3, 0, 0, 0, 0)
+
+
+def _factors(expo) -> tuple:
+    """The variable indices of a monomial with multiplicity, ascending."""
+    return tuple(i for i, e in enumerate(expo) for _ in range(e))
+
+
+def _collapse_order():
+    """The 125 products x_a*x_b*x_c, flat index 25*a + 5*b + c, sorted
+    by the monomial they equal, and where each monomial's run starts."""
+    mono = []
+    for abc in itertools.product(range(N_VARS), repeat=3):
+        expo = [0] * N_VARS
+        for i in abc:
+            expo[i] += 1
+        mono.append(MONOMIAL_INDEX[tuple(expo)])
+    order = sorted(range(N_VARS ** 3), key=lambda t: mono[t])
+    starts = [k for k, t in enumerate(order)
+              if k == 0 or mono[t] != mono[order[k - 1]]]
+    return np.array(order), np.array(starts)
+
+
+_BY_MONOMIAL, _MONOMIAL_STARTS = _collapse_order()
 
 _ZERO = cyclo(0)
 
@@ -173,10 +221,7 @@ def _inverse_rows(g_inv: Matrix):
 def _expand_monomial(rows, expo) -> dict:
     """Image of the monomial with exponents expo when x_i is replaced by
     the linear form rows[i]."""
-    factors = []
-    for i, e in enumerate(expo):
-        factors.extend([i] * e)
-    p, q, r = factors
+    p, q, r = _factors(expo)
     out = {}
     row_q = rows[q]
     row_r = rows[r]
@@ -282,21 +327,67 @@ def reynolds_operator(group) -> Matrix:
         for p in h_powers:
             seen[group.mult(i, p)] = True
 
-    cols = {j: {} for j in surviving}
-    for r in reps:
-        rows = _inverse_rows(group.elements[group.inverse_index(r)])
-        for j in surviving:
-            col = cols[j]
-            for key, value in _expand_monomial(rows, MONOMIALS[j]).items():
-                prev = col.get(key)
-                col[key] = value if prev is None else prev + value
-    w = Fraction(1, len(reps))
+    arrays, den = int_array(
+        [group.elements[group.inverse_index(r)] for r in reps],
+        group.conductor)
+    sums = _sum_of_images(arrays, [_factors(MONOMIALS[j]) for j in surviving],
+                          group.conductor)
+    den = den ** 3 * len(reps)
     data = [[_ZERO] * 35 for _ in range(35)]
-    for j, col in cols.items():
-        for key, value in col.items():
-            if value:
-                data[MONOMIAL_INDEX[key]][j] = value * w
+    for s, m in zip(*np.nonzero((sums != 0).any(axis=-1))):
+        data[m][surviving[s]] = from_power_basis(
+            group.conductor, sums[s, m].tolist(), den)
     return Matrix(data)
+
+
+def _convolve(a, b):
+    """Row-wise products of integer polynomials: a and b hold one
+    polynomial per row, coefficients low to high."""
+    la, lb = a.shape[1], b.shape[1]
+    out = np.zeros((len(a), la + lb - 1), dtype=np.result_type(a, b))
+    for i in range(lb):
+        out[:, i:i + la] += a * b[:, i:i + 1]
+    return out
+
+
+def _sum_of_images(arrays, factors, n):
+    """(len(factors), 35, phi(n)) integers: for each monomial, given by
+    its factors (p, q, r), the sum over the substitutions x_i ->
+    sum_k A[i, k] x_k, A one of arrays, of its image, on the zeta_n
+    power basis.
+
+    Per representative, only the products A[p, a] A[q, b] A[r, c] whose
+    three entries are nonzero are formed (one per monomial for a
+    monomial matrix, at most 125), and each is added at (monomial, a, b,
+    c) of one accumulator, so no temporary grows with the number of
+    arrays."""
+    p, q, r = np.array(factors, dtype=np.intp).reshape(-1, 3).T
+    phi = arrays.shape[-1]
+    table = _power_table(n)
+    mod_phi = np.array([table[e % n] for e in range(3 * phi - 2)],
+                      dtype=np.int64)
+    # |entry| <= big, so a product of three has coefficients of size at
+    # most phi^2 * big^3; 6 products share a monomial and len(arrays)
+    # representatives add up before 3 * phi - 2 terms are reduced
+    big = int(np.abs(arrays).max())
+    bound = (len(arrays) * 6 * phi ** 2 * big ** 3
+             * (3 * phi - 2) * int(np.abs(mod_phi).max()))
+    if bound >= 1 << 63:
+        arrays = arrays.astype(object)
+        mod_phi = mod_phi.astype(object)
+    acc = np.zeros((len(factors), N_VARS, N_VARS, N_VARS, 3 * phi - 2),
+                   dtype=arrays.dtype)
+    for A in arrays:
+        nonzero = (A != 0).any(axis=-1)
+        s, a, b, c = np.nonzero(nonzero[p, :, None, None]
+                                & nonzero[q, None, :, None]
+                                & nonzero[r, None, None, :])
+        acc[s, a, b, c] += _convolve(_convolve(A[p[s], a], A[q[s], b]),
+                                     A[r[s], c])
+    flat = acc.reshape(len(factors), N_VARS ** 3, 3 * phi - 2)
+    collapsed = np.add.reduceat(flat[:, _BY_MONOMIAL], _MONOMIAL_STARTS,
+                                axis=1)
+    return collapsed @ mod_phi
 
 
 class InvariantSpace:
@@ -381,7 +472,8 @@ def invariant_basis(group) -> InvariantSpace:
             spanning.append(col)
     space = InvariantSpace(basis, spanning)
     for g in group.generators:
-        rows = _inverse_rows(g.inverse())
+        rows = _inverse_rows(
+            group.elements[group.inverse_index(group.index(g))])
         for b in space.basis:
             if _act_with_rows(rows, b) != b:
                 raise ContractViolationError(

@@ -1,14 +1,41 @@
-"""Dense exact linear algebra over cyclotomic fields.
+"""Dense linear algebra over cyclotomic fields, exact and mod p.
 
 Sized for this project: matrices up to 35x35 (the space of cubic
 monomials in five variables) and commutant systems on 5x5 unknowns.
-Row reduction uses deterministic first-nonzero pivoting and inverts a
-pivot entry once per pivot row, so exact divisions stay rare.
+Exact row reduction uses deterministic first-nonzero pivoting and
+inverts a pivot entry once per pivot row, so exact divisions stay rare.
+
+The matrix kernels work on one integer-array form of a list of
+matrices (`int_array`): entry (i, j) of matrix k becomes the integer
+coefficients of its value on the zeta_n power basis, over one common
+denominator.  The commutant dimension reduces that array mod a split
+prime p (p = 1 mod n, so zeta_n has an image in F_p) and takes the
+rank there.  Reduction mod p can only lower a rank, so the F_p value is
+an upper bound for the exact commutant dimension; the audit certifies
+it against the character inner product <chi, chi>.
 """
 
 from __future__ import annotations
 
-from .cyclo import ZERO, ONE, Cyclotomic, cyclo
+import math
+
+import numpy as np
+
+from .cyclo import (
+    ZERO,
+    ONE,
+    Cyclotomic,
+    _is_prime,
+    cyclo,
+    power_basis,
+)
+from .errors import BadPrimeError
+
+# rank primes stay below 2^31, so that a product of two residues fits
+# an int64; they start at 2^30, where a prime that lowers a rank of
+# these small systems is very unlikely
+RANK_PRIME_FLOOR = 1 << 30
+RANK_PRIME_CEILING = 1 << 31
 
 
 def _entry(value) -> Cyclotomic:
@@ -242,30 +269,114 @@ def solve_in_span(basis_rows: list, target) -> bool:
     return rank(stacked) == base_rank
 
 
-def commutant_dimension(mats: list[Matrix]) -> int:
-    """Dimension of the algebra of d x d matrices commuting with every
-    given matrix: d*d minus the rank of the stacked linear system
-    X*g - g*X = 0 over the entries of X."""
+def int_array(mats, n: int):
+    """(array, den): the matrices on the zeta_n power basis, n a multiple
+    of every entry's conductor.  array[k, i, j] holds the phi(n) integer
+    coefficients of den * mats[k][i, j]; den > 0 is the least common
+    denominator.  The dtype is int64 when every coefficient fits below
+    2^62, and Python ints (object) otherwise."""
+    d = mats[0].rows
+    coeffs = {}
+    for m in mats:
+        for v in m.data:
+            if v not in coeffs:
+                coeffs[v] = power_basis(v, n)
+    den = math.lcm(*(vd for _, vd in coeffs.values()))
+    scaled = {v: num if vd == den else [x * (den // vd) for x in num]
+              for v, (num, vd) in coeffs.items()}
+    big = max(abs(x) for num in scaled.values() for x in num)
+    array = np.array([[scaled[v] for v in m.data] for m in mats],
+                     dtype=np.int64 if big < 1 << 62 else object)
+    return array.reshape(len(mats), d, d, -1), den
+
+
+def _conductor(mats) -> int:
+    return math.lcm(*(v.conductor for m in mats for v in m.data))
+
+
+def split_primes(n: int):
+    """The primes p = 1 mod n in [RANK_PRIME_FLOOR, RANK_PRIME_CEILING),
+    ascending."""
+    step = n if n % 2 == 0 else 2 * n  # p - 1 is even
+    p = RANK_PRIME_FLOOR + (1 - RANK_PRIME_FLOOR) % step
+    while p < RANK_PRIME_CEILING:
+        if _is_prime(p):
+            yield p
+        p += step
+
+
+def root_of_unity_mod(n: int, p: int) -> int:
+    """The primitive n-th root of unity a^((p-1)/n) mod p for the
+    smallest base a >= 2 that gives one; p = 1 mod n."""
+    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    for a in range(2, p):
+        w = pow(a, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in factors):
+            return w
+    raise BadPrimeError(f"no primitive {n}-th root of unity mod {p}")
+
+
+def reduce_mod_p(array, n: int, p: int):
+    """An int_array (its denominator dropped) mod p, zeta_n sent to
+    root_of_unity_mod(n, p): int64 residues, one axis shorter."""
+    w = root_of_unity_mod(n, p)
+    array = array % p
+    if array.dtype == object:
+        array = array.astype(np.int64)
+    out = np.zeros(array.shape[:-1], dtype=np.int64)
+    zk = 1
+    for k in range(array.shape[-1]):
+        out = (out + array[..., k] * zk) % p
+        zk = zk * w % p
+    return out
+
+
+def rank_mod_p(m, p: int) -> int:
+    """Rank of an int64 matrix with entries in [0, p), p < 2^31."""
+    m = m[np.any(m, axis=1)]
+    rank = 0
+    for col in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if not len(nonzero):
+            continue
+        pivot = rank + nonzero[0]
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        rest = m[rank + 1:]
+        rest -= rest[:, col, None] * m[rank]
+        rest %= p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def commutant_dimension(mats: list[Matrix], prime: int | None = None) -> int:
+    """Dimension over F_p of the algebra of d x d matrices commuting with
+    every given matrix: d*d minus the rank mod p of the stacked systems
+    (I (x) g^T - g (x) I) vec(X) = 0, which say X*g - g*X = 0.
+
+    p must be a prime below 2^31 with p = 1 mod the conductor of the
+    entries; by default it is the first of split_primes.  The result is
+    at least the exact (characteristic-zero) dimension and equals it
+    unless p divides one of the system's minors.  Common denominators
+    are dropped: a nonzero multiple of g has the same commutant."""
     assert mats, "need at least one matrix"
     d = mats[0].rows
-    rows = []
-    for g in mats:
-        assert g.rows == g.cols == d
-        for i in range(d):
-            for j in range(d):
-                row = [ZERO] * (d * d)
-                # (X g)_{ij} contributes g[k, j] at unknown X[i, k]
-                for k in range(d):
-                    v = g[k, j]
-                    if v:
-                        row[i * d + k] = row[i * d + k] + v
-                # (g X)_{ij} contributes -g[i, k] at unknown X[k, j]
-                for k in range(d):
-                    v = g[i, k]
-                    if v:
-                        row[k * d + j] = row[k * d + j] - v
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return d * d
-    return d * d - rank(Matrix(rows))
+    assert all(g.rows == g.cols == d for g in mats)
+    n = _conductor(mats)
+    if prime is None:
+        prime = next(split_primes(n))
+    elif not (_is_prime(prime) and prime < RANK_PRIME_CEILING
+              and (prime - 1) % n == 0):
+        raise BadPrimeError(
+            f"{prime} is not a prime below 2^31 that is 1 mod {n}")
+    array, _ = int_array(mats, n)
+    g = reduce_mod_p(array, n, prime)
+    eye = np.eye(d, dtype=np.int64)
+    # row (i, j), column (a, b) of the system for one g:
+    # delta(i, a) * g[b, j] - g[i, a] * delta(j, b)
+    system = (np.einsum("ia,kbj->kijab", eye, g)
+              - np.einsum("kia,jb->kijab", g, eye)) % prime
+    return d * d - rank_mod_p(system.reshape(-1, d * d), prime)

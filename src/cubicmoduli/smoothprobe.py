@@ -34,6 +34,7 @@ probe's certificate is not yet a proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import Cyclotomic, _is_prime, cyclo
+from .cyclo import _is_prime, cyclo, power_basis
 from .errors import BadPrimeError
 from .invariants import MONOMIALS, N_VARS, CubicForm
 
@@ -75,34 +76,43 @@ class PrimeReduction:
         self.p = p
         self.root = smallest_primitive_root(p)
 
-    def reduce(self, value: Cyclotomic) -> int:
+    def reduce(self, value) -> int:
+        if isinstance(value, int):
+            return value % self.p
         value = cyclo(value)
         n = value.conductor
         if (self.p - 1) % n:
             raise BadPrimeError(
                 f"conductor {n} does not divide p-1 = {self.p - 1}"
             )
+        num, den = power_basis(value, n)
+        # the numerators and den share no factor, so p divides den
+        # exactly when it divides the denominator of some coefficient
+        if den % self.p == 0:
+            raise BadPrimeError(
+                f"p={self.p} divides a coefficient denominator"
+            )
         z = pow(self.root, (self.p - 1) // n, self.p)
         acc = 0
-        zi = 1
-        for fr in value.coefficients():
-            if fr:
-                den = fr.denominator % self.p
-                if den == 0:
-                    raise BadPrimeError(
-                        f"p={self.p} divides a coefficient denominator"
-                    )
-                acc = (acc + fr.numerator * pow(den, -1, self.p) * zi)
-            zi = zi * z % self.p
-        return acc % self.p
+        for c in reversed(num):
+            acc = (acc * z + c) % self.p
+        return acc * pow(den, -1, self.p) % self.p
 
-    def reduce_form(self, form: CubicForm) -> tuple:
-        out = tuple(self.reduce(c) for c in form.coefficients)
+    def reduce_form(self, form) -> tuple:
+        """The 35 coefficients of a CubicForm, or 35 integers, mod p."""
+        coeffs = form.coefficients if isinstance(form, CubicForm) else form
+        out = tuple(self.reduce(c) for c in coeffs)
         if not any(out):
             raise BadPrimeError(
                 f"form vanishes identically mod {self.p}"
             )
         return out
+
+
+@functools.lru_cache(maxsize=64)
+def prime_reduction(p: int) -> PrimeReduction:
+    """The PrimeReduction for p, built once per prime."""
+    return PrimeReduction(p)
 
 
 def choose_prime(conductor: int,
@@ -199,16 +209,17 @@ def _slot_tables(slots, p):
     return (axes ** np.array(slots)[:, :, None]).prod(axis=1) % p
 
 
-def singular_scan(form: CubicForm, prime: int) -> ScanResult:
+def singular_scan(form, prime: int) -> ScanResult:
     """Walk P^4(F_p) for a point where every partial vanishes.
+
+    `form` is a CubicForm or its 35 coefficients as integers.
 
     `smooth` is True when no F_p-rational point is singular; singular
     points over extensions of F_p are not seen.  Otherwise the first
     singular point in scan order is the witness.  `points` counts the
     points walked up to and including the witness, or all of P^4(F_p).
     """
-    red = PrimeReduction(prime)
-    coeffs = red.reduce_form(form)
+    coeffs = prime_reduction(prime).reduce_form(form)
     p = prime
     partials = ((np.array(coeffs, dtype=np.int64) @ _DERIVATIVE) % p
                 ).reshape(N_VARS, -1)
@@ -301,7 +312,7 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
         for b in forms:
             n = math.lcm(n, form_conductor(b))
         prime = choose_prime(n)
-    red = PrimeReduction(prime)
+    red = prime_reduction(prime)
     # A rational rescale changes neither the zero locus nor smoothness,
     # so denominators are cleared first; otherwise a spanning form can
     # put the chosen prime into a denominator.
@@ -321,7 +332,7 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
         ]
         if not any(coeffs):
             continue
-        result = _scan_reduced(coeffs, p)
+        result = singular_scan(coeffs, p)
         last = result
         scans += 1
         points += result.points
@@ -338,8 +349,3 @@ def _clear_denominators(form: CubicForm) -> CubicForm:
             for q in c.coefficients():
                 den = math.lcm(den, q.denominator)
     return form if den == 1 else form.scale(den)
-
-
-def _scan_reduced(coeffs, p) -> ScanResult:
-    form = CubicForm(list(coeffs))
-    return singular_scan(form, p)

@@ -1,8 +1,13 @@
+import itertools
+
 import pytest
 
+from cubicmoduli import linalg
 from cubicmoduli.audit import (
+    RANK_PRIME_ATTEMPTS,
     check_criterion,
     cyclic_locus_flag,
+    dims_dual_route,
     lattice_csv,
     lattice_nodes,
     lattice_report,
@@ -10,7 +15,7 @@ from cubicmoduli.audit import (
     liftability_check,
 )
 from cubicmoduli.cyclo import root_of_unity
-from cubicmoduli.errors import NotProjectivelyFaithfulError
+from cubicmoduli.errors import InconsistencyError, NotProjectivelyFaithfulError
 from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.linalg import Matrix
 
@@ -185,3 +190,55 @@ def test_cyclic_locus_flag_routes():
     flag = cyclic_locus_flag(g)
     assert not flag.certified
     assert flag.reason is None
+
+
+def skew_rank(monkeypatch, shift_at):
+    """Make rank_mod_p at the prime p return shift_at(p) more than the
+    true rank, so the commutant mod p comes out shift_at(p) lower."""
+    real = linalg.rank_mod_p
+
+    def skewed(m, p):
+        return real(m, p) + shift_at(p)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", skewed)
+
+
+def test_rank_excess_moves_to_the_next_prime(monkeypatch):
+    g = MatrixGroup.generate([fx.KLEIN_D])
+    first, second = itertools.islice(linalg.split_primes(g.conductor), 2)
+    # a rank one short at the first prime: the commutant reads one more
+    skew_rank(monkeypatch, lambda p: -1 if p == first else 0)
+    dim_u, comm, _, _, primes = dims_dual_route(g)
+    assert (dim_u, comm) == (5, 5)
+    assert primes == [first, second]
+    r = check_criterion(g)
+    assert r.commutant_dim == 5
+    assert r.provenance["rank_primes"] == [first, second]
+
+
+def test_rank_excess_at_every_prime_is_inconsistent(monkeypatch):
+    g = MatrixGroup.generate([fx.KLEIN_D])
+    skew_rank(monkeypatch, lambda p: -1)
+    calls = []
+    real = linalg.commutant_dimension
+
+    def counted(mats, prime=None):
+        calls.append(prime)
+        return real(mats, prime)
+
+    monkeypatch.setattr("cubicmoduli.audit.commutant_dimension", counted)
+    with pytest.raises(InconsistencyError, match="primes"):
+        dims_dual_route(g)
+    assert calls == list(itertools.islice(
+        linalg.split_primes(g.conductor), RANK_PRIME_ATTEMPTS))
+
+
+def test_rank_deficit_is_inconsistent(monkeypatch):
+    g = MatrixGroup.generate([fx.KLEIN_D])
+    first = next(linalg.split_primes(g.conductor))
+    # a rank one too large cannot come from a reduction mod p: the first
+    # prime already fails, without trying another
+    skew_rank(monkeypatch, lambda p: 1)
+    with pytest.raises(InconsistencyError,
+                       match=f"rank mod {first} says 4, characters say 5"):
+        dims_dual_route(g)

@@ -32,6 +32,16 @@ def test_audit_json(capsys):
     assert doc["provenance"]["seed"] == 0
 
 
+def test_audit_json_records_rank_primes(capsys):
+    assert main(["audit", "z11-klein", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # the commutant rank is certified at the first split prime for the
+    # conductor 11; the probe prime is a separate, small one
+    assert doc["provenance"]["rank_primes"] == [1073741857]
+    assert doc["provenance"]["prime"] == 7
+    assert doc["commutant_dim"] == 5
+
+
 def test_audit_json_stable(capsys):
     assert main(["audit", "c3-balanced", "--json"]) == 0
     first = capsys.readouterr().out

@@ -69,6 +69,18 @@ def test_same_value_two_routes_same_representation():
     assert str(a) == str(b)
 
 
+def test_hash_of_rational_values_is_the_rational_hash():
+    for q in (0, 1, -1, 7, -7, Fraction(-3, 4)):
+        assert hash(cyclo(q)) == hash(q)
+    # equal values reached along different routes hash equal
+    assert E(3) + E(3) ** 2 == -1
+    assert hash(E(3) + E(3) ** 2) == hash(cyclo(-1)) == hash(-1)
+    assert hash(E(4) ** 2) == hash(-1)
+    assert hash(cyclo(Fraction(6, 8))) == hash(parse_cyclo("3/4"))
+    assert hash(E(12) ** 4) == hash(E(3))
+    assert hash((E(5) + 1) - E(5)) == hash(1)
+
+
 def test_multiplicative_order():
     for n in (1, 2, 3, 4, 5, 6, 8, 9, 11, 12):
         for k in range(n):

@@ -1,17 +1,23 @@
-"""Exact row reduction, kernels and commutant dimensions."""
+"""Exact row reduction, kernels, and commutant dimensions mod p."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cubicmoduli.cyclo import cyclo, root_of_unity
+from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.linalg import (
     Matrix,
     commutant_dimension,
     nullspace,
     rank,
+    rank_mod_p,
+    root_of_unity_mod,
     rref,
     solve_in_span,
+    split_primes,
 )
 from helpers_math import random_cyclo, random_matrix
 
@@ -147,3 +153,95 @@ def test_commutant_matches_block_structure_randomly():
         m = Matrix.diagonal([E(3) ** e for e in eigs])
         want = sum(eigs.count(v) ** 2 for v in set(eigs))
         assert commutant_dimension([m]) == want
+
+
+def exact_commutant_dimension(mats):
+    """d*d minus the exact rank of the stacked systems X*g - g*X = 0."""
+    d = mats[0].rows
+    rows = []
+    for g in mats:
+        for i in range(d):
+            for j in range(d):
+                row = [cyclo(0)] * (d * d)
+                for k in range(d):
+                    row[i * d + k] = row[i * d + k] + g[k, j]
+                    row[k * d + j] = row[k * d + j] - g[i, k]
+                rows.append(row)
+    return d * d - rank(Matrix(rows))
+
+
+def random_system(rng, n):
+    """One or two 5x5 matrices over Q(zeta_n) whose commutant is not
+    always the generic one: P D P^-1 with D diagonal with repeated
+    eigenvalues and P a random integer matrix, alone, next to a
+    polynomial in it, next to another matrix diagonal in the same basis,
+    or next to a random matrix."""
+    while True:
+        p = Matrix([[rng.randrange(-2, 3) for _ in range(5)]
+                    for _ in range(5)])
+        if rank(p) == 5:
+            break
+    p_inv = p.inverse()
+    values = [1, 2, E(n) if n > 1 else -1]
+
+    def conj_diag():
+        return p * Matrix.diagonal(
+            [rng.choice(values) for _ in range(5)]) * p_inv
+
+    first = conj_diag()
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [first]
+    if kind == 1:
+        return [first, first * first + first]
+    if kind == 2:
+        return [first, conj_diag()]
+    return [first, random_matrix(rng, 5, 5, (n,))]
+
+
+@pytest.mark.parametrize("n", [1, 3, 11])
+def test_commutant_mod_p_matches_exact_nullity(n):
+    rng = random.Random(100 + n)
+    seen = set()
+    for _ in range(6):
+        mats = random_system(rng, n)
+        want = exact_commutant_dimension(mats)
+        assert commutant_dimension(mats) == want
+        seen.add(want)
+    assert len(seen) >= 3
+
+
+def test_commutant_mod_p_is_never_below_the_exact_value():
+    # 1 + p is 1 mod p: the reduction is the identity, whose commutant
+    # is everything, while the exact commutant is 4*4 + 1
+    p = next(split_primes(1))
+    m = Matrix.diagonal([1, 1, 1, 1, 1 + p])
+    assert exact_commutant_dimension([m]) == 17
+    assert commutant_dimension([m], prime=p) == 25
+    q = next(r for r in split_primes(1) if r != p and (r - 1) % 11)
+    assert commutant_dimension([m], prime=q) == 17
+    # E(11) has no image mod a prime that is not 1 mod 11
+    with pytest.raises(BadPrimeError):
+        commutant_dimension([Matrix.scalar(5, E(11))], prime=q)
+
+
+def test_split_primes_and_roots_mod_p():
+    for n in (1, 3, 11, 12, 20):
+        primes = list(itertools.islice(split_primes(n), 3))
+        assert primes == sorted(primes)
+        for p in primes:
+            assert 2 ** 30 <= p < 2 ** 31 and (p - 1) % n == 0
+            w = root_of_unity_mod(n, p)
+            assert pow(w, n, p) == 1
+            assert all(pow(w, k, p) != 1 for k in range(1, n))
+
+
+def test_rank_mod_p():
+    p = 7
+    m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5], [1, 3, 8]], dtype=np.int64)
+    assert rank_mod_p(m, p) == 2
+    assert rank_mod_p(np.zeros((3, 4), dtype=np.int64), p) == 0
+    assert rank_mod_p(np.eye(4, dtype=np.int64), p) == 4
+    # rank 2 over Q, rank 1 mod 7: the second row is 1 + 7 times the first
+    m = np.array([[1, 2, 3], [8, 16, 24]], dtype=np.int64) % p
+    assert rank_mod_p(m, p) == 1

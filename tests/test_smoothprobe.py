@@ -74,6 +74,16 @@ def test_klein_smooth_at_23():
     assert res.points == 292561
 
 
+def test_scan_takes_integer_coefficients():
+    # the probe hands its reduced samples over as integers
+    for form in (KLEIN, FERMAT, CubicForm.parse("x0^3 + x1^3 + x2^3")):
+        coeffs = [int(c.as_rational()) for c in form.coefficients]
+        for p in (7, 13):
+            assert singular_scan(coeffs, p) == singular_scan(form, p)
+            shifted = [c + 5 * p for c in coeffs]
+            assert singular_scan(shifted, p) == singular_scan(form, p)
+
+
 def test_klein_smooth_at_7_too():
     assert singular_scan(KLEIN, 7).smooth
 
