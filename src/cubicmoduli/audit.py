@@ -147,11 +147,10 @@ def liftability_check(group: MatrixGroup) -> list:
     (-i,1,1,1,1); order-5 elements must have (1, z5, z5^2, z5^3, z5^4).
     """
     violations = []
-    for c in group.classes:
+    for c, prof in zip(group.classes, group.class_profiles()):
         n = c.element_order
         if n not in (2, 4, 5):
             continue
-        prof = group.eigen_profile_of(c.rep_index)
         d = prof.as_dict()
         if n == 2 and d not in _ADMISSIBLE_ORDER2:
             violations.append(
@@ -199,8 +198,7 @@ def cyclic_locus_flag(group: MatrixGroup,
     split variable in the invariant family.  No certificate means
     Unknown, never no.
     """
-    for c in group.classes:
-        prof = group.eigen_profile_of(c.rep_index)
+    for c, prof in zip(group.classes, group.class_profiles()):
         if _cyclic_witness_profile(prof):
             return CyclicLocusFlag(
                 True,
@@ -286,7 +284,10 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
             probe = probe_nonempty(space, prime=prime, trials=trials,
                                    seed=seed)
         except BadPrimeError as e:
-            probe = None
+            # a prime the caller chose must be usable; only an
+            # automatically chosen one may leave the probe inconclusive
+            if prime is not None:
+                raise
             nonempty = NonemptyStatus("Inconclusive", f"no usable prime: {e}")
         if probe is not None:
             if probe.certified:

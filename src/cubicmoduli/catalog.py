@@ -81,6 +81,8 @@ def load_entry(name: str) -> CatalogEntry:
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from None
     try:
+        if not raw["generators"]:
+            raise ValueError("at least one generator required")
         gens = []
         for rows in raw["generators"]:
             if len(rows) != 5 or any(len(r) != 5 for r in rows):

@@ -12,6 +12,12 @@ so a character table row plus the structure determines the dimension of
 the invariants in the cubic forms without ever touching matrices.  That
 gives an independent route to numbers that are also computed directly
 from matrix actions elsewhere.
+
+For a matrix group, the trace character comes from the class traces and
+the determinant character from the eigenvalue profiles of the class
+representatives (`MatrixGroup.class_profiles`, built from those same
+traces): the determinant is the product of the eigenvalues, so no
+matrix determinant is computed.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, cyclo
+from .cyclo import Cyclotomic, cyclo, root_of_unity
 from .errors import GroupMismatchError, NonIntegralCharacterError
 
 
@@ -60,10 +66,6 @@ class ClassFunction:
 
     def __post_init__(self):
         assert len(self.values) == self.structure.n_classes
-
-    @property
-    def degree(self) -> Cyclotomic:
-        return self.values[0]
 
     def tensor(self, other: "ClassFunction") -> "ClassFunction":
         _same_structure(self, other)
@@ -154,8 +156,12 @@ def character_of(group) -> ClassFunction:
 
 
 def det_character(group) -> ClassFunction:
+    """Determinant of a matrix group in its given representation: on a
+    class whose profile has eigenvalue zeta_n^k with multiplicity m, the
+    product of the eigenvalues, zeta_n^(sum k*m)."""
     values = tuple(
-        group.elements[c.rep_index].det() for c in group.classes
+        root_of_unity(prof.order, sum(k * m for k, m in prof.mults))
+        for prof in group.class_profiles()
     )
     return ClassFunction(group.class_structure(), values)
 

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit status: 0 on success; 1 on a golden mismatch or any package error
 (failed contract, inconsistent routes, infinite or non-projectively
-faithful group, unusable prime), reported as one `error:` line; 2 on a
-usage error or unknown entry.
+faithful group, a --prime the probe cannot use), reported as one
+`error:` line; 2 on a usage error (such as --trials below 1) or unknown
+entry.
 """
 
 import argparse
@@ -27,6 +28,13 @@ from .chars import (
 from .errors import CubicModuliError
 from .invariants import CubicForm, invariant_basis
 from .smoothprobe import singular_scan
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="prime for the smoothness probe")
     p.add_argument("--seed", type=int, default=audit.DEFAULT_SEED,
                    help="probe random seed")
-    p.add_argument("--trials", type=int, default=audit.DEFAULT_TRIALS,
-                   help="probe sample count")
+    p.add_argument("--trials", type=_positive_int,
+                   default=audit.DEFAULT_TRIALS, help="probe sample count")
 
     p = sub.add_parser("lattice",
                        help="audit all 2-generated subgroup classes")

@@ -13,7 +13,10 @@ monic with integer coefficients, so reduction never leaves the integers.
 
 Text format: E(n) denotes zeta_n, E(n)^k its k-th power, and a value is a
 sum of terms with rational literals, e.g. "-1/2*E(11)^3 + 2".  str() and
-parse_cyclo round-trip exactly.
+parse_cyclo round-trip exactly.  The package's one expression parser
+lives here: parse_polynomial reads polynomials in x0, x1, ... with such
+coefficients, parse_cyclo is the same parser with the result required to
+be a number, and CubicForm.parse adds the degree-3 and x0..x4 checks.
 """
 
 from __future__ import annotations
@@ -27,14 +30,6 @@ _LOCK = threading.Lock()
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 _POWER_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 _DESCENT_CACHE: dict[int, tuple] = {}
-
-
-def totient(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if math.gcd(k, n) == 1:
-            count += 1
-    return count
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -244,11 +239,6 @@ class Cyclotomic:
         self._n, self._num, self._den = n, num, den
         return self
 
-    @staticmethod
-    def from_rational(q) -> "Cyclotomic":
-        q = Fraction(q)
-        return Cyclotomic._make(1, [q.numerator], q.denominator)
-
     # ------------------------------------------------------------------
     # basic structure
 
@@ -265,9 +255,6 @@ class Cyclotomic:
 
     def is_rational(self) -> bool:
         return self._n == 1
-
-    def is_integer(self) -> bool:
-        return self._n == 1 and self._den == 1
 
     def as_rational(self) -> Fraction:
         if self._n != 1:
@@ -434,18 +421,6 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         return self.galois(self._n - 1) if self._n > 1 else self
 
-    def multiplicative_order(self):
-        """Order as a root of unity, or None if not one."""
-        if self.is_zero():
-            return None
-        bound = math.lcm(2, self._n)
-        if self ** bound != ONE:
-            return None
-        for d in sorted(_divisors(bound)):
-            if self ** d == ONE:
-                return d
-        return None
-
     # ------------------------------------------------------------------
     # comparisons, hashing, formatting
 
@@ -501,10 +476,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({str(self)!r})"
-
-
-def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _trim(p):
@@ -586,20 +557,66 @@ ONE = Cyclotomic._make(1, [1], 1)
 
 # ----------------------------------------------------------------------
 # parsing
+#
+# One grammar serves numbers and forms alike:
+#
+#     expr   := ['+'] term (('+' | '-') term)*
+#     term   := factor (('*' | '/') factor)*
+#     factor := '-' factor | atom ['^' ['-'] integer]
+#     atom   := integer | 'E(' integer ')' | x<k> | '(' expr ')'
+#
+# A polynomial in x0, x1, ... maps each monomial, a sorted tuple of
+# (variable index, exponent) pairs with () for the constant term, to its
+# nonzero coefficient.  Division and negative powers take numbers only.
+# Coefficients stay Fractions until a root of unity enters them.
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\^|\*|/|\+|-|\(|\))")
+_TOKEN = re.compile(r"\d+|E|x(?:0|[1-9]\d*)|[-+*/^()]")
 
 
 def _tokenize(text: str) -> list[str]:
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad character in {text!r} at position {pos}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        raise ValueError(f"bad character in {text!r}")
+    return tokens
+
+
+def _collect(terms) -> dict:
+    """Sum (monomial, coefficient) pairs, dropping zero coefficients."""
+    out = {}
+    for m, c in terms:
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for v, k in b:
+        exps[v] = exps.get(v, 0) + k
+    return tuple(sorted(exps.items()))
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    return _collect((_mono_mul(ma, mb), ca * cb)
+                    for ma, ca in a.items() for mb, cb in b.items())
+
+
+def _negate(poly: dict) -> dict:
+    return {m: -c for m, c in poly.items()}
+
+
+def _number(poly: dict, what: str):
+    if any(poly.keys() - {()}):
+        raise ValueError(f"{what} must be a number, not a polynomial")
+    return poly.get((), 0)
+
+
+def _nonzero(poly: dict, what: str):
+    value = _number(poly, what)
+    if not value:
+        raise ValueError("division by zero")
+    return value
 
 
 class _Parser:
@@ -612,68 +629,90 @@ class _Parser:
 
     def take(self, expected=None):
         tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
+        if tok is None:
+            raise ValueError("unexpected end of input")
+        if expected is not None and tok != expected:
             raise ValueError(f"expected {expected!r}, got {tok!r}")
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> Cyclotomic:
-        value = self.parse_term()
+    def integer(self) -> int:
+        tok = self.take()
+        if not tok.isdigit():
+            raise ValueError(f"expected an integer, got {tok!r}")
+        return int(tok)
+
+    def expr(self) -> dict:
+        if self.peek() == "+":
+            self.take()
+        value = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            rhs = self.term()
+            value = _collect([*value.items(),
+                              *(rhs if op == "+" else _negate(rhs)).items()])
         return value
 
-    def parse_term(self) -> Cyclotomic:
-        value = self.parse_factor()
-        while self.peek() == "*":
-            self.take()
-            value = value * self.parse_factor()
+    def term(self) -> dict:
+        value = self.factor()
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                value = _poly_mul(value, self.factor())
+            else:
+                value = _poly_mul(value, {(): 1 / _nonzero(
+                    self.factor(), "a divisor")})
         return value
 
-    def parse_factor(self) -> Cyclotomic:
-        sign = 1
-        while self.peek() == "-":
+    def factor(self) -> dict:
+        if self.peek() == "-":
             self.take()
-            sign = -sign
-        atom = self.parse_atom()
-        if self.peek() == "^":
+            return _negate(self.factor())
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.take()
+        if self.peek() == "-":
             self.take()
-            exp_sign = 1
-            if self.peek() == "-":
-                self.take()
-                exp_sign = -1
-            exp = int(self.take())
-            atom = atom ** (exp_sign * exp)
-        return atom if sign == 1 else -atom
+            return {(): _nonzero(base, "a negative power's base")
+                    ** -self.integer()}
+        k = self.integer()
+        if () in base and len(base) == 1:
+            return {(): base[()] ** k}
+        out = {(): Fraction(1)}
+        for _ in range(k):
+            out = _poly_mul(out, base)
+        return out
 
-    def parse_atom(self) -> Cyclotomic:
-        tok = self.peek()
+    def atom(self) -> dict:
+        tok = self.take()
         if tok == "(":
-            self.take()
-            value = self.parse_expr()
+            value = self.expr()
             self.take(")")
             return value
+        if tok.isdigit():
+            return _collect([((), Fraction(int(tok)))])
         if tok == "E":
-            self.take()
             self.take("(")
-            n = int(self.take())
+            n = self.integer()
             self.take(")")
-            return root_of_unity(n)
-        if tok is not None and tok.isdigit():
-            self.take()
-            if self.peek() == "/":
-                self.take()
-                den = int(self.take())
-                return cyclo(Fraction(int(tok), den))
-            return cyclo(int(tok))
+            return {(): root_of_unity(n)}
+        if tok[0] == "x":
+            return {((int(tok[1:]), 1),): Fraction(1)}
         raise ValueError(f"unexpected token {tok!r}")
 
 
-def parse_cyclo(text: str) -> Cyclotomic:
+def parse_polynomial(text: str) -> dict:
+    """The polynomial in x0, x1, ... with cyclotomic coefficients written
+    in text, as {monomial: nonzero coefficient}; a monomial is a sorted
+    tuple of (variable index, exponent) pairs, () for the constant term.
+    Raises ValueError on malformed text."""
     parser = _Parser(_tokenize(text))
-    value = parser.parse_expr()
+    value = parser.expr()
     if parser.peek() is not None:
-        raise ValueError(f"trailing input in {text!r}")
-    return value
+        raise ValueError(f"trailing input in {text!r} at {parser.peek()!r}")
+    return {m: cyclo(c) for m, c in value.items()}
+
+
+def parse_cyclo(text: str) -> Cyclotomic:
+    """The number written in text, e.g. "-1/2*E(11)^3 + 2"."""
+    return cyclo(_number(parse_polynomial(text), repr(text)))

@@ -62,12 +62,6 @@ class EigenProfile:
     def dimension(self) -> int:
         return sum(m for _, m in self.mults)
 
-    def eigenvalues(self) -> list[Cyclotomic]:
-        out = []
-        for k, m in self.mults:
-            out.extend([root_of_unity(self.order, k)] * m)
-        return out
-
     def __str__(self):
         parts = []
         for k, m in self.mults:
@@ -149,6 +143,7 @@ class MatrixGroup:
         self._classes = None
         self._class_of = None
         self._class_traces = None
+        self._class_profiles = None
 
     # ------------------------------------------------------------------
     # construction
@@ -241,9 +236,6 @@ class MatrixGroup:
     def index(self, m: Matrix):
         return self._key2idx.get(_element_key(m))
 
-    def __contains__(self, m: Matrix) -> bool:
-        return self.index(m) is not None
-
     def mult(self, i: int, j: int) -> int:
         if self._rmul is not None:
             return self._rmul[j][i]
@@ -279,11 +271,6 @@ class MatrixGroup:
         if self._classes is None:
             self._compute_classes()
         return self._classes
-
-    def class_of_element(self, i: int) -> int:
-        if self._classes is None:
-            self._compute_classes()
-        return self._class_of[i]
 
     def _compute_classes(self):
         order = self.order
@@ -368,6 +355,15 @@ class MatrixGroup:
             )
         return self._class_traces
 
+    def class_profiles(self) -> tuple[EigenProfile, ...]:
+        """Eigenvalue profile of each class representative, in class
+        order."""
+        if self._class_profiles is None:
+            self._class_profiles = tuple(
+                self.eigen_profile_of(c.rep_index) for c in self.classes
+            )
+        return self._class_profiles
+
     def eigen_profile_of(self, i: int) -> EigenProfile:
         """Profile of element i using class data: trace(g^j) is the class
         trace of the j-th power, so no matrix powers are needed."""
@@ -391,16 +387,6 @@ class MatrixGroup:
         i.e. the map to PGL is injective."""
         return all(
             i == self.identity_index for i in self.scalar_indices()
-        )
-
-    def scalar_saturate(self, cap: int = DEFAULT_CAP) -> "MatrixGroup":
-        """The group extended by the scalar zeta_3 * id.  Unchanged (same
-        object) when that scalar is already present."""
-        scalar = Matrix.scalar(self.dim, root_of_unity(3))
-        if scalar in self:
-            return self
-        return MatrixGroup.generate(
-            list(self.generators) + [scalar], cap=cap
         )
 
     # ------------------------------------------------------------------
@@ -515,13 +501,6 @@ class MatrixGroup:
             for i in members for j in members if i < j
         )
         return (len(members), abelian, tuple(sorted(orders.items())))
-
-    def subgroup_from_indices(self, indices) -> "MatrixGroup":
-        """Fresh group object for a subgroup given by element indices."""
-        mats = [self.elements[i] for i in indices if i != self.identity_index]
-        if not mats:
-            mats = [Matrix.identity(self.dim)]
-        return MatrixGroup.generate(mats, cap=max(len(indices) + 1, 2))
 
 
 def _element_key(m: Matrix):

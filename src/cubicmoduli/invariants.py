@@ -28,6 +28,10 @@ per nonzero entry.  int64 is used when a bound on the sums, computed
 from the input, proves it cannot overflow; otherwise the same code runs
 on Python ints.
 
+Forms are read by the package's one expression parser
+(`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
+every term is a cubic monomial in x0..x4.
+
 Row reduction of the transpose gives a canonical echelon basis.  Every
 returned basis form is re-checked against the generators by exact
 substitution (`_expand_monomial`, the route behind `act` and
@@ -38,7 +42,6 @@ so a wrong average cannot slip through.
 from __future__ import annotations
 
 import itertools
-import re
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .cyclo import (
     _power_table,
     cyclo,
     from_power_basis,
-    parse_cyclo,
+    parse_polynomial,
     root_of_unity,
 )
 from .errors import ContractViolationError
@@ -124,21 +127,21 @@ class CubicForm:
         return CubicForm([0] * 35)
 
     @staticmethod
-    def from_dict(d) -> "CubicForm":
-        coeffs = [_ZERO] * 35
-        for expo, value in d.items():
-            coeffs[MONOMIAL_INDEX[tuple(expo)]] = cyclo(value)
-        return CubicForm(coeffs)
-
-    @staticmethod
     def parse(text: str) -> "CubicForm":
-        poly = _parse_poly(text)
-        for expo in poly:
+        """The cubic written in text, e.g. "x0^3 - E(3)/2*x1*x2*x3"."""
+        coeffs = [_ZERO] * 35
+        for mono, c in parse_polynomial(text).items():
+            expo = [0] * N_VARS
+            for v, k in mono:
+                if v >= N_VARS:
+                    raise ValueError(f"x{v} is not one of x0..x{N_VARS - 1}")
+                expo[v] = k
             if sum(expo) != 3:
                 raise ValueError(
                     f"not homogeneous of degree 3: term {monomial_str(expo)}"
                 )
-        return CubicForm.from_dict(poly)
+            coeffs[MONOMIAL_INDEX[tuple(expo)]] = c
+        return CubicForm(coeffs)
 
     @property
     def coefficients(self) -> tuple:
@@ -160,13 +163,6 @@ class CubicForm:
     def __add__(self, other):
         return CubicForm([a + b for a, b in
                           zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other):
-        return CubicForm([a - b for a, b in
-                          zip(self._coeffs, other._coeffs)])
-
-    def __neg__(self):
-        return CubicForm([-a for a in self._coeffs])
 
     def scale(self, s) -> "CubicForm":
         s = cyclo(s)
@@ -447,9 +443,6 @@ class InvariantSpace:
                 return i
         return None
 
-    def __iter__(self):
-        return iter(self.basis)
-
 
 def invariant_basis(group) -> InvariantSpace:
     """Canonical basis of the cubics fixed by every element of the group:
@@ -480,162 +473,3 @@ def invariant_basis(group) -> InvariantSpace:
                     "claimed invariant moves under a generator"
                 )
     return space
-
-
-# ----------------------------------------------------------------------
-# parsing
-
-_PTOKEN = re.compile(
-    r"\s*(?:(?P<var>x[0-4])|(?P<eroot>E)|(?P<int>\d+)|(?P<op>[-+*/^()]))"
-)
-
-_CONST = (0, 0, 0, 0, 0)
-
-
-def _parse_poly(text: str) -> dict:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _PTOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad character in form: {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "var":
-            tokens.append(("var", int(m.group("var")[1])))
-        elif m.lastgroup == "eroot":
-            tokens.append(("E", None))
-        elif m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int"))))
-        else:
-            tokens.append(("op", m.group("op")))
-    parser = _PolyParser(tokens)
-    out = parser.expr()
-    parser.expect_end()
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            term = ca * cb
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    return out
-
-
-def _poly_add(a: dict, b: dict, sign=1) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        term = c if sign > 0 else -c
-        prev = out.get(e)
-        out[e] = term if prev is None else prev + term
-    return out
-
-
-class _PolyParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of form")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        tok = self.take()
-        if tok != ("op", op):
-            raise ValueError(f"expected {op!r}, got {tok}")
-
-    def expect_end(self):
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()}")
-
-    def expr(self) -> dict:
-        tok = self.peek()
-        sign = 1
-        if tok in (("op", "+"), ("op", "-")):
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            acc = {e: -c for e, c in acc.items()}
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            acc = _poly_add(acc, self.term(), 1 if op == "+" else -1)
-        return acc
-
-    def term(self) -> dict:
-        acc = self.factor()
-        while True:
-            tok = self.peek()
-            if tok == ("op", "*"):
-                self.take()
-                acc = _poly_mul(acc, self.factor())
-            elif tok == ("op", "/"):
-                self.take()
-                divisor = self.factor()
-                if set(divisor) != {_CONST}:
-                    raise ValueError("can only divide by constants")
-                inv = divisor[_CONST].inverse()
-                acc = {e: c * inv for e, c in acc.items()}
-            elif tok is not None and tok[0] in ("var", "int", "E"):
-                # juxtaposition like "2x0" or "x0 x1" is not allowed
-                raise ValueError(f"missing operator before {tok}")
-            else:
-                return acc
-
-    def factor(self) -> dict:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            neg = False
-            tok = self.take()
-            if tok == ("op", "-"):
-                neg = True
-                tok = self.take()
-            if tok[0] != "int":
-                raise ValueError("exponent must be an integer")
-            k = tok[1]
-            if neg:
-                if set(base) != {_CONST}:
-                    raise ValueError("negative powers of variables")
-                return {_CONST: base[_CONST] ** (-k)}
-            out = {_CONST: cyclo(1)}
-            for _ in range(k):
-                out = _poly_mul(out, base)
-            return out
-        return base
-
-    def atom(self) -> dict:
-        tok = self.take()
-        if tok[0] == "var":
-            e = [0] * N_VARS
-            e[tok[1]] = 1
-            return {tuple(e): cyclo(1)}
-        if tok[0] == "int":
-            return {_CONST: cyclo(tok[1])}
-        if tok[0] == "E":
-            self.expect_op("(")
-            ntok = self.take()
-            if ntok[0] != "int":
-                raise ValueError("E(...) needs an integer")
-            self.expect_op(")")
-            return {_CONST: parse_cyclo(f"E({ntok[1]})")}
-        if tok == ("op", "("):
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if tok == ("op", "-"):
-            inner = self.factor()
-            return {e: -c for e, c in inner.items()}
-        raise ValueError(f"unexpected token {tok}")

@@ -114,9 +114,6 @@ class Matrix:
         v = _entry(other)
         return Matrix([[x * v for x in self.row(i)] for i in range(self.rows)])
 
-    def __rmul__(self, other):
-        return self * other
-
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return Matrix([
@@ -130,9 +127,6 @@ class Matrix:
             [a - b for a, b in zip(self.row(i), other.row(i))]
             for i in range(self.rows)
         ])
-
-    def __neg__(self):
-        return Matrix([[-x for x in self.row(i)] for i in range(self.rows)])
 
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.cols)])
@@ -163,29 +157,6 @@ class Matrix:
             for j in range(self.cols)
         )
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.data)
-
-    def det(self) -> Cyclotomic:
-        """Determinant by expansion along first columns (fine at 5x5)."""
-        assert self.rows == self.cols
-        n = self.rows
-
-        def minor_det(rows_left, col):
-            if len(rows_left) == 1:
-                return self[rows_left[0], col]
-            acc = ZERO
-            for pos, i in enumerate(rows_left):
-                a = self[i, col]
-                if a:
-                    rest = rows_left[:pos] + rows_left[pos + 1:]
-                    sub = minor_det(rest, col + 1)
-                    term = a * sub
-                    acc = acc + (term if pos % 2 == 0 else -term)
-            return acc
-
-        return minor_det(tuple(range(n)), 0)
-
     def inverse(self) -> "Matrix":
         assert self.rows == self.cols
         n = self.rows
@@ -197,15 +168,6 @@ class Matrix:
         if pivots[:n] != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix([red.row(i)[n:] for i in range(n)])
-
-    def __str__(self):
-        cells = [[str(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
-        lines = [
-            "[" + ", ".join(cells[i][j].rjust(widths[j]) for j in range(self.cols)) + "]"
-            for i in range(self.rows)
-        ]
-        return "\n".join(lines)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

@@ -48,6 +48,9 @@ from .invariants import MONOMIALS, N_VARS, CubicForm
 
 DEFAULT_PRIME_FLOOR = 7
 DEFAULT_PRIME_CEILING = 31
+# the scan holds arrays over a chart grid of p^4 points; at p = 127, the
+# largest prime below this bound, one scan peaks at about 1.3 GiB
+MAX_CHART_POINTS = 1 << 28
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -72,6 +75,11 @@ class PrimeReduction:
         if p < 5:
             raise BadPrimeError(
                 f"p={p} is too small; the scan needs p >= 5 and p != 3"
+            )
+        if p ** (N_VARS - 1) >= MAX_CHART_POINTS:
+            raise BadPrimeError(
+                f"p={p} is too large; the scan's chart grid p^4 must stay "
+                f"below 2^28, so p <= 127"
             )
         self.p = p
         self.root = smallest_primitive_root(p)

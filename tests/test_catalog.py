@@ -95,6 +95,36 @@ def test_missing_field(tmp_path):
         catalog.load(str(bad))
 
 
+def _write_variant(tmp_path, name, change):
+    doc = json.loads(open(catalog.load_entry(name).path).read())
+    change(doc)
+    path = tmp_path / f"{name}-variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _zero_denominator_generator(doc):
+    doc["generators"][0][0][0] = "1/0"
+
+
+def _zero_denominator_form(doc):
+    doc["contract"]["fixed_form"] = "x0^3/0"
+
+
+def _no_generators(doc):
+    doc["generators"], doc["notes"] = [], []
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("c2-sign", _zero_denominator_generator, "division by zero"),
+    ("z11-klein", _zero_denominator_form, "division by zero"),
+    ("c2-sign", _no_generators, "at least one generator"),
+], ids=["generator", "fixed-form", "no-generators"])
+def test_malformed_entry_is_a_parse_error(tmp_path, name, change, message):
+    with pytest.raises(ParseError, match=message):
+        catalog.load_entry(_write_variant(tmp_path, name, change))
+
+
 def test_tampered_order(tmp_path):
     doc = json.loads(open(catalog.load_entry("c2-sign").path).read())
     doc["contract"]["order"] = 3

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from cubicmoduli import catalog
 from cubicmoduli.chars import (
     character_of,
     class_function,
@@ -16,6 +18,7 @@ from cubicmoduli.chars import (
     sym_square,
     trivial_character,
 )
+from cubicmoduli.cyclo import cyclo
 from cubicmoduli.errors import GroupMismatchError, NonIntegralCharacterError
 from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.linalg import commutant_dimension
@@ -106,6 +109,37 @@ def test_alt5_values():
     assert dim_invariant_cubics(chi) == 2
     assert commutant_dimension_from_character(chi) == 1
     assert dim_special_subvariety(chi, det) == 1
+
+
+@pytest.mark.parametrize("entry, values", [
+    ("z3-z4", ["1", "-1", "1", "E(4)", "-E(4)", "-1"]),
+    ("c3-double", ["1", "E(3)", "-1 - E(3)"]),
+])
+def test_det_character_values(entry, values):
+    assert [str(v) for v in det_character(catalog.load(entry)).values] \
+        == values
+
+
+def _leibniz_det(m):
+    total = cyclo(0)
+    for perm in itertools.permutations(range(m.rows)):
+        term = cyclo(1)
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("entry", [
+    "c2-sign", "c3-double", "fermat-cyclic", "klein-four", "z3-z4",
+    "alt4-klein", "alt5-sixpoint", "z11-z5-klein",
+])
+def test_det_character_is_the_determinant(entry):
+    g = catalog.load(entry)
+    det = det_character(g)
+    assert det.values == tuple(
+        _leibniz_det(g.elements[c.rep_index]) for c in g.classes)
 
 
 def test_structure_mismatch_rejected():

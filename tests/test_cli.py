@@ -127,6 +127,27 @@ def test_package_error_is_one_line_exit_1(tmp_path, capsys, generator,
     assert err[0].startswith("error: ") and message in err[0]
 
 
+@pytest.mark.parametrize("prime, message", [
+    ("4", "4 is not prime"),
+    ("1000003", "too large"),
+])
+def test_chosen_bad_prime_is_one_line_exit_1(capsys, prime, message):
+    assert main(["audit", "trivial", "--prime", prime]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("trials", ["-3", "0", "two"])
+def test_trials_must_be_positive(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "trivial", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])

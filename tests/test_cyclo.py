@@ -81,15 +81,6 @@ def test_hash_of_rational_values_is_the_rational_hash():
     assert hash((E(5) + 1) - E(5)) == hash(1)
 
 
-def test_multiplicative_order():
-    for n in (1, 2, 3, 4, 5, 6, 8, 9, 11, 12):
-        for k in range(n):
-            expected = n // math.gcd(n, k) if k else 1
-            assert E(n, k).multiplicative_order() == expected
-    assert cyclo(2).multiplicative_order() is None
-    assert (E(3) + 1).multiplicative_order() == 6  # 1 + zeta_3 = -zeta_3^2
-
-
 def test_gauss_sum_square_is_minus_eleven():
     # oracle: (sum of zeta_11^r over the squares r mod 11) = (-1+sqrt(-11))/2,
     # so s = 1 + 2*(that sum) squares to -11
@@ -172,10 +163,21 @@ def test_parse_examples():
     assert parse_cyclo("2 - E(3)") == 2 - E(3)
     assert parse_cyclo("(1 + E(3))^2") == (1 + E(3)) ** 2
     assert parse_cyclo("E(8)^-1") == E(8, 7)
+    # the grammar is the one CubicForm.parse uses, so division by a
+    # constant works anywhere in a term
+    assert parse_cyclo("E(3)/2") == Fraction(1, 2) * E(3)
+    assert parse_cyclo("2^3/4") == 2
+    assert parse_cyclo("3/2^2") == Fraction(3, 4)  # '^' binds tighter
+    assert parse_cyclo("-(1 - E(4))^-2 + 3 ") == 3 - (1 - E(4)) ** -2
+
+
+@pytest.mark.parametrize("text", [
+    "E(3) +", "2 ** 3", "1/0", "0^-1", "x0", "E(3)/(x1 - x1)", "", "E(0)",
+    "2 3", "E3", "y",
+])
+def test_parse_rejects(text):
     with pytest.raises(ValueError):
-        parse_cyclo("E(3) +")
-    with pytest.raises(ValueError):
-        parse_cyclo("2 ** 3")
+        parse_cyclo(text)
 
 
 def test_print_parse_round_trip():

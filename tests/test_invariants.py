@@ -53,6 +53,21 @@ def test_parse_and_print():
     with pytest.raises(ValueError):
         CubicForm.parse("y0^3")
 
+    # the grammar parse_cyclo uses: constants divide anywhere in a term
+    h = CubicForm.parse("E(3)/2*x1^3 - (x0 + x1)^2*x2 + 2^-1*x0^3")
+    assert h.coefficient((0, 3, 0, 0, 0)) == cyclo("1/2*E(3)")
+    assert h.coefficient((1, 1, 1, 0, 0)) == -2
+    assert h.coefficient((3, 0, 0, 0, 0)) == cyclo("1/2")
+
+
+@pytest.mark.parametrize("text", [
+    "x5^3", "y0^3", "x0/x1", "x0^-1*x1^4", "x0^3/0", "1/0", "E(3) +",
+    "2 ** 3", "x0^3 + 1", "x00^3",
+])
+def test_parse_rejects(text):
+    with pytest.raises(ValueError):
+        CubicForm.parse(text)
+
 
 def test_action_on_monomial():
     # the cyclic shift sends e_j to e_{j-1}, so on forms x0*x1^2 moves

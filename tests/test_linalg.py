@@ -86,20 +86,6 @@ def test_nullspace_vectors_are_in_kernel():
                 assert acc == 0
 
 
-def test_det_examples():
-    assert Matrix([[1, 2], [3, 4]]).det() == -2
-    perm = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # 3-cycle, even
-    assert perm.det() == 1
-    swap = Matrix([[0, 1], [1, 0]])
-    assert swap.det() == -1
-    assert Matrix.diagonal([E(3), E(3) ** 2, 1, 1, 1]).det() == 1
-    rng = random.Random(3)
-    for _ in range(10):
-        a = random_matrix(rng, 3, 3)
-        b = random_matrix(rng, 3, 3)
-        assert (a * b).det() == a.det() * b.det()
-
-
 def test_inverse():
     m = Matrix([[1, E(3)], [0, 1]])
     inv = m.inverse()

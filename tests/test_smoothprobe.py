@@ -49,6 +49,12 @@ def test_prime_validation():
         PrimeReduction(3)
     with pytest.raises(BadPrimeError):
         singular_scan(FERMAT.scale(7), 7)
+    # the chart grid p^4 must stay below 2^28: 127 is the largest prime
+    assert PrimeReduction(127).p == 127
+    with pytest.raises(BadPrimeError, match="too large"):
+        PrimeReduction(131)
+    with pytest.raises(BadPrimeError, match="too large"):
+        singular_scan(FERMAT, 131)
 
 
 def test_choose_prime():
