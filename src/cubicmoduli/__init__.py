@@ -65,7 +65,6 @@ from .invariants import (
     substitution_matrix,
 )
 from .smoothprobe import (
-    PrimeReduction,
     ProbeResult,
     ScanResult,
     choose_prime,
@@ -133,7 +132,6 @@ __all__ = [
     "invariant_basis",
     "reynolds_operator",
     "substitution_matrix",
-    "PrimeReduction",
     "ProbeResult",
     "ScanResult",
     "choose_prime",

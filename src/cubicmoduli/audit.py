@@ -45,7 +45,7 @@ from .errors import (
 from .groups import EigenProfile, MatrixGroup
 from .invariants import InvariantSpace, invariant_basis
 from .linalg import commutant_dimension, split_primes
-from .smoothprobe import probe_nonempty
+from .smoothprobe import probe_nonempty, reduce_forms
 
 DEFAULT_TRIALS = 20
 DEFAULT_SEED = 0
@@ -284,8 +284,7 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
             probe = probe_nonempty(space, prime=prime, trials=trials,
                                    seed=seed)
         except BadPrimeError as e:
-            # a prime the caller chose must be usable; only an
-            # automatically chosen one may leave the probe inconclusive
+            # only a prime the probe picks may leave it inconclusive
             if prime is not None:
                 raise
             nonempty = NonemptyStatus("Inconclusive", f"no usable prime: {e}")
@@ -302,6 +301,10 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
                     point = ":".join(map(str, probe.scan.first_singular))
                     reason += f"; last singular point ({point})"
                 nonempty = NonemptyStatus("Inconclusive", reason)
+    if prime is not None and probe is None:
+        # a chosen prime must be usable even where the probe never ran;
+        # where it ran, it made the same checks
+        reduce_forms(space.spanning, prime)
 
     if nonempty.status == "Certified":
         dim_moduli = dim_u - comm

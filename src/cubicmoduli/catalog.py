@@ -13,7 +13,6 @@ name.
 """
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from .cyclo import parse_cyclo
 from .errors import ContractViolationError, ParseError
 from .groups import MatrixGroup
 from .invariants import CubicForm, act
-from .linalg import Matrix
+from .linalg import Matrix, conductor_of
 
 ENV_VAR = "CUBICMODULI_CATALOG"
 _BUILTIN = Path(__file__).parent / "data" / "catalog"
@@ -111,10 +110,7 @@ def load_entry(name: str) -> CatalogEntry:
 
 def validate(entry: CatalogEntry) -> MatrixGroup:
     """Generate the group and check every stored expectation."""
-    n = 1
-    for g in entry.generators:
-        for v in g.data:
-            n = math.lcm(n, v.conductor)
+    n = conductor_of(v for g in entry.generators for v in g.data)
     if n != entry.conductor:
         raise ContractViolationError(
             f"{entry.id}: stored conductor {entry.conductor}, entries "

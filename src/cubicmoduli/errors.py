@@ -27,7 +27,7 @@ class NotProjectivelyFaithfulError(CubicModuliError):
 
 
 class BadPrimeError(CubicModuliError):
-    """The requested prime cannot host the reduction (conductor or denominator)."""
+    """The requested prime cannot host the reduction or the scan."""
 
 
 class ParseError(CubicModuliError):

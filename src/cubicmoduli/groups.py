@@ -13,17 +13,19 @@ orderings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import Cyclotomic, cyclo, root_of_unity
 from .errors import CapExceededError, NotFiniteError
-from .linalg import Matrix
+from .linalg import Matrix, conductor_of
 from .chars import ClassStructure
 
 DEFAULT_CAP = 20000
-DEFAULT_ORDER_BOUND = 1000
+# an element whose order exceeds this is taken to have infinite order
+ORDER_BOUND = 1000
+# the largest group order subgroups_two_generated is sized for
+SUBGROUP_SCAN_LIMIT = 1000
 _TABLE_LIMIT = 4096
 
 
@@ -70,23 +72,22 @@ class EigenProfile:
         return "(" + ", ".join(parts) + ")"
 
 
-def matrix_order(m: Matrix, bound: int = DEFAULT_ORDER_BOUND) -> int:
+def matrix_order(m: Matrix) -> int:
     power = m
     n = 1
     while not power.is_identity():
         power = power * m
         n += 1
-        if n > bound:
-            raise NotFiniteError(
-                f"element order exceeds bound {bound}; not a finite group element"
-            )
+        if n > ORDER_BOUND:
+            raise NotFiniteError(f"element order exceeds bound {ORDER_BOUND}; "
+                                 "not a finite group element")
     return n
 
 
-def eigen_profile(m: Matrix, bound: int = DEFAULT_ORDER_BOUND) -> EigenProfile:
+def eigen_profile(m: Matrix) -> EigenProfile:
     """Eigenvalue multiset of a finite-order matrix from the traces of its
     powers: mult(zeta_n^k) = (1/n) * sum_j trace(m^j) zeta_n^(-jk)."""
-    n = matrix_order(m, bound)
+    n = matrix_order(m)
     traces = []
     power = Matrix.identity(m.rows)
     for _ in range(n):
@@ -149,17 +150,13 @@ class MatrixGroup:
     # construction
 
     @classmethod
-    def generate(cls, generators, dim: int | None = None,
-                 cap: int = DEFAULT_CAP,
-                 order_bound: int = DEFAULT_ORDER_BOUND) -> "MatrixGroup":
+    def generate(cls, generators, cap: int = DEFAULT_CAP) -> "MatrixGroup":
         gens = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
-        if not gens:
-            assert dim is not None, "need generators or an explicit dimension"
-            gens = [Matrix.identity(dim)]
+        assert gens, "need at least one generator"
         d = gens[0].rows
         assert all(g.rows == g.cols == d for g in gens), "generators must be square"
         for g in gens:
-            matrix_order(g, order_bound)  # raises NotFiniteError when unbounded
+            matrix_order(g)  # raises NotFiniteError when unbounded
 
         identity = Matrix.identity(d)
         elements = [identity]
@@ -214,16 +211,12 @@ class MatrixGroup:
                 ]
 
         sorted_elements = tuple(elements[old] for old in new_to_old)
-        conductor = 1
-        for m in sorted_elements:
-            for v in m.data:
-                conductor = math.lcm(conductor, v.conductor)
         return cls(
             elements=sorted_elements,
             generators=tuple(gens),
             rmul=rmul,
             identity_index=old_to_new[0],
-            conductor=conductor,
+            conductor=conductor_of(v for m in sorted_elements for v in m.data),
         )
 
     # ------------------------------------------------------------------
@@ -392,10 +385,11 @@ class MatrixGroup:
     # ------------------------------------------------------------------
     # subgroup lattice support
 
-    def subgroups_two_generated(self, max_order: int = 1000) -> list[SubgroupRecord]:
+    def subgroups_two_generated(self) -> list[SubgroupRecord]:
         """All subgroups generated by at most two elements, up to
         conjugacy in this group, with deterministic representatives."""
-        assert self.order <= max_order, "subgroup scan sized for small groups"
+        assert self.order <= SUBGROUP_SCAN_LIMIT, (
+            "subgroup scan sized for small groups")
         assert self._rmul is not None
         e = self.identity_index
         order = self.order

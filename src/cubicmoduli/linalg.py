@@ -8,15 +8,19 @@ inverts a pivot entry once per pivot row, so exact divisions stay rare.
 The matrix kernels work on one integer-array form of a list of
 matrices (`int_array`): entry (i, j) of matrix k becomes the integer
 coefficients of its value on the zeta_n power basis, over one common
-denominator.  The commutant dimension reduces that array mod a split
-prime p (p = 1 mod n, so zeta_n has an image in F_p) and takes the
-rank there.  Reduction mod p can only lower a rank, so the F_p value is
-an upper bound for the exact commutant dimension; the audit certifies
-it against the character inner product <chi, chi>.
+denominator.  This module is the package's one map to F_p, for the
+commutant and the smoothness probe alike: `reduce_mod_p` sends zeta_n
+to g^((p-1)/n), g the smallest primitive root mod p, so zeta_m =
+zeta_n^(n/m) has one image whatever n it is written over.  The
+commutant dimension is a rank mod a split prime p = 1 mod n near 2^30.
+Reduction mod p can only lower a rank, so the F_p value is an upper
+bound for the exact commutant dimension; the audit certifies it against
+the character inner product <chi, chi>.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +30,7 @@ from .cyclo import (
     ONE,
     Cyclotomic,
     _is_prime,
+    _prime_factors,
     cyclo,
     power_basis,
 )
@@ -237,7 +242,6 @@ def int_array(mats, n: int):
     coefficients of den * mats[k][i, j]; den > 0 is the least common
     denominator.  The dtype is int64 when every coefficient fits below
     2^62, and Python ints (object) otherwise."""
-    d = mats[0].rows
     coeffs = {}
     for m in mats:
         for v in m.data:
@@ -249,48 +253,52 @@ def int_array(mats, n: int):
     big = max(abs(x) for num in scaled.values() for x in num)
     array = np.array([[scaled[v] for v in m.data] for m in mats],
                      dtype=np.int64 if big < 1 << 62 else object)
-    return array.reshape(len(mats), d, d, -1), den
+    return array.reshape(len(mats), mats[0].rows, mats[0].cols, -1), den
 
 
-def _conductor(mats) -> int:
-    return math.lcm(*(v.conductor for m in mats for v in m.data))
+def conductor_of(values) -> int:
+    """The least n with every one of the cyclotomic values in Q(zeta_n)."""
+    return math.lcm(1, *(v.conductor for v in values))
 
 
-def split_primes(n: int):
-    """The primes p = 1 mod n in [RANK_PRIME_FLOOR, RANK_PRIME_CEILING),
-    ascending."""
+def primes_one_mod(n: int, floor: int, ceiling: int):
+    """The odd primes p = 1 mod n in [floor, ceiling), ascending."""
     step = n if n % 2 == 0 else 2 * n  # p - 1 is even
-    p = RANK_PRIME_FLOOR + (1 - RANK_PRIME_FLOOR) % step
-    while p < RANK_PRIME_CEILING:
+    p = floor + (1 - floor) % step
+    while p < ceiling:
         if _is_prime(p):
             yield p
         p += step
 
 
+def split_primes(n: int):
+    """The primes p = 1 mod n in [2^30, 2^31), ascending."""
+    return primes_one_mod(n, RANK_PRIME_FLOOR, RANK_PRIME_CEILING)
+
+
+@functools.lru_cache(maxsize=256)
 def root_of_unity_mod(n: int, p: int) -> int:
-    """The primitive n-th root of unity a^((p-1)/n) mod p for the
-    smallest base a >= 2 that gives one; p = 1 mod n."""
-    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
-    for a in range(2, p):
-        w = pow(a, (p - 1) // n, p)
-        if all(pow(w, n // q, p) != 1 for q in factors):
-            return w
-    raise BadPrimeError(f"no primitive {n}-th root of unity mod {p}")
+    """The image of zeta_n in F_p, p prime: g^((p-1)/n) for g the
+    smallest primitive root mod p.  g is found from the prime factors of
+    p - 1, so this stays cheap for p near 2^31.  Raises BadPrimeError
+    unless n divides p - 1."""
+    if (p - 1) % n:
+        raise BadPrimeError(f"conductor {n} does not divide p-1 = {p - 1}")
+    factors = _prime_factors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            return pow(g, (p - 1) // n, p)
+    raise BadPrimeError(f"{p} has no primitive root; not prime?")
 
 
 def reduce_mod_p(array, n: int, p: int):
     """An int_array (its denominator dropped) mod p, zeta_n sent to
     root_of_unity_mod(n, p): int64 residues, one axis shorter."""
     w = root_of_unity_mod(n, p)
-    array = array % p
-    if array.dtype == object:
-        array = array.astype(np.int64)
-    out = np.zeros(array.shape[:-1], dtype=np.int64)
-    zk = 1
-    for k in range(array.shape[-1]):
-        out = (out + array[..., k] * zk) % p
-        zk = zk * w % p
-    return out
+    powers = np.array([pow(w, k, p) for k in range(array.shape[-1])],
+                      dtype=np.int64)
+    # each product is below p^2 < 2^62 and is reduced before the sum
+    return ((array % p).astype(np.int64) * powers % p).sum(axis=-1) % p
 
 
 def rank_mod_p(m, p: int) -> int:
@@ -327,13 +335,11 @@ def commutant_dimension(mats: list[Matrix], prime: int | None = None) -> int:
     assert mats, "need at least one matrix"
     d = mats[0].rows
     assert all(g.rows == g.cols == d for g in mats)
-    n = _conductor(mats)
+    n = conductor_of(v for m in mats for v in m.data)
     if prime is None:
         prime = next(split_primes(n))
-    elif not (_is_prime(prime) and prime < RANK_PRIME_CEILING
-              and (prime - 1) % n == 0):
-        raise BadPrimeError(
-            f"{prime} is not a prime below 2^31 that is 1 mod {n}")
+    elif not (_is_prime(prime) and prime < RANK_PRIME_CEILING):
+        raise BadPrimeError(f"{prime} is not a prime below 2^31")
     array, _ = int_array(mats, n)
     g = reduce_mod_p(array, n, prime)
     eye = np.eye(d, dtype=np.int64)

@@ -1,10 +1,10 @@
 """Smoothness checks for cubic threefolds by reduction mod p.
 
-A cubic with cyclotomic coefficients reduces to F_p once p is split
-enough: every coefficient conductor must divide p - 1.  The reduction
-sends the root of unity E(n) to g^((p-1)/n) where g is the smallest
-primitive root mod p; using one g for all conductors keeps the images
-compatible the way the E(n) system itself is.
+A cubic with cyclotomic coefficients reduces to F_p once its conductor
+divides p - 1, through linalg's one map to F_p (`int_array`, then
+`reduce_mod_p`).  Each form drops its own denominator: a rescale changes
+neither the zero locus nor smoothness, and p in a denominator then
+cannot stop the reduction.
 
 The projective points of P^4(F_p) are walked chart by chart: chart k
 holds the points whose first nonzero coordinate is x_k, scaled to 1.
@@ -34,17 +34,17 @@ probe's certificate is not yet a proof.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import _is_prime, cyclo, power_basis
+from .cyclo import _is_prime
 from .errors import BadPrimeError
 from .invariants import MONOMIALS, N_VARS, CubicForm
+from .linalg import (Matrix, conductor_of, int_array, primes_one_mod,
+                     reduce_mod_p)
 
 DEFAULT_PRIME_FLOOR = 7
 DEFAULT_PRIME_CEILING = 31
@@ -53,92 +53,50 @@ DEFAULT_PRIME_CEILING = 31
 MAX_CHART_POINTS = 1 << 28
 
 
-def smallest_primitive_root(p: int) -> int:
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise BadPrimeError(f"{p} has no primitive root; not prime?")
-
-
-class PrimeReduction:
-    """Reduction of cyclotomic numbers to F_p via the smallest primitive
-    root."""
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise BadPrimeError(f"{p} is not prime")
-        if p < 5:
-            raise BadPrimeError(
-                f"p={p} is too small; the scan needs p >= 5 and p != 3"
-            )
-        if p ** (N_VARS - 1) >= MAX_CHART_POINTS:
-            raise BadPrimeError(
-                f"p={p} is too large; the scan's chart grid p^4 must stay "
-                f"below 2^28, so p <= 127"
-            )
-        self.p = p
-        self.root = smallest_primitive_root(p)
-
-    def reduce(self, value) -> int:
-        if isinstance(value, int):
-            return value % self.p
-        value = cyclo(value)
-        n = value.conductor
-        if (self.p - 1) % n:
-            raise BadPrimeError(
-                f"conductor {n} does not divide p-1 = {self.p - 1}"
-            )
-        num, den = power_basis(value, n)
-        # the numerators and den share no factor, so p divides den
-        # exactly when it divides the denominator of some coefficient
-        if den % self.p == 0:
-            raise BadPrimeError(
-                f"p={self.p} divides a coefficient denominator"
-            )
-        z = pow(self.root, (self.p - 1) // n, self.p)
-        acc = 0
-        for c in reversed(num):
-            acc = (acc * z + c) % self.p
-        return acc * pow(den, -1, self.p) % self.p
-
-    def reduce_form(self, form) -> tuple:
-        """The 35 coefficients of a CubicForm, or 35 integers, mod p."""
-        coeffs = form.coefficients if isinstance(form, CubicForm) else form
-        out = tuple(self.reduce(c) for c in coeffs)
-        if not any(out):
-            raise BadPrimeError(
-                f"form vanishes identically mod {self.p}"
-            )
-        return out
-
-
-@functools.lru_cache(maxsize=64)
-def prime_reduction(p: int) -> PrimeReduction:
-    """The PrimeReduction for p, built once per prime."""
-    return PrimeReduction(p)
+def reduce_forms(forms, p: int):
+    """(len(forms), 35) int64: each form mod p, a form being a CubicForm
+    or its 35 coefficients as integers; a CubicForm's own denominator is
+    dropped.  This is every check on the scan prime: BadPrimeError unless
+    p is a prime, p >= 5, p^4 < MAX_CHART_POINTS, the forms' conductor
+    divides p - 1 (root_of_unity_mod checks that) and no form vanishes
+    identically mod p."""
+    if not _is_prime(p):
+        raise BadPrimeError(f"{p} is not prime")
+    if p < 5:
+        raise BadPrimeError(
+            f"p={p} is too small; the scan needs p >= 5 and p != 3")
+    if p ** (N_VARS - 1) >= MAX_CHART_POINTS:
+        raise BadPrimeError(
+            f"p={p} is too large; the scan's chart grid p^4 must stay "
+            f"below 2^28, so p <= 127")
+    n = conductor_of(c for f in forms if isinstance(f, CubicForm)
+                     for c in f.coefficients)
+    rows = []
+    for form in forms:
+        if isinstance(form, CubicForm):
+            array, _ = int_array([Matrix([form.coefficients])], n)
+            row = reduce_mod_p(array, n, p).reshape(-1)
+        else:
+            row = np.array([int(c) % p for c in form], dtype=np.int64)
+        if not row.any():
+            raise BadPrimeError(f"form vanishes identically mod {p}")
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, len(MONOMIALS))
 
 
 def choose_prime(conductor: int,
                  floor: int = DEFAULT_PRIME_FLOOR,
                  ceiling: int = DEFAULT_PRIME_CEILING) -> int:
-    for p in range(floor, ceiling + 1):
-        if _is_prime(p) and (p - 1) % conductor == 0:
-            return p
+    """The least prime p = 1 mod conductor with floor <= p <= ceiling."""
+    for p in primes_one_mod(conductor, floor, ceiling + 1):
+        return p
     raise BadPrimeError(
         f"no prime in [{floor}, {ceiling}] is 1 mod {conductor}"
     )
 
 
 def form_conductor(form: CubicForm) -> int:
-    n = 1
-    for c in form.coefficients:
-        n = math.lcm(n, c.conductor)
-    return n
+    return conductor_of(form.coefficients)
 
 
 @dataclass(frozen=True)
@@ -220,16 +178,16 @@ def _slot_tables(slots, p):
 def singular_scan(form, prime: int) -> ScanResult:
     """Walk P^4(F_p) for a point where every partial vanishes.
 
-    `form` is a CubicForm or its 35 coefficients as integers.
+    `form` is a CubicForm or its 35 coefficients as integers, as for
+    `reduce_forms`.
 
     `smooth` is True when no F_p-rational point is singular; singular
     points over extensions of F_p are not seen.  Otherwise the first
     singular point in scan order is the witness.  `points` counts the
     points walked up to and including the witness, or all of P^4(F_p).
     """
-    coeffs = prime_reduction(prime).reduce_form(form)
     p = prime
-    partials = ((np.array(coeffs, dtype=np.int64) @ _DERIVATIVE) % p
+    partials = ((reduce_forms([form], p)[0] @ _DERIVATIVE) % p
                 ).reshape(N_VARS, -1)
 
     points_seen = 0
@@ -316,31 +274,22 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
         return ProbeResult(False, prime or 0, 0, None, None, 0, 0)
     forms = space.spanning
     if prime is None:
-        n = 1
-        for b in forms:
-            n = math.lcm(n, form_conductor(b))
-        prime = choose_prime(n)
-    red = prime_reduction(prime)
-    # A rational rescale changes neither the zero locus nor smoothness,
-    # so denominators are cleared first; otherwise a spanning form can
-    # put the chosen prime into a denominator.
-    reduced = [red.reduce_form(_clear_denominators(b)) for b in forms]
+        prime = choose_prime(conductor_of(
+            c for f in forms for c in f.coefficients))
+    reduced = reduce_forms(forms, prime)
     rng = random.Random(seed)
     p = prime
 
     last = None
     scans = points = 0
     for _ in range(trials):
-        weights = [rng.randrange(p) for _ in reduced]
+        weights = [rng.randrange(p) for _ in forms]
         if not any(weights):
             continue
-        coeffs = [
-            sum(w * rb[i] for w, rb in zip(weights, reduced)) % p
-            for i in range(35)
-        ]
-        if not any(coeffs):
+        member = np.array(weights) @ reduced % p
+        if not member.any():
             continue
-        result = singular_scan(coeffs, p)
+        result = singular_scan(member, p)
         last = result
         scans += 1
         points += result.points
@@ -348,12 +297,3 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
             return ProbeResult(True, p, trials, tuple(weights), result,
                                scans, points)
     return ProbeResult(False, p, trials, None, last, scans, points)
-
-
-def _clear_denominators(form: CubicForm) -> CubicForm:
-    den = 1
-    for c in form.coefficients:
-        if c:
-            for q in c.coefficients():
-                den = math.lcm(den, q.denominator)
-    return form if den == 1 else form.scale(den)

@@ -26,7 +26,7 @@ def audit(gens, **kw):
     if gens:
         g = MatrixGroup.generate(gens)
     else:
-        g = MatrixGroup.generate([], dim=5)
+        g = MatrixGroup.generate([Matrix.identity(5)])
     return check_criterion(g, **kw)
 
 

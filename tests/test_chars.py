@@ -21,13 +21,13 @@ from cubicmoduli.chars import (
 from cubicmoduli.cyclo import cyclo
 from cubicmoduli.errors import GroupMismatchError, NonIntegralCharacterError
 from cubicmoduli.groups import MatrixGroup
-from cubicmoduli.linalg import commutant_dimension
+from cubicmoduli.linalg import Matrix, commutant_dimension
 
 import fixtures as fx
 
 
 def test_trivial_group_counts():
-    g = MatrixGroup.generate([], dim=5)
+    g = MatrixGroup.generate([Matrix.identity(5)])
     chi = character_of(g)
     assert dim_invariant_cubics(chi) == 35
     assert multiplicity(sym_square(chi), trivial_character(chi.structure)) == 15

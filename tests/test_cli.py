@@ -127,12 +127,16 @@ def test_package_error_is_one_line_exit_1(tmp_path, capsys, generator,
     assert err[0].startswith("error: ") and message in err[0]
 
 
-@pytest.mark.parametrize("prime, message", [
-    ("4", "4 is not prime"),
-    ("1000003", "too large"),
+@pytest.mark.parametrize("entry, prime, message", [
+    pytest.param("trivial", "4", "4 is not prime", id="4-4 is not prime"),
+    pytest.param("trivial", "1000003", "too large", id="1000003-too large"),
+    # a cone family: certified empty before any probe, yet the prime is
+    # still checked
+    pytest.param("z3-z4", "4", "4 is not prime",
+                 id="z3-z4-4-4 is not prime"),
 ])
-def test_chosen_bad_prime_is_one_line_exit_1(capsys, prime, message):
-    assert main(["audit", "trivial", "--prime", prime]) == 1
+def test_chosen_bad_prime_is_one_line_exit_1(capsys, entry, prime, message):
+    assert main(["audit", entry, "--prime", prime]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1

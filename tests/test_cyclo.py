@@ -174,6 +174,8 @@ def test_parse_examples():
 @pytest.mark.parametrize("text", [
     "E(3) +", "2 ** 3", "1/0", "0^-1", "x0", "E(3)/(x1 - x1)", "", "E(0)",
     "2 3", "E3", "y",
+    # above MAX_CONDUCTOR: rejected before its tables are built
+    "E(1212)",
 ])
 def test_parse_rejects(text):
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ def test_closure_orders():
     assert MatrixGroup.generate([fx.KLEIN_D, fx.KLEIN_P]).order == 55
     assert MatrixGroup.generate([fx.ALT5_A, fx.ALT5_B]).order == 60
     assert MatrixGroup.generate([fx.FAM43_A, fx.FAM43_B]).order == 9
-    assert MatrixGroup.generate([], dim=5).order == 1
+    assert MatrixGroup.generate([Matrix.identity(5)]).order == 1
 
 
 def test_infinite_generator_rejected():

@@ -95,7 +95,7 @@ def test_action_is_homomorphism():
 
 
 def test_trivial_group_has_everything():
-    g = MatrixGroup.generate([], dim=5)
+    g = MatrixGroup.generate([Matrix.identity(5)])
     space = invariant_basis(g)
     assert space.dimension == 35
     assert space.contains(CubicForm.parse(KLEIN))

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cubicmoduli.cyclo import cyclo, root_of_unity
+from cubicmoduli.cyclo import _is_prime, cyclo, root_of_unity
 from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.linalg import (
     Matrix,
@@ -220,6 +220,15 @@ def test_split_primes_and_roots_mod_p():
             w = root_of_unity_mod(n, p)
             assert pow(w, n, p) == 1
             assert all(pow(w, k, p) != 1 for k in range(1, n))
+    # zeta_n -> g^((p-1)/n), g the smallest primitive root mod p
+    for p in range(5, 128):
+        if not _is_prime(p):
+            continue
+        g = next(a for a in range(2, p)
+                 if len({pow(a, k, p) for k in range(1, p)}) == p - 1)
+        for n in range(1, p):
+            if (p - 1) % n == 0:
+                assert root_of_unity_mod(n, p) == pow(g, (p - 1) // n, p)
 
 
 def test_rank_mod_p():

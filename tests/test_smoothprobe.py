@@ -13,12 +13,13 @@ from cubicmoduli.invariants import (
     CubicForm,
     invariant_basis,
 )
+from cubicmoduli.linalg import root_of_unity_mod
 from cubicmoduli.smoothprobe import (
-    PrimeReduction,
     ScanResult,
     choose_prime,
     form_conductor,
     probe_nonempty,
+    reduce_forms,
     singular_scan,
 )
 
@@ -29,30 +30,30 @@ FERMAT = CubicForm.parse("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
 
 
 def test_prime_reduction_values():
-    red = PrimeReduction(7)
-    assert red.root == 3
+    # 3 is the smallest primitive root mod 7, the image of zeta_6
+    assert root_of_unity_mod(6, 7) == 3
     # E(3) -> 3^2 = 2 mod 7, a primitive cube root
-    from cubicmoduli.cyclo import cyclo
-    assert red.reduce(cyclo("E(3)")) == 2
-    assert red.reduce(cyclo("1/2")) == 4
-    assert red.reduce(cyclo(-1)) == 6
+    assert root_of_unity_mod(3, 7) == 2
+    form = CubicForm.parse("E(3)*x0^3 - x1^3")
+    row = reduce_forms([form], 7)[0]
+    assert (row[0], row[MONOMIAL_INDEX[(0, 3, 0, 0, 0)]]) == (2, 6)
     with pytest.raises(BadPrimeError):
-        red.reduce(cyclo("E(11)"))
+        root_of_unity_mod(11, 7)
     with pytest.raises(BadPrimeError):
-        red.reduce(cyclo("1/7"))
+        reduce_forms([CubicForm.parse("E(11)*x0^3")], 7)
 
 
 def test_prime_validation():
     with pytest.raises(BadPrimeError):
-        PrimeReduction(6)
+        reduce_forms([FERMAT], 6)
     with pytest.raises(BadPrimeError):
-        PrimeReduction(3)
+        reduce_forms([FERMAT], 3)
     with pytest.raises(BadPrimeError):
         singular_scan(FERMAT.scale(7), 7)
     # the chart grid p^4 must stay below 2^28: 127 is the largest prime
-    assert PrimeReduction(127).p == 127
+    assert reduce_forms([FERMAT], 127).shape == (1, 35)
     with pytest.raises(BadPrimeError, match="too large"):
-        PrimeReduction(131)
+        reduce_forms([FERMAT], 131)
     with pytest.raises(BadPrimeError, match="too large"):
         singular_scan(FERMAT, 131)
 
