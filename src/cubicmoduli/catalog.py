@@ -3,9 +3,11 @@
 Each file records 5x5 generators in the E(n)^k text encoding together
 with a contract: the group order, the traces on conjugacy class
 representatives, and optionally a cubic form every generator must fix.
-load() regenerates the group and re-checks the whole contract every
-time, so a corrupted fixture fails loudly instead of feeding silently
-wrong numbers into reports.
+load() regenerates the group (a closure on integer arrays, see
+`groups`) and re-checks the whole contract every time: order, class
+traces, and the fixed form under each generator, whose inverse comes
+from the group's table.  A corrupted fixture fails loudly instead of
+feeding silently wrong numbers into reports.
 
 The environment variable CUBICMODULI_CATALOG may name a directory of
 extra entry files; entries there shadow built-in ones with the same
@@ -20,7 +22,7 @@ from pathlib import Path
 from .cyclo import parse_cyclo
 from .errors import ContractViolationError, ParseError
 from .groups import MatrixGroup
-from .invariants import CubicForm, act
+from .invariants import CubicForm, fixed_by
 from .linalg import Matrix, conductor_of
 
 ENV_VAR = "CUBICMODULI_CATALOG"
@@ -131,7 +133,7 @@ def validate(entry: CatalogEntry) -> MatrixGroup:
         )
     if entry.fixed_form is not None:
         for i, g in enumerate(entry.generators):
-            if act(g, entry.fixed_form) != entry.fixed_form:
+            if not fixed_by(group, g, [entry.fixed_form]):
                 raise ContractViolationError(
                     f"{entry.id}: generator {i} moves the fixed form"
                 )

@@ -1,10 +1,20 @@
 """Finite matrix groups over cyclotomic fields.
 
-Groups are built by breadth-first closure from generators.  Elements are
-exact matrices; once the closure is known, a right-multiplication index
-table turns products, inverses, orders, conjugacy classes and subgroup
-scans into integer lookups, so the expensive matrix arithmetic happens
-only once per element.
+Groups are built by breadth-first closure from generators, on integer
+arrays.  With n the conductor of the generators' entries (which is also
+the group's), an element is a positive denominator and an integer array
+of the power-basis coefficients of its entries over Q(zeta_n), in
+lowest terms, so the pair is a canonical dict key.  Right
+multiplication by a generator is one integer matrix, and each BFS level
+multiplies its whole frontier by it in one product.  The products run
+on int64 while a bound proves they cannot overflow, and on Python ints
+(object arrays) past it.  Exact matrices are built once at the end, one
+exact value and one printed string per distinct entry.
+
+Once the closure is known, a right-multiplication index table turns
+products, inverses, orders, conjugacy classes and subgroup scans into
+integer lookups.  Eigenvalue profiles come from the class traces: each
+multiplicity is a small integer, computed mod a split prime.
 
 Elements get a canonical order (lexicographic on the printed entries),
 which makes every derived report reproducible across runs and generator
@@ -13,12 +23,16 @@ orderings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclo import Cyclotomic, cyclo, root_of_unity
-from .errors import CapExceededError, NotFiniteError
-from .linalg import Matrix, conductor_of
+import numpy as np
+
+from .cyclo import (Cyclotomic, _power_table, from_power_basis, power_basis,
+                    root_of_unity)
+from .errors import CapExceededError, NonIntegralCharacterError, NotFiniteError
+from .linalg import (Matrix, conductor_of, int_array, root_of_unity_mod,
+                     split_primes)
 from .chars import ClassStructure
 
 DEFAULT_CAP = 20000
@@ -97,22 +111,39 @@ def eigen_profile(m: Matrix) -> EigenProfile:
 
 
 def _profile_from_traces(n: int, traces: list[Cyclotomic], dim: int) -> EigenProfile:
-    roots = [root_of_unity(n, k) for k in range(n)]
+    """mult(zeta_n^k) = (1/n) * sum_j t_j zeta_n^(-jk) for the traces t_j
+    of the powers g^j.  Each multiplicity is an integer in [0, dim], so
+    it is computed mod the first split prime p of lcm(n, conductor):
+    p > dim makes the residue the integer itself."""
+    m = math.lcm(n, conductor_of(traces))
+    p = next(split_primes(m))
+    w = root_of_unity_mod(m, p)
+    w_powers = [pow(w, e, p) for e in range(len(_power_table(m)[0]))]
+    residues = []
+    for t in traces:
+        num, den = power_basis(t, m)
+        residues.append(sum(c * x for c, x in zip(num, w_powers))
+                        * pow(den, -1, p) % p)
+    zeta = pow(w, m // n, p)
+    inv_n = pow(n, -1, p)
     mults = []
-    total = 0
     for k in range(n):
-        acc = cyclo(0)
-        for j, t in enumerate(traces):
-            if t:
-                acc = acc + t * roots[(-j * k) % n]
-        value = (acc * Fraction(1, n)).as_rational()
-        assert value.denominator == 1 and value >= 0, (
-            f"eigenvalue multiplicity came out as {value}"
-        )
+        step = pow(zeta, -k, p)
+        acc, x = 0, 1
+        for r in residues:
+            acc += r * x
+            x = x * step % p
+        value = acc * inv_n % p
+        if value > dim:
+            raise NonIntegralCharacterError(
+                f"eigenvalue multiplicity of zeta_{n}^{k} is {value} mod "
+                f"{p}, not an integer in [0, {dim}]")
         if value:
-            mults.append((k, int(value)))
-            total += int(value)
-    assert total == dim, f"profile multiplicities sum to {total}, not {dim}"
+            mults.append((k, value))
+    total = sum(v for _, v in mults)
+    if total != dim:
+        raise NonIntegralCharacterError(
+            f"profile multiplicities sum to {total}, not {dim}")
     return EigenProfile(n, tuple(mults))
 
 
@@ -155,68 +186,84 @@ class MatrixGroup:
         assert gens, "need at least one generator"
         d = gens[0].rows
         assert all(g.rows == g.cols == d for g in gens), "generators must be square"
-        for g in gens:
-            matrix_order(g)  # raises NotFiniteError when unbounded
+        # every product of the generators lies in Q(zeta_n), and the
+        # generators are elements, so n is also the group's conductor
+        n = conductor_of(v for g in gens for v in g.data)
+        steps = [_RightMultiplication(g, n) for g in gens]
+        identity = _identity(d, len(_power_table(n)[0]))
+        for step in steps:
+            _check_order(step, identity)  # raises NotFiniteError when unbounded
 
-        identity = Matrix.identity(d)
-        elements = [identity]
-        key2idx = {_element_key(identity): 0}
+        blocks = [identity]  # (dens, nums) of the elements, in index order
+        index = {_keys(*identity)[0]: 0}
         parent = [(-1, -1)]  # (parent index, generator index), BFS tree
         rmul_gen = [[] for _ in gens]  # per generator: index of e_i * g
-        for rows in rmul_gen:
-            rows.append(None)
-        head = 0
-        while head < len(elements):
-            x = elements[head]
-            for gi, g in enumerate(gens):
-                y = x * g
-                key = _element_key(y)
-                yi = key2idx.get(key)
-                if yi is None:
-                    yi = len(elements)
-                    if yi >= cap:
-                        raise CapExceededError(
-                            f"closure exceeded cap {cap}; raise the cap if intended"
-                        )
-                    elements.append(y)
-                    key2idx[key] = yi
-                    parent.append((head, gi))
-                    for rows in rmul_gen:
-                        rows.append(None)
-                rmul_gen[gi][head] = yi
-            head += 1
+        level = 0
+        while level < len(blocks):
+            # the frontier: the elements the last level found
+            dens = np.concatenate([b[0] for b in blocks[level:]])
+            nums = np.concatenate([b[1] for b in blocks[level:]])
+            base = len(parent) - len(dens)
+            level = len(blocks)
+            for gi, step in enumerate(steps):
+                pdens, pnums = _times(dens, nums, step)
+                if pnums.dtype != nums.dtype:
+                    # past the int64 bound: every element moves to
+                    # Python ints, so that the keys stay comparable
+                    dens, nums = dens.astype(object), nums.astype(object)
+                    blocks = [(a.astype(object), b.astype(object))
+                              for a, b in blocks]
+                    index = {key: i for i, key in enumerate(
+                        key for b in blocks for key in _keys(*b))}
+                fresh = []
+                for x, key in enumerate(_keys(pdens, pnums)):
+                    y = index.get(key)
+                    if y is None:
+                        y = len(parent)
+                        if y >= cap:
+                            raise CapExceededError(
+                                f"closure exceeded cap {cap}; raise the cap if intended"
+                            )
+                        index[key] = y
+                        parent.append((base + x, gi))
+                        fresh.append(x)
+                    rmul_gen[gi].append(y)
+                if fresh:
+                    blocks.append((pdens[fresh], pnums[fresh]))
 
-        order = len(elements)
+        order = len(parent)
+        matrices, sort_keys = _exact_elements(
+            np.concatenate([b[0] for b in blocks]),
+            np.concatenate([b[1] for b in blocks]), d, n)
         # canonical order: lexicographic on printed entries
-        sort_keys = [tuple(str(v) for v in m.data) for m in elements]
-        new_to_old = sorted(range(order), key=lambda i: sort_keys[i])
-        old_to_new = [0] * order
-        for new, old in enumerate(new_to_old):
-            old_to_new[old] = new
+        new_to_old = np.array(sorted(range(order), key=lambda i: sort_keys[i]),
+                              dtype=np.intp)
+        old_to_new = np.empty(order, dtype=np.intp)
+        old_to_new[new_to_old] = np.arange(order)
 
         rmul = None
         if order <= _TABLE_LIMIT:
-            rmul_old = [None] * order
-            rmul_old[0] = list(range(order))
+            # row a maps i to the index of e_i * e_a, composed along the
+            # BFS tree: e_i * (e_p * g) = (e_i * e_p) * g
+            gen_rows = np.array(rmul_gen, dtype=np.intp)
+            table = np.empty((order, order), dtype=np.intp)
+            table[0] = np.arange(order)
             for child in range(1, order):
                 p, gi = parent[child]
-                base = rmul_old[p]
-                row = rmul_gen[gi]
-                rmul_old[child] = [row[base[i]] for i in range(order)]
-            rmul = [None] * order
-            for old_a in range(order):
-                src = rmul_old[old_a]
-                rmul[old_to_new[old_a]] = [
-                    old_to_new[src[new_to_old[j]]] for j in range(order)
-                ]
+                table[child] = gen_rows[gi][table[p]]
+            # row by row, with one shared int per index, so that no
+            # temporary of the table's size is made
+            ints = list(range(order))
+            rmul = [list(map(ints.__getitem__,
+                             old_to_new[table[a][new_to_old]].tolist()))
+                    for a in new_to_old]
 
-        sorted_elements = tuple(elements[old] for old in new_to_old)
         return cls(
-            elements=sorted_elements,
+            elements=tuple(matrices[old] for old in new_to_old),
             generators=tuple(gens),
             rmul=rmul,
-            identity_index=old_to_new[0],
-            conductor=conductor_of(v for m in sorted_elements for v in m.data),
+            identity_index=int(old_to_new[0]),
+            conductor=n,
         )
 
     # ------------------------------------------------------------------
@@ -499,6 +546,109 @@ class MatrixGroup:
 
 def _element_key(m: Matrix):
     return m.data
+
+
+# an int64 product is formed only when a bound proves that it fits
+_INT64_LIMIT = 1 << 63
+
+
+class _RightMultiplication:
+    """Right multiplication by one generator g on integer arrays.
+
+    An element X is a positive denominator and a numerator row holding
+    the phi(n) power-basis coefficients of each entry, row-major.  With
+    g = num / den, X * g has numerator X_num @ matrix (rows reshaped to
+    d x d*phi) and denominator X_den * den: row (k, a), column (j, c) of
+    matrix is coefficient c of zeta_n^a * num[k, j]."""
+
+    __slots__ = ("den", "matrix", "big", "element")
+
+    def __init__(self, g: Matrix, n: int):
+        array, den = int_array([g], n)
+        num = array[0]
+        d, _, phi = num.shape
+        table = np.array(_power_table(n), dtype=np.int64)
+        # coefficient c of zeta^(a + b)
+        shift = table[(np.arange(phi)[:, None] + np.arange(phi)) % n]
+        if (phi * int(np.abs(num).max()) * int(np.abs(table).max())
+                >= _INT64_LIMIT or den >= _INT64_LIMIT):
+            num, shift = num.astype(object), shift.astype(object)
+        matrix = np.einsum("kjb,abc->kajc", num, shift).reshape(d * phi, -1)
+        self.den = den
+        self.matrix = matrix
+        self.big = int(np.abs(matrix).max())
+        self.element = _lowest_terms(np.array([den], dtype=num.dtype),
+                                     num.reshape(1, -1))
+
+
+def _lowest_terms(dens, nums):
+    """Each numerator row and its denominator divided by their gcd."""
+    g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
+    return dens // g, nums // g[:, None]
+
+
+def _times(dens, nums, step: _RightMultiplication):
+    """The products X * g of the elements X = nums[i] / dens[i] with the
+    generator of step, in lowest terms.  The product runs on int64 when
+    a bound proves that no coefficient and no denominator can overflow,
+    and on Python ints (object arrays) otherwise."""
+    width = step.matrix.shape[0]
+    if nums.dtype != object and (
+            step.matrix.dtype == object
+            or int(np.abs(nums).max()) * step.big * width >= _INT64_LIMIT
+            or int(dens.max()) * step.den >= _INT64_LIMIT):
+        dens, nums = dens.astype(object), nums.astype(object)
+    out = (nums.reshape(-1, width) @ step.matrix).reshape(len(nums), -1)
+    return _lowest_terms(dens * step.den, out)
+
+
+def _identity(d: int, phi: int):
+    num = np.zeros((d, d, phi), dtype=np.int64)
+    num[range(d), range(d), 0] = 1
+    return np.ones(1, dtype=np.int64), num.reshape(1, -1)
+
+
+def _keys(dens, nums) -> list:
+    """One dict key per element; equal keys mean equal elements, since
+    elements are in lowest terms over one basis."""
+    if nums.dtype == object:
+        return [(den, tuple(row)) for den, row in zip(dens.tolist(),
+                                                      nums.tolist())]
+    return [(den, row.tobytes()) for den, row in zip(dens.tolist(), nums)]
+
+
+def _check_order(step: _RightMultiplication, identity):
+    """Raise NotFiniteError unless some power g^k, k <= ORDER_BOUND, of
+    the generator of step is the identity."""
+    power = step.element
+    k = 1
+    while not (power[0][0] == 1 and np.array_equal(power[1], identity[1])):
+        power = _times(*power, step)
+        k += 1
+        if k > ORDER_BOUND:
+            raise NotFiniteError(f"element order exceeds bound {ORDER_BOUND}; "
+                                 "not a finite group element")
+
+
+def _exact_elements(dens, nums, d: int, n: int):
+    """The elements as exact matrices, and their sort keys (the printed
+    entries).  Each distinct entry becomes one exact value and one
+    string, shared by every element it occurs in."""
+    phi = nums.shape[1] // (d * d)
+    distinct = {}
+    codes = []
+    for den, num in zip(dens.tolist(), nums):
+        codes.extend(distinct.setdefault((den, tuple(entry)), len(distinct))
+                     for entry in num.reshape(d * d, phi).tolist())
+    values = [from_power_basis(n, num, den) for den, num in distinct]
+    texts = [str(v) for v in values]
+    matrices, sort_keys = [], []
+    for start in range(0, len(codes), d * d):
+        row = codes[start:start + d * d]
+        matrices.append(Matrix([[values[c] for c in row[i:i + d]]
+                                for i in range(0, d * d, d)]))
+        sort_keys.append(tuple(texts[c] for c in row))
+    return matrices, sort_keys
 
 
 _LABELS = {

@@ -247,6 +247,14 @@ def act(g: Matrix, form: CubicForm) -> CubicForm:
     return _act_with_rows(_inverse_rows(g.inverse()), form)
 
 
+def fixed_by(group, g: Matrix, forms) -> bool:
+    """Whether act(g, F) == F for every form F, g an element of group;
+    g^-1 is read from the group's table, not computed by an exact
+    matrix inverse."""
+    rows = _inverse_rows(group.elements[group.inverse_index(group.index(g))])
+    return all(_act_with_rows(rows, f) == f for f in forms)
+
+
 def _act_with_rows(rows, form: CubicForm) -> CubicForm:
     total = {}
     for expo, coeff in zip(MONOMIALS, form.coefficients):
@@ -465,11 +473,8 @@ def invariant_basis(group) -> InvariantSpace:
             spanning.append(col)
     space = InvariantSpace(basis, spanning)
     for g in group.generators:
-        rows = _inverse_rows(
-            group.elements[group.inverse_index(group.index(g))])
-        for b in space.basis:
-            if _act_with_rows(rows, b) != b:
-                raise ContractViolationError(
-                    "claimed invariant moves under a generator"
-                )
+        if not fixed_by(group, g, space.basis):
+            raise ContractViolationError(
+                "claimed invariant moves under a generator"
+            )
     return space

@@ -6,6 +6,8 @@ e_{j-1}, so on coordinates it substitutes x_i -> x_{i-1} after the
 inverse in the dual action.
 """
 
+from fractions import Fraction
+
 from cubicmoduli.cyclo import cyclo, root_of_unity
 from cubicmoduli.linalg import Matrix
 
@@ -23,6 +25,14 @@ def diag(*entries):
 def from_cols(*cols):
     n = len(cols)
     return Matrix([[cyclo(cols[j][i]) for j in range(n)] for i in range(n)])
+
+
+def conjugated(gens, *scale):
+    """The generators conjugated by diag(scale): entry (i, j) is
+    multiplied by scale[i] / scale[j]."""
+    t = diag(*scale)
+    t_inv = diag(*(Fraction(1, v) for v in scale))
+    return [t * g * t_inv for g in gens]
 
 
 # order 11 diagonal symmetry of x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2

@@ -1,5 +1,6 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers and exact reference routes for the test suite."""
 
+import math
 from fractions import Fraction
 
 from cubicmoduli.cyclo import cyclo, root_of_unity
@@ -20,3 +21,55 @@ def random_matrix(rng, rows, cols, conductors=(1, 3, 4)):
         [random_cyclo(rng, conductors) for _ in range(cols)]
         for _ in range(rows)
     ])
+
+
+def exact_closure(generators):
+    """Reference closure by exact products: (elements in canonical order,
+    rmul with rmul[j][i] the index of e_i * e_j, identity index,
+    conductor).  Breadth-first from the identity, multiplying on the
+    right by each generator; the canonical order sorts on printed
+    entries."""
+    d = generators[0].rows
+    elements = [Matrix.identity(d)]
+    index = {elements[0]: 0}
+    parent = [None]
+    by_gen = [[] for _ in generators]  # by_gen[g][i]: index of e_i * g
+    head = 0
+    while head < len(elements):
+        for gi, g in enumerate(generators):
+            y = elements[head] * g
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                parent.append((head, gi))
+            by_gen[gi].append(index[y])
+        head += 1
+    order = len(elements)
+    # row a: i -> index of e_i * e_a, composed along the BFS tree
+    rows = [list(range(order))]
+    for p, gi in parent[1:]:
+        rows.append([by_gen[gi][i] for i in rows[p]])
+    new_to_old = sorted(range(order),
+                        key=lambda i: [str(v) for v in elements[i].data])
+    old_to_new = {old: new for new, old in enumerate(new_to_old)}
+    rmul = [[old_to_new[rows[a][old]] for old in new_to_old]
+            for a in new_to_old]
+    conductor = math.lcm(*(v.conductor for m in elements for v in m.data))
+    return ([elements[i] for i in new_to_old], rmul, old_to_new[0],
+            conductor)
+
+
+def exact_profile(n, traces, dim):
+    """{k: multiplicity of zeta_n^k} from the traces of g^0 .. g^(n-1),
+    as (1/n) * sum_j t_j zeta_n^(-jk) in exact arithmetic."""
+    mults = {}
+    for k in range(n):
+        acc = cyclo(0)
+        for j, t in enumerate(traces):
+            acc = acc + t * root_of_unity(n, -j * k)
+        value = (acc * Fraction(1, n)).as_rational()
+        assert value.denominator == 1 and 0 <= value <= dim
+        if value:
+            mults[k] = int(value)
+    assert sum(mults.values()) == dim
+    return mults

@@ -3,14 +3,18 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cubicmoduli.cyclo import (
+    MAX_CONDUCTOR,
     Cyclotomic,
+    _power_table,
     cyclo,
     cyclotomic_polynomial,
+    from_power_basis,
     parse_cyclo,
     root_of_unity,
 )
@@ -79,6 +83,31 @@ def test_hash_of_rational_values_is_the_rational_hash():
     assert hash(cyclo(Fraction(6, 8))) == hash(parse_cyclo("3/4"))
     assert hash(E(12) ** 4) == hash(E(3))
     assert hash((E(5) + 1) - E(5)) == hash(1)
+
+
+def test_hash_of_rationals_with_any_denominator():
+    # the rational hash is computed without a Fraction; it must agree
+    # with Fraction's for every sign, size and denominator, including
+    # multiples of the hash modulus, which have no inverse mod it
+    modulus = sys.hash_info.modulus
+    rng = random.Random(11)
+    samples = [(a, b) for a in (1, -1, 2, -7, 2 ** 70 + 1, -(3 ** 50))
+               for b in (2, 3, 10 ** 6, 2 ** 61, modulus, 2 * modulus,
+                         3 ** 41)]
+    samples += [(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(2, 10 ** 30))
+                for _ in range(200)]
+    for a, b in samples:
+        q = Fraction(a, b)
+        assert hash(cyclo(q)) == hash(q), q
+        assert hash(cyclo(q)) == hash(cyclo(a) / b)
+
+
+def test_roots_of_unity_of_twice_an_odd_conductor():
+    # for n = 2 mod 4, zeta_n^k is built as +-zeta_(n/2)^j; it must equal
+    # the value read off the conductor-n power table
+    for n in range(2, MAX_CONDUCTOR + 1, 4):
+        for k in range(n):
+            assert E(n, k) == from_power_basis(n, _power_table(n)[k]), (n, k)
 
 
 def test_gauss_sum_square_is_minus_eleven():

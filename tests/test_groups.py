@@ -1,11 +1,17 @@
+import functools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from cubicmoduli import catalog
 from cubicmoduli.cyclo import cyclo, root_of_unity
 from cubicmoduli.errors import CapExceededError, NotFiniteError
 from cubicmoduli.groups import (
     MatrixGroup,
+    _RightMultiplication,
+    _times,
     eigen_profile,
     fingerprint_label,
     matrix_order,
@@ -13,6 +19,21 @@ from cubicmoduli.groups import (
 from cubicmoduli.linalg import Matrix
 
 import fixtures as fx
+from helpers_math import exact_closure, exact_profile
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_group(name):
+    return catalog.load(name)
+
+
+def _assert_matches_exact_closure(g, gens):
+    elements, rmul, identity_index, conductor = exact_closure(gens)
+    assert g.order == len(elements)
+    assert list(g.elements) == elements
+    assert g._rmul == rmul
+    assert g.identity_index == identity_index
+    assert g.conductor == conductor
 
 
 def test_closure_orders():
@@ -28,13 +49,60 @@ def test_closure_orders():
 
 
 def test_infinite_generator_rejected():
+    # the powers of 2 leave int64 after 62 steps
     with pytest.raises(NotFiniteError):
         MatrixGroup.generate([Matrix.scalar(5, cyclo(2))])
+    # a unipotent matrix: small entries, int64 up to the order bound
+    unipotent = Matrix([[1 if j in (i, i + 1) else 0 for j in range(5)]
+                        for i in range(5)])
+    with pytest.raises(NotFiniteError):
+        MatrixGroup.generate([fx.KLEIN_P, unipotent])
 
 
 def test_cap_enforced():
     with pytest.raises(CapExceededError):
         MatrixGroup.generate([fx.ALT5_A, fx.ALT5_B], cap=30)
+    # the cap bounds the order: a group of exactly cap elements is fine
+    assert MatrixGroup.generate([fx.ALT5_A, fx.ALT5_B], cap=60).order == 60
+    with pytest.raises(CapExceededError):
+        MatrixGroup.generate([fx.ALT5_A, fx.ALT5_B], cap=59)
+
+
+@pytest.mark.parametrize("name", catalog.entry_ids())
+def test_closure_matches_exact_products(name):
+    g = _entry_group(name)
+    _assert_matches_exact_closure(g, list(catalog.load_entry(name).generators))
+
+
+def test_closure_with_rational_conjugation():
+    # conjugating the shift by diag(1, 2, 4, 1, 1) gives it entries 1/2
+    # and 4, and its square the entry 1/4: element denominators are not
+    # the generators', and products must be brought to lowest terms
+    gens = fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 2, 4, 1, 1)
+    g = MatrixGroup.generate(gens)
+    _assert_matches_exact_closure(g, gens)
+
+    def den(m):
+        return math.lcm(*(c.denominator for v in m.data
+                          for c in v.coefficients()))
+
+    assert sorted({den(m) for m in gens}) == [1, 2]
+    assert sorted({den(m) for m in g.elements}) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("scale", [10 ** 6, 10 ** 12])
+def test_closure_past_the_int64_bound(scale):
+    # scale 10^6: the generators fit int64 but a product of two elements
+    # may not, so the closure moves to Python ints part way; scale 10^12:
+    # not even the generators fit, so it runs on Python ints throughout
+    gens = fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, scale, 1, 1, 1)
+    step = _RightMultiplication(gens[1], 1)
+    assert (step.matrix.dtype == object) == (scale > 10 ** 6)
+    _, nums = _times(*step.element, step)
+    assert nums.dtype == object
+    g = MatrixGroup.generate(gens)
+    assert g.order == 55
+    _assert_matches_exact_closure(g, gens)
 
 
 def test_generation_is_deterministic():
@@ -96,6 +164,45 @@ def test_eigen_profiles():
 
     p = eigen_profile(fx.C2_GEN)
     assert (p.order, p.as_dict()) == (2, {0: 3, 1: 2})
+
+
+def test_closure_with_a_denominator_past_int64():
+    # a reflection with entries (N^2 - 1)/(N^2 + 1) and 2N/(N^2 + 1):
+    # the numerators are small next to N^2, but the denominator alone
+    # leaves int64
+    big = 10 ** 20
+    a = Fraction(big ** 2 - 1, big ** 2 + 1)
+    b = Fraction(2 * big, big ** 2 + 1)
+    reflection = Matrix([[a, b, 0, 0, 0], [b, -a, 0, 0, 0], [0, 0, 1, 0, 0],
+                         [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    gens = [reflection, fx.diag(-1, -1, fx.W, 1, 1)]
+    g = MatrixGroup.generate(gens)
+    assert g.order == 12
+    _assert_matches_exact_closure(g, gens)
+
+
+@pytest.mark.parametrize("name", catalog.entry_ids())
+def test_class_profiles_match_matrix_powers(name):
+    g = _entry_group(name)
+    for c, prof in zip(g.classes, g.class_profiles()):
+        m = g.elements[c.rep_index]
+        assert prof == eigen_profile(m)
+        n = matrix_order(m)
+        traces, power = [], Matrix.identity(5)
+        for _ in range(n):
+            traces.append(power.trace())
+            power = power * m
+        assert prof.as_dict() == exact_profile(n, traces, 5)
+
+
+def test_subgroup_class_profiles_match_matrix_powers():
+    g = _entry_group("z11-z5-klein")
+    for rec in g.subgroups_two_generated():
+        sub = MatrixGroup.generate(
+            [g.elements[i] for i in rec.generator_indices])
+        assert sub.order == rec.order
+        for c, prof in zip(sub.classes, sub.class_profiles()):
+            assert prof == eigen_profile(sub.elements[c.rep_index])
 
 
 def test_profiles_cover_dimension():

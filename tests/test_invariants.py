@@ -113,14 +113,6 @@ def test_klein_group_invariants():
     assert space.basis[0] == CubicForm.parse(KLEIN)
 
 
-def conjugated(gens, *scale):
-    """The generators conjugated by diag(scale): entry (i, j) is
-    multiplied by scale[i] / scale[j]."""
-    t = fx.diag(*scale)
-    t_inv = fx.diag(*(Fraction(1, v) for v in scale))
-    return [t * g * t_inv for g in gens]
-
-
 @pytest.mark.parametrize("gens", [
     # a diagonal element of order 11 folds the sum over 5 cosets
     [fx.KLEIN_D, fx.KLEIN_P],
@@ -131,12 +123,12 @@ def conjugated(gens, *scale):
     # dense and not monomial: 60 representatives, 125 products a column
     [fx.ALT5_A, fx.ALT5_B],
     # entries 1/2, 3 and 2/3 next to E(3): a common denominator of 6
-    conjugated([fx.ALT4_A, fx.ALT4_B], 1, 1, 2, 1, 3),
+    fx.conjugated([fx.ALT4_A, fx.ALT4_B], 1, 1, 2, 1, 3),
     # entries 10^6 and 10^-6: each fits int64, their products do not,
     # so the accumulation runs on Python ints
-    conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 6, 1, 1, 1),
+    fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 6, 1, 1, 1),
     # entries 10^12 and 10^-12: not even the entries fit int64
-    conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 12, 1, 1, 1),
+    fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 12, 1, 1, 1),
     # every cubic monomial has weight 3 mod 9 under E(9): R = 0
     [Matrix.scalar(5, root_of_unity(9))],
 ], ids=["klein-55", "alt4", "cyclic-shift", "alt5", "alt4-rational",
@@ -153,7 +145,7 @@ def test_reynolds_operator_is_the_group_average(gens):
                                           (10 ** 12, object)])
 def test_large_entries_take_the_python_int_path(scale, dtype):
     g = MatrixGroup.generate(
-        conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, scale, 1, 1, 1))
+        fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, scale, 1, 1, 1))
     arrays, den = int_array(g.elements, g.conductor)
     assert den == scale and arrays.dtype == dtype
     # a product of three entries alone leaves the int64 range, so the
