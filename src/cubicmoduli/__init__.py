@@ -6,7 +6,9 @@ dimension of that family, the dimension of the associated special
 subvariety of the period domain, and decides whether the two agree.
 Invariant bases, averaging operators and class traces are exact; the
 commutant dimension is a rank mod a large prime, accepted only when it
-equals the character inner product <chi, chi>.
+equals the character inner product <chi, chi>, and the invariant
+dimension is the averaging operator's rank mod such a prime, accepted
+only when it equals the operator's exact trace.
 """
 
 __version__ = "0.1.0"

@@ -44,14 +44,11 @@ from .errors import (
 )
 from .groups import EigenProfile, MatrixGroup
 from .invariants import InvariantSpace, invariant_basis
-from .linalg import commutant_dimension, split_primes
+from .linalg import RANK_PRIME_ATTEMPTS, commutant_dimension, split_primes
 from .smoothprobe import probe_nonempty, reduce_forms
 
 DEFAULT_TRIALS = 20
 DEFAULT_SEED = 0
-# split primes tried for the commutant rank before an excess over
-# <chi, chi> is reported as an inconsistency
-RANK_PRIME_ATTEMPTS = 4
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,10 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
 
     if nonempty.status == "Certified":
         dim_moduli = dim_u - comm
-        assert dim_moduli >= 0
+        if dim_moduli < 0:
+            raise InconsistencyError(
+                f"{group_id}: dim U = {dim_u} is below the commutant "
+                f"dimension {comm}, so dim M would be negative")
         criterion = dim_moduli == dim_z
     else:
         dim_moduli = None

@@ -9,12 +9,13 @@ Subcommands:
 
 Exit status: 0 on success; 1 on a golden mismatch or any package error
 (failed contract, inconsistent routes, infinite or non-projectively
-faithful group, a --prime the probe cannot use), reported as one
-`error:` line; 2 on a usage error (such as --trials below 1) or unknown
-entry.
+faithful group, a --prime the probe cannot use, a lattice group above
+the subgroup scan limit), reported as one `error:` line; 2 on a usage
+error (such as --trials below 1) or unknown entry.
 """
 
 import argparse
+import functools
 import sys
 
 from . import audit, catalog
@@ -37,7 +38,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between
+    calls, so every main() call reuses it."""
     parser = argparse.ArgumentParser(
         prog="cubicmoduli",
         description="Exact moduli and special-subvariety audits for "

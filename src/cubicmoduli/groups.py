@@ -435,8 +435,10 @@ class MatrixGroup:
     def subgroups_two_generated(self) -> list[SubgroupRecord]:
         """All subgroups generated by at most two elements, up to
         conjugacy in this group, with deterministic representatives."""
-        assert self.order <= SUBGROUP_SCAN_LIMIT, (
-            "subgroup scan sized for small groups")
+        if self.order > SUBGROUP_SCAN_LIMIT:
+            raise CapExceededError(
+                f"group of order {self.order} is above the subgroup scan "
+                f"limit {SUBGROUP_SCAN_LIMIT}")
         assert self._rmul is not None
         e = self.identity_index
         order = self.order

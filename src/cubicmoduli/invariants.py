@@ -32,15 +32,34 @@ Forms are read by the package's one expression parser
 (`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
 every term is a cubic monomial in x0..x4.
 
-Row reduction of the transpose gives a canonical echelon basis.  Every
-returned basis form is re-checked against the generators by exact
-substitution (`_expand_monomial`, the route behind `act` and
-`substitution_matrix`), which shares no code with the integer arrays,
-so a wrong average cannot slip through.
+The space is read off the integer array R of that operator, and
+nothing exact is built that no output prints.  R's nonzero columns span
+U^G (`spanning`: exact forms, which the smoothness probe samples).  Its
+nonzero rows are the monomial support, exact on integers, which
+`missing_variables` and `split_variable` read.  Its rank mod the first
+split prime p = 1 mod n near 2^30 is the dimension, certified by the
+exact trace of R, which is an integer because R is a projection.
+Reduction mod p can only lower a rank, so a shortfall moves on to the
+next split prime and an excess is a contract violation.
+
+One check per generator g shows that the columns are invariant:
+S_g R = R, with S_g built by exact substitution (`_images`, the route
+behind `act` and `substitution_matrix`, with g^-1 read from the group
+table), which shares no code with the Reynolds sums.  Only S_g's
+columns on the support of R enter, and the product runs on integer
+arrays mod Phi_n, in int64 under an overflow bound as above.  With the
+dimension checked against the character count (the audit does that),
+the columns of R are all of U^G.
+
+The canonical echelon basis is built by exact row reduction on first
+use only (`InvariantSpace.basis`: `invariants`, `selftest` and library
+callers): of dimension-many spanning forms that are independent mod p,
+whose reduced echelon form is that of the whole space.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -54,7 +73,16 @@ from .cyclo import (
     root_of_unity,
 )
 from .errors import ContractViolationError
-from .linalg import Matrix, int_array, rref, solve_in_span
+from .linalg import (
+    RANK_PRIME_ATTEMPTS,
+    Matrix,
+    int_array,
+    pivots_mod_p,
+    reduce_mod_p,
+    rref,
+    solve_in_span,
+    split_primes,
+)
 
 N_VARS = 5
 
@@ -77,6 +105,9 @@ assert len(MONOMIALS) == 35 and MONOMIALS[0] == (3, 0, 0, 0, 0)
 def _factors(expo) -> tuple:
     """The variable indices of a monomial with multiplicity, ascending."""
     return tuple(i for i, e in enumerate(expo) for _ in range(e))
+
+
+_FACTOR_INDEX = {_factors(e): i for i, e in enumerate(MONOMIALS)}
 
 
 def _collapse_order():
@@ -115,7 +146,8 @@ class CubicForm:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(cyclo(c) for c in coeffs)
+        coeffs = tuple([c if isinstance(c, Cyclotomic) else cyclo(c)
+                        for c in coeffs])
         assert len(coeffs) == 35
         object.__setattr__(self, "_coeffs", coeffs)
 
@@ -214,32 +246,43 @@ def _inverse_rows(g_inv: Matrix):
     return [[g_inv[i, j] for j in range(N_VARS)] for i in range(N_VARS)]
 
 
-def _expand_monomial(rows, expo) -> dict:
-    """Image of the monomial with exponents expo when x_i is replaced by
-    the linear form rows[i]."""
-    p, q, r = _factors(expo)
+def _product(a: dict, b: dict) -> dict:
+    """The product of two forms held as {ascending variable indices:
+    nonzero coefficient}, exact."""
     out = {}
-    row_q = rows[q]
-    row_r = rows[r]
-    for j1, c1 in enumerate(rows[p]):
-        if not c1:
-            continue
-        for j2, c2 in enumerate(row_q):
-            if not c2:
-                continue
-            c12 = c1 * c2
-            for j3, c3 in enumerate(row_r):
-                if not c3:
-                    continue
-                e = [0] * N_VARS
-                e[j1] += 1
-                e[j2] += 1
-                e[j3] += 1
-                key = tuple(e)
-                prev = out.get(key)
-                term = c12 * c3
-                out[key] = term if prev is None else prev + term
-    return out
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(sorted(ka + kb))
+            term = ca * cb
+            prev = out.get(key)
+            out[key] = term if prev is None else prev + term
+    return {k: v for k, v in out.items() if v}
+
+
+def _expand_monomial(linear, expo, quadrics) -> dict:
+    """Image of the monomial with exponents expo when x_i is replaced by
+    the linear form linear[i] ({(j,): coefficient}): the product of its
+    first two factors' images, kept in quadrics for the monomials that
+    share them, times the third's."""
+    p, q, r = _factors(expo)
+    quad = quadrics.get((p, q))
+    if quad is None:
+        quad = quadrics[p, q] = _product(linear[p], linear[q])
+    return _product(quad, linear[r])
+
+
+def _images(rows, monomials=MONOMIALS) -> list:
+    """Per monomial, the 35 exact coefficients of its image when x_i is
+    replaced by the linear form rows[i]."""
+    linear = [{(j,): c for j, c in enumerate(row) if c} for row in rows]
+    quadrics = {}
+    cols = []
+    for expo in monomials:
+        col = [_ZERO] * 35
+        for key, value in _expand_monomial(linear, expo, quadrics).items():
+            col[_FACTOR_INDEX[key]] = value
+        cols.append(col)
+    return cols
 
 
 def act(g: Matrix, form: CubicForm) -> CubicForm:
@@ -256,30 +299,18 @@ def fixed_by(group, g: Matrix, forms) -> bool:
 
 
 def _act_with_rows(rows, form: CubicForm) -> CubicForm:
-    total = {}
-    for expo, coeff in zip(MONOMIALS, form.coefficients):
-        if not coeff:
-            continue
-        for key, value in _expand_monomial(rows, expo).items():
-            term = coeff * value
-            prev = total.get(key)
-            total[key] = term if prev is None else prev + term
+    terms = [(e, c) for e, c in zip(MONOMIALS, form.coefficients) if c]
     coeffs = [_ZERO] * 35
-    for key, value in total.items():
-        coeffs[MONOMIAL_INDEX[key]] = value
+    for (_, c), image in zip(terms, _images(rows, [e for e, _ in terms])):
+        for m, value in enumerate(image):
+            if value:
+                coeffs[m] = coeffs[m] + c * value
     return CubicForm(coeffs)
 
 
 def substitution_matrix(g: Matrix) -> Matrix:
     """35x35 matrix S with S * coeffs(F) = coeffs(F(g^-1 x))."""
-    rows = _inverse_rows(g.inverse())
-    cols = []
-    for expo in MONOMIALS:
-        image = _expand_monomial(rows, expo)
-        col = [_ZERO] * 35
-        for key, value in image.items():
-            col[MONOMIAL_INDEX[key]] = value
-        cols.append(col)
+    cols = _images(_inverse_rows(g.inverse()))
     return Matrix([[cols[j][i] for j in range(35)] for i in range(35)])
 
 
@@ -301,8 +332,11 @@ def _diagonal_of_largest_order(group):
     return n, h_idx, [roots[h[i, i]] for i in range(N_VARS)]
 
 
-def reynolds_operator(group) -> Matrix:
-    """Average of the substitution matrices over the whole group.
+def _reynolds_array(group):
+    """(R, den): the group average of the substitution matrices on the
+    zeta_n power basis, n the group's conductor.  R is a (35, 35,
+    phi(n)) integer array and R[m, j] holds the coefficients of den
+    times entry (m, j).
 
     The sum is folded through the left cosets of <h>, h the diagonal
     element of largest order n.  S_h scales the monomial x^a by a power
@@ -336,12 +370,34 @@ def reynolds_operator(group) -> Matrix:
         group.conductor)
     sums = _sum_of_images(arrays, [_factors(MONOMIALS[j]) for j in surviving],
                           group.conductor)
-    den = den ** 3 * len(reps)
-    data = [[_ZERO] * 35 for _ in range(35)]
-    for s, m in zip(*np.nonzero((sums != 0).any(axis=-1))):
-        data[m][surviving[s]] = from_power_basis(
-            group.conductor, sums[s, m].tolist(), den)
-    return Matrix(data)
+    R = np.zeros((35, 35, sums.shape[-1]), dtype=sums.dtype)
+    R[:, surviving] = sums.transpose(1, 0, 2)
+    return R, den ** 3 * len(reps)
+
+
+def _exact(n, coeffs: list, den) -> Cyclotomic:
+    """The value of integer coefficients on the zeta_n power basis over
+    den."""
+    return from_power_basis(n, coeffs, den) if any(coeffs) else _ZERO
+
+
+def reynolds_operator(group) -> Matrix:
+    """Average of the substitution matrices over the whole group, exact:
+    the integer array of `_reynolds_array` turned into numbers."""
+    R, den = _reynolds_array(group)
+    n = group.conductor
+    return Matrix([[_exact(n, coeffs, den) for coeffs in row]
+                   for row in R.tolist()])
+
+
+def _reduction_table(n, length):
+    """(length, phi(n)) int64: row e holds zeta_n^e on the power basis."""
+    table = _power_table(n)
+    return np.array([table[e % n] for e in range(length)], dtype=np.int64)
+
+
+def _big(array) -> int:
+    return int(np.abs(array).max()) if array.size else 0
 
 
 def _convolve(a, b):
@@ -367,15 +423,12 @@ def _sum_of_images(arrays, factors, n):
     arrays."""
     p, q, r = np.array(factors, dtype=np.intp).reshape(-1, 3).T
     phi = arrays.shape[-1]
-    table = _power_table(n)
-    mod_phi = np.array([table[e % n] for e in range(3 * phi - 2)],
-                      dtype=np.int64)
+    mod_phi = _reduction_table(n, 3 * phi - 2)
     # |entry| <= big, so a product of three has coefficients of size at
     # most phi^2 * big^3; 6 products share a monomial and len(arrays)
     # representatives add up before 3 * phi - 2 terms are reduced
-    big = int(np.abs(arrays).max())
-    bound = (len(arrays) * 6 * phi ** 2 * big ** 3
-             * (3 * phi - 2) * int(np.abs(mod_phi).max()))
+    bound = (len(arrays) * 6 * phi ** 2 * _big(arrays) ** 3
+             * (3 * phi - 2) * _big(mod_phi))
     if bound >= 1 << 63:
         arrays = arrays.astype(object)
         mod_phi = mod_phi.astype(object)
@@ -394,24 +447,64 @@ def _sum_of_images(arrays, factors, n):
     return collapsed @ mod_phi
 
 
+def _fixes(S, s_den, R, support, n) -> bool:
+    """Whether S R = s_den * R on the zeta_n power basis.  R is an
+    integer array of shape (35, c, phi) whose rows vanish off the
+    indices in support, and S, of shape (35, len(support), phi), holds
+    the columns of a substitution matrix at those indices."""
+    phi = S.shape[-1]
+    mod_phi = _reduction_table(n, 2 * phi - 1)
+    # a coefficient of S R is a sum of len(support) * phi products
+    # before 2 * phi - 1 of them are reduced
+    bound = max(len(support) * phi * _big(S) * _big(R) * (2 * phi - 1)
+                * _big(mod_phi), s_den * _big(R))
+    if bound >= 1 << 63:
+        S, R, mod_phi = (a.astype(object) for a in (S, R, mod_phi))
+    out = np.zeros((35, R.shape[1], 2 * phi - 1), dtype=np.result_type(S, R))
+    rows = R[support].reshape(len(support), -1)
+    for a in range(phi):
+        out[:, :, a:a + phi] += (S[:, :, a] @ rows).reshape(35, -1, phi)
+    return np.array_equal(out @ mod_phi, s_den * R)
+
+
 class InvariantSpace:
-    """Echelonized basis of the invariant cubics of a group.
+    """The invariant cubics of a group.
 
-    `spanning` carries the nonzero images of the monomials under the
-    averaging operator: the same space, but with coefficients whose
-    denominators divide the group order times the entry denominators.
-    The echelon basis can pick up huge numerators from pivot division,
-    which makes its reduction mod p degenerate for unlucky primes; the
-    raw images do not have that problem, so the smoothness probe
-    samples from them instead."""
+    `spanning` holds the nonzero images of the monomials under the
+    averaging operator, with denominators dividing the group order times
+    the entry denominators; the smoothness probe samples from them.
+    `basis`, the canonical echelon basis of the same space, is built by
+    exact row reduction on first use.  Its pivot divisions can bring
+    huge numerators, which make a reduction mod p degenerate for unlucky
+    primes, so only printing and membership tests use it.  `rank_primes`
+    are the split primes at which `dimension` was read, in order."""
 
-    def __init__(self, basis, spanning=()):
-        self.basis = tuple(basis)
-        self.spanning = tuple(spanning) if spanning else self.basis
+    def __init__(self, spanning, independent, support, rank_primes=()):
+        self.spanning = tuple(spanning)
+        # indices into spanning of dimension-many forms, independent
+        # mod a prime and so in characteristic zero too
+        self._independent = tuple(independent)
+        self._support = tuple(sorted(support, reverse=True))
+        self.rank_primes = tuple(rank_primes)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self._independent)
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        """Row reduction of the independent spanning forms, which span
+        the space, so their reduced echelon form is its canonical
+        basis."""
+        if not self._independent:
+            return ()
+        rank_, reduced, _ = rref(Matrix(
+            [self.spanning[i].coefficients for i in self._independent]))
+        if rank_ != self.dimension:
+            raise ContractViolationError(
+                f"invariant space has dimension {self.dimension} but its "
+                f"independent forms have rank {rank_}")
+        return tuple(CubicForm(reduced.row(i)) for i in range(rank_))
 
     def contains(self, form: CubicForm) -> bool:
         if not self.basis:
@@ -420,20 +513,15 @@ class InvariantSpace:
         return solve_in_span(rows, list(form.coefficients))
 
     def variable_support(self) -> tuple:
-        used = set()
-        for b in self.basis:
-            used.update(b.variable_support())
-        return tuple(sorted(used))
+        return tuple(i for i in range(N_VARS)
+                     if any(e[i] for e in self._support))
 
     def missing_variables(self) -> tuple:
         used = self.variable_support()
         return tuple(i for i in range(N_VARS) if i not in used)
 
     def monomial_support(self) -> tuple:
-        out = set()
-        for b in self.basis:
-            out.update(b.support())
-        return tuple(sorted(out, reverse=True))
+        return self._support
 
     def split_variable(self):
         """Smallest variable index i such that x_i^3 occurs in the space
@@ -453,28 +541,48 @@ class InvariantSpace:
 
 
 def invariant_basis(group) -> InvariantSpace:
-    """Canonical basis of the cubics fixed by every element of the group:
-    row reduction of the transpose of the Reynolds operator, then an
-    independent re-check of each basis form against the generators."""
-    R = reynolds_operator(group)
-    rank_, reduced, _ = rref(R.transpose())
-    trace = R.trace().as_rational()
-    if trace != rank_:
+    """The cubics fixed by every element of the group, read off the
+    integer Reynolds array R: its nonzero columns span the space, its
+    nonzero rows are the monomial support, and its rank mod a split
+    prime, certified by the exact trace, is the dimension.  One check
+    per generator g, S_g R = R with S_g from exact substitution (which
+    shares no code with the Reynolds sums), shows that the columns are
+    invariant."""
+    R, den = _reynolds_array(group)
+    n = group.conductor
+    diagonal = np.arange(35)
+    trace = _exact(n, R[diagonal, diagonal].sum(axis=0).tolist(), den)
+    if not (trace.is_rational() and trace.as_rational().denominator == 1):
         raise ContractViolationError(
-            f"averaging operator has trace {trace} but rank {rank_}"
-        )
-    basis = []
-    for i in range(rank_):
-        basis.append(CubicForm(reduced.row(i)))
-    spanning = []
-    for j in range(len(MONOMIALS)):
-        col = CubicForm(list(R.column(j)))
-        if col:
-            spanning.append(col)
-    space = InvariantSpace(basis, spanning)
-    for g in group.generators:
-        if not fixed_by(group, g, space.basis):
-            raise ContractViolationError(
-                "claimed invariant moves under a generator"
-            )
-    return space
+            f"averaging operator has trace {trace}, not an integer")
+    trace = int(trace.as_rational())
+    R = R[:, np.flatnonzero(R.any(axis=(0, 2)))]
+    support = np.flatnonzero(R.any(axis=(1, 2)))
+
+    independent, primes = (), []
+    if len(support):
+        monomials = [MONOMIALS[m] for m in support]
+        # each distinct generator once; the identity fixes R anyway
+        gens = dict.fromkeys(group.index(g) for g in group.generators)
+        gens.pop(group.identity_index, None)
+        for i in gens:
+            rows = _inverse_rows(group.elements[group.inverse_index(i)])
+            S, s_den = int_array([Matrix(_images(rows, monomials))], n)
+            # S[0] holds the columns of S_g at the support as its rows
+            if not _fixes(S[0].transpose(1, 0, 2), s_den, R, support, n):
+                raise ContractViolationError(
+                    "averaging operator moves under a generator")
+        for p in itertools.islice(split_primes(n), RANK_PRIME_ATTEMPTS):
+            primes.append(p)
+            independent = pivots_mod_p(reduce_mod_p(R, n, p), p)
+            if len(independent) >= trace:
+                break
+    if len(independent) != trace:
+        raise ContractViolationError(
+            f"averaging operator has trace {trace} but rank "
+            f"{len(independent)} mod the primes {primes}")
+
+    spanning = [CubicForm([_exact(n, coeffs, den) for coeffs in column])
+                for column in R.transpose(1, 0, 2).tolist()]
+    return InvariantSpace(spanning, independent,
+                          [MONOMIALS[m] for m in support], primes)

@@ -41,6 +41,9 @@ from .errors import BadPrimeError
 # these small systems is very unlikely
 RANK_PRIME_FLOOR = 1 << 30
 RANK_PRIME_CEILING = 1 << 31
+# split primes tried for a certified rank before a shortfall is
+# reported as an inconsistency
+RANK_PRIME_ATTEMPTS = 4
 
 
 def _entry(value) -> Cyclotomic:
@@ -55,13 +58,18 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows_of_entries):
-        rows = [tuple(_entry(v) for v in row) for row in rows_of_entries]
-        assert rows, "matrix needs at least one row"
-        width = len(rows[0])
-        assert all(len(r) == width for r in rows), "ragged rows"
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", tuple(v for row in rows for v in row))
+        data = []
+        widths = []
+        for row in rows_of_entries:
+            entries = [v if isinstance(v, Cyclotomic) else cyclo(v)
+                       for v in row]
+            data += entries
+            widths.append(len(entries))
+        assert widths, "matrix needs at least one row"
+        assert widths.count(widths[0]) == len(widths), "ragged rows"
+        object.__setattr__(self, "rows", len(widths))
+        object.__setattr__(self, "cols", widths[0])
+        object.__setattr__(self, "data", tuple(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -242,16 +250,18 @@ def int_array(mats, n: int):
     coefficients of den * mats[k][i, j]; den > 0 is the least common
     denominator.  The dtype is int64 when every coefficient fits below
     2^62, and Python ints (object) otherwise."""
+    # keyed by identity: equal values held as one object (the zeros,
+    # shared entries) convert once, without hashing a Cyclotomic
     coeffs = {}
     for m in mats:
         for v in m.data:
-            if v not in coeffs:
-                coeffs[v] = power_basis(v, n)
+            if id(v) not in coeffs:
+                coeffs[id(v)] = power_basis(v, n)
     den = math.lcm(*(vd for _, vd in coeffs.values()))
-    scaled = {v: num if vd == den else [x * (den // vd) for x in num]
-              for v, (num, vd) in coeffs.items()}
+    scaled = {k: num if vd == den else [x * (den // vd) for x in num]
+              for k, (num, vd) in coeffs.items()}
     big = max(abs(x) for num in scaled.values() for x in num)
-    array = np.array([[scaled[v] for v in m.data] for m in mats],
+    array = np.array([[scaled[id(v)] for v in m.data] for m in mats],
                      dtype=np.int64 if big < 1 << 62 else object)
     return array.reshape(len(mats), mats[0].rows, mats[0].cols, -1), den
 
@@ -301,11 +311,14 @@ def reduce_mod_p(array, n: int, p: int):
     return ((array % p).astype(np.int64) * powers % p).sum(axis=-1) % p
 
 
-def rank_mod_p(m, p: int) -> int:
-    """Rank of an int64 matrix with entries in [0, p), p < 2^31."""
+def pivots_mod_p(m, p: int) -> tuple:
+    """The pivot columns of an int64 matrix with entries in [0, p), p a
+    prime below 2^31: left to right, each column that is independent mod
+    p of the columns before it.  Their number is the rank mod p."""
     m = m[np.any(m, axis=1)]
-    rank = 0
+    pivots = []
     for col in range(m.shape[1]):
+        rank = len(pivots)
         nonzero = np.flatnonzero(m[rank:, col])
         if not len(nonzero):
             continue
@@ -316,10 +329,15 @@ def rank_mod_p(m, p: int) -> int:
         rest = m[rank + 1:]
         rest -= rest[:, col, None] * m[rank]
         rest %= p
-        rank += 1
-        if rank == len(m):
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return tuple(pivots)
+
+
+def rank_mod_p(m, p: int) -> int:
+    """Rank of an int64 matrix with entries in [0, p), p < 2^31."""
+    return len(pivots_mod_p(m, p))
 
 
 def commutant_dimension(mats: list[Matrix], prime: int | None = None) -> int:

@@ -270,7 +270,7 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
     proves nothing.  A sample whose weights or reduced member vanish is
     drawn but not scanned, so `scans` can be below `trials`.
     """
-    if not space.basis:
+    if not space.dimension:
         return ProbeResult(False, prime or 0, 0, None, None, 0, 0)
     forms = space.spanning
     if prime is None:

@@ -242,3 +242,17 @@ def test_rank_deficit_is_inconsistent(monkeypatch):
     with pytest.raises(InconsistencyError,
                        match=f"rank mod {first} says 4, characters say 5"):
         dims_dual_route(g)
+
+
+def test_negative_moduli_dimension_is_inconsistent(monkeypatch):
+    from cubicmoduli import audit as audit_module
+
+    real = audit_module.dims_dual_route
+
+    def commutant_too_large(group, space=None):
+        dim_u, _, chi, space, primes = real(group, space)
+        return dim_u, dim_u + 1, chi, space, primes
+
+    monkeypatch.setattr(audit_module, "dims_dual_route", commutant_too_large)
+    with pytest.raises(InconsistencyError, match="negative"):
+        audit([])

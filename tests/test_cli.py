@@ -185,3 +185,58 @@ def test_module_entry_point_runs_from_a_checkout(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     assert "ok   Fermat cubic scan mod 7" in done.stdout
     assert done.stdout.rstrip().endswith("all checks passed")
+
+
+def test_one_parser_serves_every_call(capsys):
+    from cubicmoduli import cli
+
+    calls = [["audit", "c3xc3", "--json"], ["invariants", "c3xc3"],
+             ["audit", "x", "--trials", "0"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [run(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2]
+    assert "--trials" in reused[2][2]
+
+
+def test_lattice_above_the_scan_limit_is_one_line_exit_1(tmp_path, capsys):
+    from cubicmoduli.groups import SUBGROUP_SCAN_LIMIT, MatrixGroup
+    from cubicmoduli.linalg import Matrix
+
+    # diag(E(11)) on x0, x1 and x2 in turn: an abelian group of order 1331
+    gens = [_diag(*["E(11)" if i == k else "1" for i in range(5)])
+            for k in range(3)]
+    group = MatrixGroup.generate([Matrix(g) for g in gens])
+    assert group.order == 1331 > SUBGROUP_SCAN_LIMIT
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "id": "big",
+        "description": "above the subgroup scan limit",
+        "conductor": 11,
+        "generators": gens,
+        "notes": ["x0", "x1", "x2"],
+        "contract": {
+            "order": 1331,
+            "character": [str(group.elements[c.rep_index].trace())
+                          for c in group.classes],
+        },
+    }))
+    assert main(["lattice", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "scan limit" in err[0]
+    assert captured.out == ""

@@ -245,3 +245,15 @@ def test_fingerprint_labels():
     assert fingerprint_label((7, True, ((1, 1), (7, 6)))) == "Z/7"
     assert fingerprint_label(
         (12, False, ((1, 1), (2, 1), (3, 2), (4, 6), (6, 2)))) == "Z/3:Z/4"
+
+
+def test_subgroup_scan_above_its_limit_is_a_cap_error():
+    from cubicmoduli.groups import SUBGROUP_SCAN_LIMIT
+
+    z11 = root_of_unity(11)
+    gens = [Matrix.diagonal([z11 if i == k else 1 for i in range(5)])
+            for k in range(3)]
+    g = MatrixGroup.generate(gens)
+    assert g.order == 1331 > SUBGROUP_SCAN_LIMIT
+    with pytest.raises(CapExceededError, match="scan limit"):
+        g.subgroups_two_generated()

@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cubicmoduli import catalog, invariants, linalg
 from cubicmoduli.chars import character_of, dim_invariant_cubics
 from cubicmoduli.cyclo import cyclo, root_of_unity
+from cubicmoduli.errors import ContractViolationError
 from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.invariants import (
     MONOMIALS,
@@ -16,7 +19,7 @@ from cubicmoduli.invariants import (
     reynolds_operator,
     substitution_matrix,
 )
-from cubicmoduli.linalg import Matrix, int_array
+from cubicmoduli.linalg import Matrix, int_array, rref, split_primes
 
 import fixtures as fx
 
@@ -210,3 +213,140 @@ def test_empty_or_full_support_helpers():
     space = invariant_basis(g)
     assert space.dimension == 7
     assert space.variable_support() == (0, 1, 2, 3, 4)
+
+
+def _read_off_echelon_basis(basis):
+    """(dimension, missing variables, split variable) of the span of an
+    echelon basis, from the monomials its forms use."""
+    support = {e for f in basis for e in f.support()}
+    missing = tuple(i for i in range(5) if not any(e[i] for e in support))
+    cubes = [tuple(3 if k == i else 0 for k in range(5)) for i in range(5)]
+    split = next((i for i in range(5)
+                  if [e for e in support if e[i]] == [cubes[i]]), None)
+    return len(basis), missing, split
+
+
+def _read_off_space(space):
+    return (space.dimension, space.missing_variables(),
+            space.split_variable())
+
+
+def _assert_matches_transpose_echelon_basis(g, space):
+    """The space against the row reduction of R^T, R the exact Reynolds
+    operator: the same basis, the same values read off it, and R's
+    nonzero columns as the spanning forms."""
+    R = reynolds_operator(g)
+    rank_, reduced, _ = rref(R.transpose())
+    basis = tuple(CubicForm(reduced.row(i)) for i in range(rank_))
+    assert space.basis == basis
+    assert _read_off_space(space) == _read_off_echelon_basis(basis)
+    columns = [CubicForm(R.column(j)) for j in range(35)]
+    assert list(space.spanning) == [f for f in columns if f]
+
+
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_space_read_off_the_array_matches_the_echelon_basis(entry):
+    g = catalog.load(entry)
+    _assert_matches_transpose_echelon_basis(g, invariant_basis(g))
+
+
+@pytest.mark.parametrize("gens", [
+    fx.conjugated([fx.ALT4_A, fx.ALT4_B], 1, 1, 2, 1, 3),
+    fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 6, 1, 1, 1),
+    fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 12, 1, 1, 1),
+    [Matrix.scalar(5, root_of_unity(9))],
+], ids=["alt4-rational", "klein-55-large", "klein-55-huge", "scalar-9"])
+def test_space_on_python_ints_matches_the_echelon_basis(gens):
+    g = MatrixGroup.generate(gens)
+    _assert_matches_transpose_echelon_basis(g, invariant_basis(g))
+
+
+@pytest.fixture(scope="module")
+def psl2_11_rows():
+    """The subgroups of order at most 60 in the psl2-11 lattice, one per
+    conjugacy class."""
+    g = catalog.load("psl2-11")
+    return [MatrixGroup.generate([g.elements[i] for i in rec.generator_indices])
+            for rec in g.subgroups_two_generated() if rec.order <= 60]
+
+
+def test_psl2_11_rows_match_their_echelon_bases(psl2_11_rows):
+    assert len(psl2_11_rows) == 15
+    for sub in psl2_11_rows:
+        space = invariant_basis(sub)
+        # the exact echelon basis, built by row reduction of spanning
+        # forms independent mod p, its exact rank checked against the
+        # dimension read mod p
+        assert _read_off_space(space) == _read_off_echelon_basis(space.basis)
+        assert space.dimension == dim_invariant_cubics(character_of(sub))
+
+
+def test_perturbed_reynolds_sums_are_caught(monkeypatch):
+    g = MatrixGroup.generate([fx.KLEIN_D, fx.KLEIN_P])
+    real = invariants._sum_of_images
+
+    def perturbed(arrays, factors, n):
+        # add row k of R to a row m whose column is zero: R becomes
+        # (I + E_mk) R, so rank and trace stay and only the operator
+        # check can see it
+        sums = real(arrays, factors, n)
+        rows = set(np.flatnonzero(sums.any(axis=(0, 2))))
+        cols = {invariants._FACTOR_INDEX[tuple(f)]
+                for f, s in zip(factors, sums) if s.any()}
+        k = min(rows)
+        m = min(set(range(35)) - rows - cols)
+        sums[:, m] += sums[:, k]
+        return sums
+
+    monkeypatch.setattr(invariants, "_sum_of_images", perturbed)
+    with pytest.raises(ContractViolationError, match="moves under"):
+        invariant_basis(g)
+
+
+def test_rank_deficit_moves_to_the_next_prime(monkeypatch):
+    g = MatrixGroup.generate([fx.ALT4_A, fx.ALT4_B])
+    first, second = itertools.islice(split_primes(g.conductor), 2)
+    real = invariants.pivots_mod_p
+    calls = []
+
+    def short_at_first(m, p):
+        calls.append(p)
+        pivots = real(m, p)
+        return pivots[:-1] if p == first else pivots
+
+    monkeypatch.setattr(invariants, "pivots_mod_p", short_at_first)
+    space = invariant_basis(g)
+    assert calls == [first, second]
+    assert space.rank_primes == (first, second)
+    assert space.dimension == 5
+    assert len(space.basis) == 5
+
+
+def test_rank_short_at_every_prime_is_a_contract_violation(monkeypatch):
+    g = MatrixGroup.generate([fx.ALT4_A, fx.ALT4_B])
+    real = invariants.pivots_mod_p
+    monkeypatch.setattr(invariants, "pivots_mod_p",
+                        lambda m, p: real(m, p)[:-1])
+    with pytest.raises(ContractViolationError, match="trace 5 but rank 4"):
+        invariant_basis(g)
+
+
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_audit_builds_no_exact_basis(monkeypatch, entry):
+    from cubicmoduli.audit import check_criterion
+
+    g = catalog.load(entry)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(invariants, "rref", counted("rref", invariants.rref))
+    monkeypatch.setattr(invariants, "_act_with_rows",
+                        counted("act", invariants._act_with_rows))
+    check_criterion(g, group_id=entry)
+    assert calls == []

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cubicmoduli.linalg import (
     Matrix,
     commutant_dimension,
     nullspace,
+    pivots_mod_p,
     rank,
     rank_mod_p,
     root_of_unity_mod,
@@ -240,3 +242,33 @@ def test_rank_mod_p():
     # rank 2 over Q, rank 1 mod 7: the second row is 1 + 7 times the first
     m = np.array([[1, 2, 3], [8, 16, 24]], dtype=np.int64) % p
     assert rank_mod_p(m, p) == 1
+
+
+def test_pivots_mod_p():
+    p = 7
+    # column 1 is twice column 0, and column 3 is column 0 plus column 2
+    m = np.array([[1, 2, 0, 1], [0, 0, 1, 1], [3, 6, 5, 8 % p]],
+                 dtype=np.int64)
+    assert pivots_mod_p(m.copy(), p) == (0, 2)
+    assert rank_mod_p(m, p) == 2
+    assert pivots_mod_p(np.zeros((2, 3), dtype=np.int64), p) == ()
+
+
+def test_entries_of_every_kind_construct_equal_objects():
+    from cubicmoduli.invariants import CubicForm
+
+    values = [0, 1, -3, Fraction(2, 3), E(3), E(3) * Fraction(-1, 2)]
+    kinds = [[0, 1, -3, Fraction(2, 3), "E(3)", "-1/2*E(3)"],
+             ["0", "1", "-3", "2/3", "E(3)", "-1/2*E(3)"],
+             [Fraction(0), Fraction(1), Fraction(-3), Fraction(2, 3),
+              E(3), E(3) * Fraction(-1, 2)],
+             [cyclo(v) for v in values]]
+    mats = [Matrix([row[:3], row[3:]]) for row in kinds]
+    assert all(m == mats[-1] for m in mats)
+    assert all(type(v) is type(E(3)) for m in mats for v in m.data)
+    assert mats[0].data == tuple(cyclo(v) for v in values)
+    forms = [CubicForm(row + [0] * 29) for row in kinds]
+    assert all(f == forms[-1] for f in forms)
+    assert forms[0].coefficients[:6] == tuple(cyclo(v) for v in values)
+    with pytest.raises(AssertionError, match="ragged"):
+        Matrix([[1, 2], [3]])
