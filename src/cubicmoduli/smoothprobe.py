@@ -14,15 +14,20 @@ partials are the whole test.  Charts are scanned in order and points
 inside a chart in lexicographic order, so the first singular point
 found is a deterministic witness.
 
-Each partial is a quadric.  On chart k it is restricted once, with
-x_k = 1 and x_0..x_(k-1) = 0, to a polynomial of degree <= 2 in the
-free coordinates, held as at most six p x p tables, one per pair of
-free coordinates.  One partial that does not vanish on the chart is
-summed over the whole chart grid by broadcasting its tables; it
-vanishes at about p^(free-1) of the p^free points.  Only those
-survivors are passed to the other partials, one at a time, by table
-lookups, and the chart is done as soon as none survive.  The smallest
-surviving index is the first singular point in scan order.
+In that order P^m is P^(m-1) with each point x followed by x_m = 0, 1,
+..., p - 1, and then the point e_m.  So P^4 is every point of P^3 (its
+"prefixes") times the p values of t = x4, and then e_4.  Each partial
+is a quadric, A t^2 + B(x) t + C(x) with A its x4^2 coefficient, B
+linear and C quadratic in the prefix x.  B and C of every partial are
+evaluated once over the p^3 + p^2 + p + 1 prefixes, growing them one
+coordinate at a time as above; no array over the p^4 points is built.
+One partial is solved for t at every prefix: by the square roots of F_p
+(a table of p entries) when A != 0, as t = -C/B where B != 0 when A = 0,
+and for every t where B = C = 0.  That leaves about one candidate point
+per prefix; the other partials are evaluated only at the candidates
+left, by looking up their B and C, and the scan is done as soon as none
+is left.  The least candidate in scan order is the first singular
+point.
 
 A reduction that is smooth over the algebraic closure of F_p proves the
 characteristic-zero cubic with the same (lifted) coefficients smooth.
@@ -34,7 +39,7 @@ probe's certificate is not yet a proof.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 from dataclasses import dataclass
 
@@ -48,18 +53,23 @@ from .linalg import (Matrix, conductor_of, int_array, primes_one_mod,
 
 DEFAULT_PRIME_FLOOR = 7
 DEFAULT_PRIME_CEILING = 31
-# the scan holds arrays over a chart grid of p^4 points; at p = 127, the
-# largest prime below this bound, one scan peaks at about 1.3 GiB
+# P^4(F_p) has about p^4 points, kept below this bound.  The scan holds
+# arrays over the points of P^3 only, in int16 (values of size below
+# 2 p^2) and int32 (below 3 p^3), exact for every p under the bound.  At
+# p = 127, the largest prime below it, one scan of a smooth cubic takes
+# about 0.2 s and peaks at about 90 MiB (tracemalloc)
 MAX_CHART_POINTS = 1 << 28
 
 
-def reduce_forms(forms, p: int):
+def reduce_forms(forms, p: int, conductor: int | None = None):
     """(len(forms), 35) int64: each form mod p, a form being a CubicForm
     or its 35 coefficients as integers; a CubicForm's own denominator is
-    dropped.  This is every check on the scan prime: BadPrimeError unless
-    p is a prime, p >= 5, p^4 < MAX_CHART_POINTS, the forms' conductor
-    divides p - 1 (root_of_unity_mod checks that) and no form vanishes
-    identically mod p."""
+    dropped.  `conductor`, when given, is a multiple of the CubicForms'
+    conductor (the probe passes the one it chose p by); it is computed
+    otherwise.  This is every check on the scan prime: BadPrimeError
+    unless p is a prime, p >= 5, p^4 < MAX_CHART_POINTS, the forms'
+    conductor divides p - 1 (root_of_unity_mod checks that) and no form
+    vanishes identically mod p."""
     if not _is_prime(p):
         raise BadPrimeError(f"{p} is not prime")
     if p < 5:
@@ -69,19 +79,26 @@ def reduce_forms(forms, p: int):
         raise BadPrimeError(
             f"p={p} is too large; the scan's chart grid p^4 must stay "
             f"below 2^28, so p <= 127")
-    n = conductor_of(c for f in forms if isinstance(f, CubicForm)
-                     for c in f.coefficients)
-    rows = []
-    for form in forms:
-        if isinstance(form, CubicForm):
-            array, _ = int_array([Matrix([form.coefficients])], n)
-            row = reduce_mod_p(array, n, p).reshape(-1)
-        else:
-            row = np.array([int(c) % p for c in form], dtype=np.int64)
-        if not row.any():
+    rows = np.zeros((len(forms), len(MONOMIALS)), dtype=np.int64)
+    exact = [i for i, f in enumerate(forms) if isinstance(f, CubicForm)]
+    if exact:
+        n = conductor if conductor is not None else conductor_of(
+            c for i in exact for c in forms[i].coefficients)
+        array, den = int_array(
+            [Matrix([forms[i].coefficients for i in exact])], n)
+        array = array[0]
+        # int_array puts every form over one common denominator den;
+        # divided by the gcd of den and its coefficients, each form is
+        # over its own least denominator again
+        share = np.gcd.reduce(array.reshape(len(exact), -1), axis=1,
+                              initial=den)
+        rows[exact] = reduce_mod_p(array // share[:, None, None], n, p)
+    for i, form in enumerate(forms):
+        if not isinstance(form, CubicForm):
+            rows[i] = [int(c) % p for c in form]
+        if not rows[i].any():
             raise BadPrimeError(f"form vanishes identically mod {p}")
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, len(MONOMIALS))
+    return rows
 
 
 def choose_prime(conductor: int,
@@ -107,72 +124,75 @@ class ScanResult:
     first_singular: tuple | None
 
 
-# the 15 quadratic monomials x_a*x_b (a <= b) that the partials are made of
-_QUADS = [(a, b) for a in range(N_VARS) for b in range(a, N_VARS)]
-
-
 def _derivative_tensor():
-    """(35, 5 * 15) integers: row m holds the multiple of each quadratic
-    monomial in dx^m/dx_i, for i = 0..4 in turn."""
-    out = np.zeros((len(MONOMIALS), N_VARS, len(_QUADS)), dtype=np.int64)
+    """(35, 5 * 5 * 5) integers: row m holds dx^m/dx_i, for i = 0..4 in
+    turn, as an upper triangular 5 x 5 matrix q, the quadric being the
+    sum of q[a, b] x_a x_b over a <= b."""
+    out = np.zeros((len(MONOMIALS), N_VARS, N_VARS, N_VARS), dtype=np.int64)
     for m, expo in enumerate(MONOMIALS):
         for i in range(N_VARS):
             if expo[i]:
                 d = list(expo)
                 d[i] -= 1
                 a, b = [v for v in range(N_VARS) for _ in range(d[v])]
-                out[m, i, _QUADS.index((a, b))] = expo[i]
+                out[m, i, a, b] = expo[i]
     return out.reshape(len(MONOMIALS), -1)
 
 
-def _chart_layout(chart):
-    """How a partial restricted to a chart splits into small tables.
-
-    On chart k < 4, x_k = 1 and x_0..x_(k-1) = 0, so each quadratic
-    monomial becomes a monomial of degree <= 2 in the free coordinates
-    x_(k+1)..x_4 (axes 0..free-1 of the chart's grid), or vanishes.
-    The tables ("factors") are indexed by the pairs of free axes (by the
-    one free axis on chart 3); a monomial goes into the first factor
-    whose axes cover the ones it uses, at the slot of its exponents on
-    those axes.  Returns the factors' axes, the slots' exponents and the
-    0/1 matrix (15, factors * slots) taking quadratic-monomial
-    coefficients to slot coefficients.
-    """
-    free = N_VARS - 1 - chart
-    # pairs ordered by their larger axis, so that a running sum over
-    # them stays below the full grid size for as long as it can
-    factors = (sorted(itertools.combinations(range(free), 2),
-                      key=lambda pair: pair[::-1]) if free >= 2
-               else [(0,)])
-    slots = [e for e in itertools.product(range(3), repeat=len(factors[0]))
-             if sum(e) <= 2]
-    spread = np.zeros((len(_QUADS), len(factors) * len(slots)),
-                      dtype=np.int64)
-    for q, (a, b) in enumerate(_QUADS):
-        if a < chart:
-            continue
-        expo = [0] * free
-        for v in (a, b):
-            if v > chart:
-                expo[v - chart - 1] += 1
-        used = {t for t in range(free) if expo[t]}
-        j = next(j for j, axes in enumerate(factors) if used <= set(axes))
-        slot = slots.index(tuple(expo[t] for t in factors[j]))
-        spread[q, j * len(slots) + slot] = 1
-    return factors, slots, spread
-
-
 _DERIVATIVE = _derivative_tensor()
-_LAYOUTS = [_chart_layout(chart) for chart in range(N_VARS - 1)]
-_LAST = _QUADS.index((N_VARS - 1, N_VARS - 1))
 
 
-def _slot_tables(slots, p):
-    """(slots, p^arity): each slot's monomial evaluated on the grid of
-    its factor's axes, mod p."""
-    arity = len(slots[0])
-    axes = np.indices((p,) * arity, dtype=np.int64).reshape(1, arity, -1)
-    return (axes ** np.array(slots)[:, :, None]).prod(axis=1) % p
+@functools.cache
+def _field_tables(p):
+    """(root, inverse), int16 arrays of p entries: a square root of each
+    element of F_p (-1 for a non-square) and each inverse (0 for 0)."""
+    r = np.arange(p, dtype=np.int16)
+    root = np.full(p, -1, dtype=np.int16)
+    root[r * r % p] = r
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
+                       dtype=np.int16)
+    # every scan mod p shares them
+    root.flags.writeable = inverse.flags.writeable = False
+    return root, inverse
+
+
+def _on_prefixes(q, p):
+    """(B, C), each (len(q), N) int16: the quadrics q (upper triangular
+    5 x 5, entries in [0, p)) written as A t^2 + B(x) t + C(x) with
+    t = x4, at the N points x of P^3(F_p) in scan order.
+
+    Over P^m the arrays hold sum q[a, b] x_a x_b over a <= b <= m and,
+    for each later coordinate u, the linear form sum q[a, u] x_a over
+    a <= m.  Going from P^(m-1) to P^m adds x_m = c to every point and
+    then e_m, where each value is q's entry at (m, m) or (m, u).  Each
+    step starts from values reduced mod p, so every value stays below
+    p^2."""
+    y = np.arange(p, dtype=np.int16)
+    L = len(q)
+    quad = q[:, 0, 0, None]
+    lin = q[:, 0, 1:, None]
+    for m in range(1, N_VARS - 1):
+        quad, lin = quad % p, lin % p
+        block = lin[:, 0, :, None] * y
+        block += quad[:, :, None]
+        block += q[:, m, m, None, None] * (y * y % p) % p
+        quad = np.concatenate((block.reshape(L, -1), q[:, m, m, None]),
+                              axis=1)
+        block = lin[:, 1:, :, None] + q[:, m, m + 1:, None, None] * y
+        lin = np.concatenate((block.reshape(L, N_VARS - 1 - m, -1),
+                              q[:, m, m + 1:, None]), axis=2)
+    return lin[:, 0], quad
+
+
+def _scan_point(index, p):
+    """The point of P^4(F_p) at `index` in scan order."""
+    tail = []
+    for m in range(N_VARS - 1, 0, -1):
+        if index == (p ** (m + 1) - 1) // (p - 1) - 1:  # e_m, P^m's last
+            return (0,) * m + (1,) + tuple(reversed(tail))
+        index, c = divmod(index, p)
+        tail.append(c)
+    return (1,) + tuple(reversed(tail))
 
 
 def singular_scan(form, prime: int) -> ScanResult:
@@ -187,64 +207,53 @@ def singular_scan(form, prime: int) -> ScanResult:
     points walked up to and including the witness, or all of P^4(F_p).
     """
     p = prime
-    partials = ((reduce_forms([form], p)[0] @ _DERIVATIVE) % p
-                ).reshape(N_VARS, -1)
+    q = (reduce_forms([form], p)[0] @ _DERIVATIVE % p).astype(np.int16)
+    q = q.reshape(N_VARS, N_VARS, N_VARS)
+    # a nonzero form mod p >= 5 has a nonzero partial; a zero partial
+    # vanishes everywhere and is left out
+    q = q[q.reshape(N_VARS, -1).any(axis=1)]
+    B, C = _on_prefixes(q, p)
+    root, inverse = _field_tables(p)
 
-    points_seen = 0
-    for chart, (factors, slots, spread) in enumerate(_LAYOUTS):
-        free = N_VARS - 1 - chart
-        grid = (p,) * free
-        arity = len(slots[0])
-        restricted = (partials @ spread) % p
-        tables = (restricted.reshape(-1, len(slots))
-                  @ _slot_tables(slots, p)) % p
-        tables = tables.reshape((N_VARS, len(factors)) + (p,) * arity)
-        live = [i for i in range(N_VARS) if tables[i].any()]
-        if live:
-            # every table entry is below p, so the sum fits the smallest
-            # type that holds len(factors) * (p - 1)
-            first = tables[live[0]].astype(
-                np.min_scalar_type(len(factors) * (p - 1)))
-            total = 0
-            for axes, table in zip(factors, first):
-                shape = [1] * free
-                for t in axes:
-                    shape[t] = p
-                total = total + table.reshape(shape)
-            survivors = np.flatnonzero(total % p == 0)
-        else:
-            # every partial vanishes on the chart: its first point is
-            # singular
-            survivors = np.arange(1)
-        ys = np.unravel_index(survivors, grid)
-        for i in live[1:]:
-            if not len(survivors):
-                break
-            value = sum(table[tuple(ys[t] for t in axes)]
-                        for axes, table in zip(factors, tables[i]))
-            keep = value % p == 0
-            survivors = survivors[keep]
-            ys = tuple(y[keep] for y in ys)
+    # the candidates (prefix, t) where the first partial vanishes; in
+    # int16, every product here stays below 2 p^2
+    a = int(q[0, -1, -1])
+    b, c = B[0] % p, C[0] % p
+    if a:
+        d = b * b
+        d -= 4 * a % p * c
+        d %= p
+        r = root[d]
+        one, two = np.flatnonzero(r >= 0), np.flatnonzero(r > 0)
+        prefix = np.concatenate((one, two))
+        t = (np.concatenate((r[one] - b[one], -r[two] - b[two]))
+             * inverse[2 * a % p] % p)
+    else:
+        line = np.flatnonzero(b)
+        every = np.flatnonzero((b == 0) & (c == 0))
+        prefix = np.concatenate((line, np.repeat(every, p)))
+        t = np.concatenate((-c[line] * inverse[b[line]] % p,
+                            np.tile(np.arange(p, dtype=np.int16),
+                                    len(every))))
+    # the other partials, in int32: each value stays below 3 p^3
+    t = t.astype(np.int32)
+    for j in range(1, len(q)):
+        if not len(prefix):
+            break
+        value = (q[j, -1, -1] * t + B[j][prefix]) * t + C[j][prefix]
+        keep = value % p == 0
+        prefix, t = prefix[keep], t[keep]
 
-        if len(survivors):
-            witness = ((0,) * chart + (1,)
-                       + tuple(int(y[0]) for y in ys))
-            return ScanResult(
-                prime=p,
-                smooth=False,
-                points=points_seen + int(survivors[0]) + 1,
-                first_singular=witness,
-            )
-        points_seen += p ** free
-
-    # the last chart is the single point e_4, where each partial is its
-    # x4^2 coefficient
-    points_seen += 1
-    if partials[:, _LAST].any():
-        return ScanResult(prime=p, smooth=True, points=points_seen,
+    last = B.shape[1] * p  # the index of e_4, where each partial is its A
+    if len(prefix):
+        index = int((prefix * p + t).min())
+    elif q[:, -1, -1].any():
+        return ScanResult(prime=p, smooth=True, points=last + 1,
                           first_singular=None)
-    return ScanResult(prime=p, smooth=False, points=points_seen,
-                      first_singular=(0,) * (N_VARS - 1) + (1,))
+    else:
+        index = last
+    return ScanResult(prime=p, smooth=False, points=index + 1,
+                      first_singular=_scan_point(index, p))
 
 
 @dataclass(frozen=True)
@@ -273,10 +282,10 @@ def probe_nonempty(space, prime: int | None = None, trials: int = 20,
     if not space.dimension:
         return ProbeResult(False, prime or 0, 0, None, None, 0, 0)
     forms = space.spanning
+    n = conductor_of(c for f in forms for c in f.coefficients)
     if prime is None:
-        prime = choose_prime(conductor_of(
-            c for f in forms for c in f.coefficients))
-    reduced = reduce_forms(forms, prime)
+        prime = choose_prime(n)
+    reduced = reduce_forms(forms, prime, n)
     rng = random.Random(seed)
     p = prime
 

@@ -1,9 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from cubicmoduli import catalog
+from cubicmoduli import catalog, smoothprobe
 from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.invariants import (
@@ -41,6 +42,42 @@ def test_prime_reduction_values():
         root_of_unity_mod(11, 7)
     with pytest.raises(BadPrimeError):
         reduce_forms([CubicForm.parse("E(11)*x0^3")], 7)
+
+
+def test_each_form_drops_its_own_denominator():
+    # over one common denominator the first form would be multiplied by
+    # 7 and vanish mod 7
+    forms = [CubicForm.parse("x0^3 + 2*x1^3 + E(3)*x3^3"),
+             CubicForm.parse("x0^3/7 + x2^3")]
+    rows = reduce_forms(forms, 7)
+    expected = [[0] * len(MONOMIALS) for _ in forms]
+    x = MONOMIAL_INDEX
+    expected[0][x[(3, 0, 0, 0, 0)]] = 1
+    expected[0][x[(0, 3, 0, 0, 0)]] = 2
+    expected[0][x[(0, 0, 0, 3, 0)]] = 2  # E(3) -> 2 mod 7
+    expected[1][x[(3, 0, 0, 0, 0)]] = 1  # 7 * x2^3 vanishes
+    assert rows.tolist() == expected
+    assert reduce_forms(forms[::-1], 7).tolist() == expected[::-1]
+    # integer rows and forms mix; a form vanishing mod p is rejected
+    mixed = reduce_forms([[1] + [0] * 34, forms[1]], 7)
+    assert mixed.tolist() == [[1] + [0] * 34, expected[1]]
+    with pytest.raises(BadPrimeError, match="vanishes identically"):
+        reduce_forms([forms[0], CubicForm.parse("7*x0^3")], 7)
+
+
+def test_probe_takes_one_conductor_pass(monkeypatch):
+    space = invariant_basis(MatrixGroup.generate([fx.ALT4_A, fx.ALT4_B]))
+    real = smoothprobe.conductor_of
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return real(values)
+
+    monkeypatch.setattr(smoothprobe, "conductor_of", counted)
+    probe = probe_nonempty(space, trials=20, seed=0)
+    assert probe.prime == 7 and probe.certified
+    assert len(calls) == 1
 
 
 def test_prime_validation():
@@ -247,6 +284,11 @@ def _random_cubic(rng, p, kind):
     line     x3 and x4 missing: every partial vanishes on charts 3 and 4
     late     singular at a random point of chart 2, 3 or 4 and at no
              point of charts 0 and 1
+    flat     no monomial divisible by x4^2: every partial is linear in x4
+    every    x0 only in x0*x1*(linear form in x1..x4): dF/dx0 vanishes
+             for every x4 over each prefix with x1 = 0
+    square   a*x0*(x4 + linear form in x1..x3)^2 plus a form in x1..x4:
+             dF/dx0 is a square in x4, a double root at every prefix
     """
     while True:
         if kind == "dense":
@@ -262,6 +304,24 @@ def _random_cubic(rng, p, kind):
         elif kind == "line":
             coeffs = [0 if m[3] or m[4] else rng.randrange(p)
                       for m in MONOMIALS]
+        elif kind == "flat":
+            coeffs = [0 if m[4] >= 2 else rng.randrange(p)
+                      for m in MONOMIALS]
+        elif kind == "every":
+            coeffs = [rng.randrange(p) if m[0] == 0 or (m[0] == 1 and m[1])
+                      else 0 for m in MONOMIALS]
+            if not any(c for c, m in zip(coeffs, MONOMIALS) if m[0]):
+                continue
+        elif kind == "square":
+            coeffs = [0 if m[0] else rng.randrange(p) for m in MONOMIALS]
+            a = rng.randrange(1, p)
+            linear = [0] + [rng.randrange(p) for _ in range(3)] + [1]
+            for i, j in itertools.product(range(1, N_VARS), repeat=2):
+                expo = [1, 0, 0, 0, 0]
+                expo[i] += 1
+                expo[j] += 1
+                k = MONOMIAL_INDEX[tuple(expo)]
+                coeffs[k] = (coeffs[k] + a * linear[i] * linear[j]) % p
         else:
             # no monomial with x_k^2 or x_k^3 makes e_k singular; the
             # substitution moves that point within chart k
@@ -280,7 +340,7 @@ def _random_cubic(rng, p, kind):
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "cone", "line",
-                                  "late"])
+                                  "late", "flat", "every", "square"])
 @pytest.mark.parametrize("prime,count", [(5, 12), (7, 6), (11, 2)])
 def test_scan_matches_point_by_point_walk(prime, count, kind):
     rng = random.Random(f"{prime}/{kind}")
@@ -307,3 +367,77 @@ def test_probe_walk_at_43_is_pinned(entry, seed, expected):
     probe = probe_nonempty(space, prime=43, seed=seed)
     assert (probe.certified, probe.scans, probe.points, probe.scan.points,
             probe.scan.first_singular) == expected
+
+
+# singular forms at larger primes, with the results of the array scan
+# that walked every point of a chart at once
+PINNED_SCANS = [
+    (31, "24*x0^3 + 2*x0^2*x1 + 20*x0^2*x2 + 2*x0^2*x3 + 12*x0^2*x4"
+         " + 12*x0*x1^2 + 20*x0*x1*x2 + 4*x0*x1*x3 + 14*x0*x1*x4"
+         " + 9*x0*x2^2 + 20*x0*x2*x3 + 13*x0*x2*x4 + 16*x0*x3^2"
+         " + 7*x0*x3*x4 + 6*x0*x4^2 + 18*x1^3 + 27*x1^2*x2 + 7*x1^2*x3"
+         " + 12*x1*x2^2 + 30*x1*x2*x3 + 13*x1*x2*x4 + 5*x1*x3^2"
+         " + 29*x1*x3*x4 + 9*x2^3 + 26*x2^2*x3 + x2^2*x4 + 3*x2*x3^2"
+         " + 28*x2*x3*x4 + 13*x2*x4^2 + 19*x3^3 + 15*x3^2*x4"
+         " + 13*x3*x4^2 + 5*x4^3",
+     953486, (0, 0, 1, 5, 18)),
+    (31, "17*x0^2*x1 + 6*x0*x1^2 + 24*x0*x1*x2 + 6*x0*x1*x4 + x0*x2*x4"
+         " + 10*x3^2*x4",
+     28025, (1, 0, 29, 5, 0)),
+    (37, "12*x0^3 + 36*x0^2*x1 + 26*x0^2*x2 + 22*x0^2*x3 + 13*x0^2*x4"
+         " + 8*x0*x1^2 + 17*x0*x1*x2 + 18*x0*x1*x3 + 13*x0*x1*x4"
+         " + 33*x0*x2^2 + 12*x0*x2*x3 + 3*x0*x2*x4 + 33*x0*x3^2"
+         " + 28*x0*x3*x4 + 28*x1^3 + 32*x1^2*x2 + 5*x1^2*x3"
+         " + 24*x1^2*x4 + 29*x1*x2^2 + 29*x1*x2*x3 + 22*x1*x2*x4"
+         " + 6*x1*x3*x4 + 10*x2^3 + 34*x2^2*x3 + 10*x2^2*x4"
+         " + 9*x2*x3^2 + 24*x2*x3*x4 + 2*x3^3 + 30*x3^2*x4",
+     1926221, (0, 0, 0, 0, 1)),
+    (37, "14*x0^2*x1 + 28*x0^2*x3 + 18*x0*x4^2 + 8*x2^2*x4",
+     1874162, (0, 1, 0, 0, 0)),
+    (43, "10*x0^3 + 32*x0^2*x1 + 21*x0^2*x2 + 35*x0^2*x3 + 35*x0^2*x4"
+         " + 31*x0*x1^2 + 34*x0*x1*x2 + 3*x0*x1*x3 + 28*x0*x1*x4"
+         " + 17*x0*x2^2 + 35*x0*x2*x3 + 24*x0*x2*x4 + 12*x0*x3^2"
+         " + 14*x0*x3*x4 + 15*x0*x4^2 + 13*x1^3 + 38*x1^2*x2"
+         " + 4*x1^2*x3 + 37*x1^2*x4 + 17*x1*x2^2 + 17*x1*x2*x3"
+         " + 19*x1*x2*x4 + 23*x1*x3^2 + 4*x1*x3*x4 + 19*x1*x4^2"
+         " + 28*x2^3 + 21*x2^2*x3 + 27*x2^2*x4 + 35*x2*x3^2"
+         " + 27*x2*x3*x4 + 38*x2*x4^2 + 37*x3^3 + 2*x3^2*x4"
+         " + 34*x3*x4^2 + 31*x4^3",
+     3500188, (0, 0, 0, 1, 30)),
+    (43, "25*x0^2*x4 + 9*x0*x1*x4 + 25*x0*x2*x3 + 27*x0*x3^2 + 6*x1^2*x2"
+         " + 25*x1*x2^2 + 8*x1*x2*x4 + 13*x2*x4^2",
+     3419418, (0, 1, 0, 14, 14)),
+]
+
+
+@pytest.mark.parametrize("prime,text,points,witness", PINNED_SCANS)
+def test_singular_scan_at_large_primes_is_pinned(prime, text, points,
+                                                 witness):
+    assert singular_scan(CubicForm.parse(text), prime) == ScanResult(
+        prime, False, points, witness)
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_at_the_largest_prime():
+    # the array scan over the p^4 points of a chart peaked at 1.24 GiB
+    res, peak = _traced_peak_mib(lambda: singular_scan(FERMAT, 127))
+    assert res.smooth
+    assert res.points == 262209281
+    assert peak < 256
+
+
+def test_dense_scan_memory_at_43():
+    rng = random.Random("dense/43")
+    coeffs = [rng.randrange(43) for _ in MONOMIALS]
+    res, peak = _traced_peak_mib(lambda: singular_scan(coeffs, 43))
+    assert res.points == 3500201
+    # the array scan over the p^4 points of a chart peaked at 10.2 MiB
+    assert peak < 10
