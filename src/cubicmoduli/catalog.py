@@ -124,15 +124,14 @@ def validate(entry: CatalogEntry) -> MatrixGroup:
             f"{entry.id}: generated order {group.order}, contract says "
             f"{entry.order}"
         )
-    got = tuple(str(group.elements[cl.rep_index].trace())
-                for cl in group.classes)
+    got = tuple(str(t) for t in group.class_traces())
     if got != entry.character:
         raise ContractViolationError(
             f"{entry.id}: class traces {got} do not match the contract "
             f"{entry.character}"
         )
     if entry.fixed_form is not None:
-        for i, g in enumerate(entry.generators):
+        for i, g in enumerate(group.generator_indices):
             if not fixed_by(group, g, [entry.fixed_form]):
                 raise ContractViolationError(
                     f"{entry.id}: generator {i} moves the fixed form"

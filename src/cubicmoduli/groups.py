@@ -11,10 +11,15 @@ on int64 while a bound proves they cannot overflow, and on Python ints
 (object arrays) past it.  Exact matrices are built once at the end, one
 exact value and one printed string per distinct entry.
 
-Once the closure is known, a right-multiplication index table turns
-products, inverses, orders, conjugacy classes and subgroup scans into
-integer lookups.  Eigenvalue profiles come from the class traces: each
-multiplicity is a small integer, computed mod a split prime.
+After the closure every group operation is an integer lookup on the
+tables it built: the generators' indices, one right-multiplication row
+per generator, the BFS tree and, up to _TABLE_LIMIT elements, the full
+right-multiplication table.  Above the limit a product e_i * e_j walks
+e_j's BFS word through the generator rows.  Powers are cached once per
+element and give orders and inverses; one orbit walk gives conjugacy
+classes, conjugacy orbits of subgroups and subgroup closures.
+Eigenvalue profiles come from the class traces: each multiplicity is a
+small integer, computed mod a split prime.
 
 Elements get a canonical order (lexicographic on the printed entries),
 which makes every derived report reproducible across runs and generator
@@ -162,16 +167,20 @@ class SubgroupRecord:
 
 
 class MatrixGroup:
-    def __init__(self, *, elements, generators, rmul, identity_index, conductor):
+    def __init__(self, *, elements, generators, generator_indices, table,
+                 steps, parent, identity_index, conductor):
         # internal; use MatrixGroup.generate
         self.elements: tuple[Matrix, ...] = elements
         self.generators: tuple[Matrix, ...] = generators
-        self._rmul = rmul  # list of per-element right-multiplication rows, or None
+        self.generator_indices: tuple[int, ...] = generator_indices
+        self._table = table  # per-element right-multiplication rows, or None
+        self._steps = steps  # per-generator right-multiplication rows
+        self._parent = parent  # (parent index, generator index), BFS tree
         self.identity_index = identity_index
         self.conductor = conductor
         self.dim = elements[0].rows
-        self._key2idx = {_element_key(m): i for i, m in enumerate(elements)}
-        self._orders = None
+        self._powers = {}
+        self._conj = None
         self._classes = None
         self._class_of = None
         self._class_traces = None
@@ -240,28 +249,33 @@ class MatrixGroup:
                               dtype=np.intp)
         old_to_new = np.empty(order, dtype=np.intp)
         old_to_new[new_to_old] = np.arange(order)
+        # one shared int per index, so that rows of indices stay small
+        ints = list(range(order))
 
-        rmul = None
+        def canonical(row):
+            return list(map(ints.__getitem__, old_to_new[row][new_to_old].tolist()))
+
+        gen_rows = np.array(rmul_gen, dtype=np.intp)
+        table = None
         if order <= _TABLE_LIMIT:
             # row a maps i to the index of e_i * e_a, composed along the
             # BFS tree: e_i * (e_p * g) = (e_i * e_p) * g
-            gen_rows = np.array(rmul_gen, dtype=np.intp)
-            table = np.empty((order, order), dtype=np.intp)
-            table[0] = np.arange(order)
+            full = np.empty((order, order), dtype=np.intp)
+            full[0] = np.arange(order)
             for child in range(1, order):
                 p, gi = parent[child]
-                table[child] = gen_rows[gi][table[p]]
-            # row by row, with one shared int per index, so that no
-            # temporary of the table's size is made
-            ints = list(range(order))
-            rmul = [list(map(ints.__getitem__,
-                             old_to_new[table[a][new_to_old]].tolist()))
-                    for a in new_to_old]
+                full[child] = gen_rows[gi][full[p]]
+            # row by row, so that no temporary of the table's size is made
+            table = [canonical(full[a]) for a in new_to_old]
 
         return cls(
             elements=tuple(matrices[old] for old in new_to_old),
             generators=tuple(gens),
-            rmul=rmul,
+            generator_indices=tuple(int(old_to_new[row[0]]) for row in rmul_gen),
+            table=table,
+            steps=[canonical(row) for row in gen_rows],
+            parent=[(-1, -1) if p < 0 else (int(old_to_new[p]), gi)
+                    for p, gi in (parent[old] for old in new_to_old.tolist())],
             identity_index=int(old_to_new[0]),
             conductor=n,
         )
@@ -273,35 +287,41 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index(self, m: Matrix):
-        return self._key2idx.get(_element_key(m))
-
     def mult(self, i: int, j: int) -> int:
-        if self._rmul is not None:
-            return self._rmul[j][i]
-        got = self.index(self.elements[i] * self.elements[j])
-        assert got is not None
+        """The index of e_i * e_j: a table lookup, or above the table
+        limit e_i times e_j's BFS word, one generator row at a time."""
+        if self._table is not None:
+            return self._table[j][i]
+        word = []
+        while j != self.identity_index:
+            j, gi = self._parent[j]
+            word.append(gi)
+        for gi in reversed(word):
+            i = self._steps[gi][i]
+        return i
+
+    def powers(self, i: int) -> tuple[int, ...]:
+        """(e, g, g^2, ..., g^(k-1)) for g = e_i of order k."""
+        got = self._powers.get(i)
+        if got is None:
+            got = [self.identity_index]
+            j = i
+            while j != self.identity_index:
+                got.append(j)
+                j = self.mult(j, i)
+            got = self._powers[i] = tuple(got)
         return got
 
-    def inverse_index(self, i: int) -> int:
-        return self._inverse_of(i)
-
     def element_order(self, i: int) -> int:
-        e = self.identity_index
-        if i == e:
-            return 1
-        n = 1
-        j = i
-        while j != e:
-            j = self.mult(j, i)
-            n += 1
-        return n
+        return len(self.powers(i))
+
+    def inverse_index(self, i: int) -> int:
+        return self.powers(i)[-1]
 
     def power_index(self, i: int, k: int) -> int:
-        out = self.identity_index
-        for _ in range(k):
-            out = self.mult(out, i)
-        return out
+        """The index of e_i^k, for any integer k."""
+        powers = self.powers(i)
+        return powers[k % len(powers)]
 
     # ------------------------------------------------------------------
     # conjugacy classes
@@ -314,65 +334,41 @@ class MatrixGroup:
 
     def _compute_classes(self):
         order = self.order
-        gen_idx = [self.index(g) for g in self.generators]
-        inv_gen = [self._inverse_of(i) for i in gen_idx]
-        assigned = [-1] * order
-        raw_classes = []
+        steps = [row.__getitem__ for row in self._conjugation_rows()]
+        assigned = [False] * order
+        raw = []
         for start in range(order):
-            if assigned[start] >= 0:
-                continue
-            cid = len(raw_classes)
-            orbit = [start]
-            assigned[start] = cid
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for gi, g in enumerate(gen_idx):
-                        y = self.mult(self.mult(g, x), inv_gen[gi])
-                        if assigned[y] < 0:
-                            assigned[y] = cid
-                            orbit.append(y)
-                            nxt.append(y)
-                frontier = nxt
-            raw_classes.append(tuple(sorted(orbit)))
+            if not assigned[start]:
+                members = tuple(sorted(_orbit(start, steps)))
+                for x in members:
+                    assigned[x] = True
+                raw.append(members)
+        raw.sort(key=lambda m: (self.element_order(m[0]), len(m), m[0]))
 
-        infos = []
-        for members in raw_classes:
-            rep = members[0]
-            infos.append((self.element_order(rep), len(members), rep, members))
-        order_key = sorted(range(len(infos)), key=lambda c: infos[c][:3])
-        relabel = {old: new for new, old in enumerate(order_key)}
-
-        sorted_members = [infos[old][3] for old in order_key]
         class_of = [0] * order
-        for new_cid, members in enumerate(sorted_members):
+        for cid, members in enumerate(raw):
             for x in members:
-                class_of[x] = new_cid
-
-        classes = []
-        for new_cid, members in enumerate(sorted_members):
-            rep = members[0]
-            powers = tuple(
-                (k, class_of[self.power_index(rep, k)]) for k in (2, 3, 5)
-            )
-            classes.append(ConjClass(
-                rep_index=rep,
+                class_of[x] = cid
+        self._classes = tuple(
+            ConjClass(
+                rep_index=members[0],
                 members=members,
-                element_order=infos[order_key[new_cid]][0],
-                power_classes=powers,
-            ))
-        self._classes = tuple(classes)
+                element_order=self.element_order(members[0]),
+                power_classes=tuple(
+                    (k, class_of[self.power_index(members[0], k)])
+                    for k in (2, 3, 5)),
+            )
+            for members in raw)
         self._class_of = class_of
 
-    def _inverse_of(self, i: int) -> int:
-        e = self.identity_index
-        j = i
-        prev = e
-        while j != e:
-            prev, j = j, self.mult(j, i)
-        # prev * i = e, and inverses are two-sided in a group
-        return prev if i != e else e
+    def _conjugation_rows(self) -> list[list[int]]:
+        """Per generator g, the row mapping x to the index of g x g^-1."""
+        if self._conj is None:
+            self._conj = [
+                [self.mult(self.mult(g, x), ginv) for x in range(self.order)]
+                for g, ginv in ((g, self.inverse_index(g))
+                                for g in self.generator_indices)]
+        return self._conj
 
     # ------------------------------------------------------------------
     # characters and profiles support
@@ -407,14 +403,9 @@ class MatrixGroup:
     def eigen_profile_of(self, i: int) -> EigenProfile:
         """Profile of element i using class data: trace(g^j) is the class
         trace of the j-th power, so no matrix powers are needed."""
-        n = self.element_order(i)
-        traces = []
         by_class = self.class_traces()
-        j = self.identity_index
-        for _ in range(n):
-            traces.append(by_class[self._class_of[j]])
-            j = self.mult(j, i)
-        return _profile_from_traces(n, traces, self.dim)
+        traces = [by_class[self._class_of[j]] for j in self.powers(i)]
+        return _profile_from_traces(len(traces), traces, self.dim)
 
     # ------------------------------------------------------------------
     # structural predicates
@@ -439,67 +430,24 @@ class MatrixGroup:
             raise CapExceededError(
                 f"group of order {self.order} is above the subgroup scan "
                 f"limit {SUBGROUP_SCAN_LIMIT}")
-        assert self._rmul is not None
-        e = self.identity_index
-        order = self.order
+        assert self._table is not None
 
         # distinct cyclic subgroups with one generator each
         cyclic = {}
-        for i in range(order):
-            powers = [e]
-            j = i
-            while j != e:
-                powers.append(j)
-                j = self.mult(j, i)
-            cyclic.setdefault(frozenset(powers), i)
+        for i in range(self.order):
+            cyclic.setdefault(frozenset(self.powers(i)), i)
 
-        gen_idx = [self.index(g) for g in self.generators]
-        inv_gen = [self._inverse_of(i) for i in gen_idx]
-
-        def conj_set(s, gi):
-            g, ginv = gen_idx[gi], inv_gen[gi]
-            return frozenset(self.mult(self.mult(g, x), ginv) for x in s)
-
-        def conjugacy_orbit(s):
-            seen = {s}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for cur in frontier:
-                    for gi in range(len(gen_idx)):
-                        img = conj_set(cur, gi)
-                        if img not in seen:
-                            seen.add(img)
-                            nxt.append(img)
-                frontier = nxt
-            return seen
+        # s -> g s g^-1 for each generator g
+        conj = [lambda s, row=row: frozenset(map(row.__getitem__, s))
+                for row in self._conjugation_rows()]
 
         # one representative cyclic subgroup per conjugacy orbit
         cyclic_reps = []
         placed = set()
         for s in sorted(cyclic, key=lambda s: tuple(sorted(s))):
-            if s in placed:
-                continue
-            orbit = conjugacy_orbit(s)
-            placed |= orbit
-            cyclic_reps.append(s)
-
-        def closure(seed):
-            # right multiplication by the seed reaches every product of
-            # seed elements, which is the whole subgroup
-            gens_here = [self._rmul[g] for g in seed]
-            members = {e}
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for row in gens_here:
-                        y = row[x]
-                        if y not in members:
-                            members.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            return frozenset(members)
+            if s not in placed:
+                placed.update(_orbit(s, conj))
+                cyclic_reps.append(s)
 
         seen_seeds = set()
         subgroups = {}
@@ -510,7 +458,11 @@ class MatrixGroup:
                 if seed in seen_seeds:
                     continue
                 seen_seeds.add(seed)
-                h = closure(seed)
+                # right multiplication by a and b reaches every word in
+                # them, which is the whole subgroup <a, b>
+                h = frozenset(_orbit(self.identity_index,
+                                     [self._table[a].__getitem__,
+                                      self._table[b].__getitem__]))
                 subgroups.setdefault(h, (a, b))
 
         # dedupe up to conjugacy, keeping the lexicographically least set
@@ -519,35 +471,40 @@ class MatrixGroup:
         for h in sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s)))):
             if h in handled:
                 continue
-            orbit = conjugacy_orbit(h)
-            handled |= orbit
+            orbit = _orbit(h, conj)
+            handled.update(orbit)
             rep = min(orbit, key=lambda s: tuple(sorted(s)))
-            gens_pair = subgroups.get(h)
-            fp = self._fingerprint(rep)
+            a, b = subgroups[h]
+            fp = self._fingerprint(rep, self.mult(a, b) == self.mult(b, a))
             records.append(SubgroupRecord(
                 element_indices=tuple(sorted(rep)),
-                generator_indices=gens_pair,
+                generator_indices=(a, b),
                 fingerprint=fp,
                 label=fingerprint_label(fp),
             ))
         records.sort(key=lambda r: (r.order, r.label, r.element_indices))
         return records
 
-    def _fingerprint(self, member_set) -> tuple:
-        members = sorted(member_set)
+    def _fingerprint(self, members, abelian: bool) -> tuple:
         orders = {}
         for i in members:
             o = self.element_order(i)
             orders[o] = orders.get(o, 0) + 1
-        abelian = all(
-            self.mult(i, j) == self.mult(j, i)
-            for i in members for j in members if i < j
-        )
         return (len(members), abelian, tuple(sorted(orders.items())))
 
 
-def _element_key(m: Matrix):
-    return m.data
+def _orbit(start, steps) -> list:
+    """Everything reached from start by repeatedly applying the maps in
+    steps, breadth first."""
+    seen = {start}
+    orbit = [start]
+    for x in orbit:
+        for step in steps:
+            y = step(x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
 # an int64 product is formed only when a bound proves that it fits

@@ -290,11 +290,11 @@ def act(g: Matrix, form: CubicForm) -> CubicForm:
     return _act_with_rows(_inverse_rows(g.inverse()), form)
 
 
-def fixed_by(group, g: Matrix, forms) -> bool:
-    """Whether act(g, F) == F for every form F, g an element of group;
-    g^-1 is read from the group's table, not computed by an exact
-    matrix inverse."""
-    rows = _inverse_rows(group.elements[group.inverse_index(group.index(g))])
+def fixed_by(group, i: int, forms) -> bool:
+    """Whether act(g, F) == F for every form F, g the element of index i
+    of group; g^-1 is read from the group's tables, not computed by an
+    exact matrix inverse."""
+    rows = _inverse_rows(group.elements[group.inverse_index(i)])
     return all(_act_with_rows(rows, f) == f for f in forms)
 
 
@@ -351,11 +351,7 @@ def _reynolds_array(group):
                  if sum(a * k for a, k in zip(expo, exps)) % n == 0]
 
     # left coset representatives of <h>
-    h_powers = [group.identity_index]
-    cur = h_idx
-    while cur != group.identity_index:
-        h_powers.append(cur)
-        cur = group.mult(cur, h_idx)
+    h_powers = group.powers(h_idx)
     seen = [False] * group.order
     reps = []
     for i in range(group.order):
@@ -563,7 +559,7 @@ def invariant_basis(group) -> InvariantSpace:
     if len(support):
         monomials = [MONOMIALS[m] for m in support]
         # each distinct generator once; the identity fixes R anyway
-        gens = dict.fromkeys(group.index(g) for g in group.generators)
+        gens = dict.fromkeys(group.generator_indices)
         gens.pop(group.identity_index, None)
         for i in gens:
             rows = _inverse_rows(group.elements[group.inverse_index(i)])

@@ -1,11 +1,13 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from cubicmoduli import catalog
+from cubicmoduli import catalog, groups
+from cubicmoduli.audit import check_criterion
 from cubicmoduli.cyclo import cyclo, root_of_unity
 from cubicmoduli.errors import CapExceededError, NotFiniteError
 from cubicmoduli.groups import (
@@ -31,7 +33,7 @@ def _assert_matches_exact_closure(g, gens):
     elements, rmul, identity_index, conductor = exact_closure(gens)
     assert g.order == len(elements)
     assert list(g.elements) == elements
-    assert g._rmul == rmul
+    assert g._table == rmul
     assert g.identity_index == identity_index
     assert g.conductor == conductor
 
@@ -124,6 +126,71 @@ def test_index_arithmetic_matches_matrices():
         inv = g.inverse_index(i)
         assert (g.elements[i] * g.elements[inv]).is_identity()
         assert matrix_order(g.elements[i]) == g.element_order(i)
+
+
+def test_powers_match_matrix_powers():
+    g = _entry_group("alt5-sixpoint")
+    for i in range(g.order):
+        powers = g.powers(i)
+        assert len(powers) == g.element_order(i) == matrix_order(g.elements[i])
+        power = Matrix.identity(5)
+        for j in powers:
+            assert g.elements[j] == power
+            power = power * g.elements[i]
+
+
+def test_power_index_reduces_the_exponent_mod_the_order():
+    g = _entry_group("alt5-sixpoint")
+    for i in range(g.order):
+        n = g.element_order(i)
+        assert g.power_index(i, -1) == g.inverse_index(i)
+        assert g.power_index(i, n) == g.identity_index
+        assert g.power_index(i, 2 * n + 1) == i
+        assert (g.elements[i] * g.elements[g.power_index(i, -1)]).is_identity()
+
+
+@pytest.mark.parametrize("name", catalog.entry_ids())
+def test_word_walk_above_the_table_limit_matches_the_table(name, monkeypatch):
+    g = _entry_group(name)
+    monkeypatch.setattr(groups, "_TABLE_LIMIT", 0)
+    walk = catalog.load(name)
+    assert walk._table is None and g._table is not None
+    assert walk.elements == g.elements
+    if g.order <= 60:
+        pairs = [(i, j) for i in range(g.order) for j in range(g.order)]
+    else:
+        rng = random.Random(11)
+        pairs = [(rng.randrange(g.order), rng.randrange(g.order))
+                 for _ in range(2000)]
+    assert [walk.mult(i, j) for i, j in pairs] == [g.mult(i, j) for i, j in pairs]
+    for i in range(g.order):
+        assert walk.inverse_index(i) == g.inverse_index(i)
+        assert walk.element_order(i) == g.element_order(i)
+    assert walk.classes == g.classes
+    assert walk.class_profiles() == g.class_profiles()
+
+
+def test_fermat_automorphism_group_above_the_table_limit():
+    # {diag(zeta_3^a) : sum a = 0 mod 3} x| S_5, the projective
+    # automorphism group of the Fermat cubic, has no full table
+    def permutation(images):
+        return Matrix([[1 if images[j] == i else 0 for j in range(5)]
+                       for i in range(5)])
+
+    g = MatrixGroup.generate([fx.diag(fx.W, fx.W ** 2, 1, 1, 1),
+                              permutation([1, 0, 2, 3, 4]),
+                              permutation([1, 2, 3, 4, 0])])
+    assert g.order == 9720 > groups._TABLE_LIMIT
+    assert g._table is None
+    start = time.perf_counter()
+    report = check_criterion(g, "fermat")
+    elapsed = time.perf_counter() - start
+    assert len(g.classes) == 36
+    assert (report.dim_U, report.commutant_dim) == (1, 1)
+    assert (report.dim_moduli, report.dim_special) == (0, 0)
+    assert report.criterion_holds is True
+    assert str(report.cyclic_locus).startswith("CertifiedYes(")
+    assert elapsed < 1.0
 
 
 def test_alt4_class_data():
