@@ -8,8 +8,12 @@ lowest terms, so the pair is a canonical dict key.  Right
 multiplication by a generator is one integer matrix, and each BFS level
 multiplies its whole frontier by it in one product.  The products run
 on int64 while a bound proves they cannot overflow, and on Python ints
-(object arrays) past it.  Exact matrices are built once at the end, one
-exact value and one printed string per distinct entry.
+(object arrays) past it.  The group keeps these arrays, in canonical
+order, as its only element representation: `arrays` hands any index set
+to the invariant kernels in the form of `linalg.int_array`, and class
+traces, scalar and diagonal elements are read off them in one numpy
+pass each.  Exact matrices (`elements`) are built on first use only,
+one exact value per distinct entry.
 
 After the closure every group operation is an integer lookup on the
 tables it built: the generators' indices, one right-multiplication row
@@ -28,6 +32,7 @@ orderings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,10 +172,11 @@ class SubgroupRecord:
 
 
 class MatrixGroup:
-    def __init__(self, *, elements, generators, generator_indices, table,
+    def __init__(self, *, dens, nums, generators, generator_indices, table,
                  steps, parent, identity_index, conductor):
         # internal; use MatrixGroup.generate
-        self.elements: tuple[Matrix, ...] = elements
+        self._dens = dens  # per element: its positive denominator
+        self._nums = nums  # per element: its (d, d, phi) numerators
         self.generators: tuple[Matrix, ...] = generators
         self.generator_indices: tuple[int, ...] = generator_indices
         self._table = table  # per-element right-multiplication rows, or None
@@ -178,7 +184,8 @@ class MatrixGroup:
         self._parent = parent  # (parent index, generator index), BFS tree
         self.identity_index = identity_index
         self.conductor = conductor
-        self.dim = elements[0].rows
+        self.order = len(dens)
+        self.dim = generators[0].rows
         self._powers = {}
         self._conj = None
         self._classes = None
@@ -241,9 +248,11 @@ class MatrixGroup:
                     blocks.append((pdens[fresh], pnums[fresh]))
 
         order = len(parent)
-        matrices, sort_keys = _exact_elements(
-            np.concatenate([b[0] for b in blocks]),
-            np.concatenate([b[1] for b in blocks]), d, n)
+        dens = np.concatenate([b[0] for b in blocks])
+        nums = np.concatenate([b[1] for b in blocks])
+        values, codes = _distinct_entries(dens, nums, d, n)
+        texts = [str(v) for v in values]
+        sort_keys = [[texts[c] for c in row] for row in codes]
         # canonical order: lexicographic on printed entries
         new_to_old = np.array(sorted(range(order), key=lambda i: sort_keys[i]),
                               dtype=np.intp)
@@ -269,7 +278,8 @@ class MatrixGroup:
             table = [canonical(full[a]) for a in new_to_old]
 
         return cls(
-            elements=tuple(matrices[old] for old in new_to_old),
+            dens=dens[new_to_old],
+            nums=nums[new_to_old].reshape(order, d, d, -1),
             generators=tuple(gens),
             generator_indices=tuple(int(old_to_new[row[0]]) for row in rmul_gen),
             table=table,
@@ -281,11 +291,44 @@ class MatrixGroup:
         )
 
     # ------------------------------------------------------------------
-    # index arithmetic
+    # elements
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def arrays(self, indices):
+        """(array, den) for the elements of the given indices, as
+        `linalg.int_array` gives them: array[k, i, j] holds the phi(n)
+        power-basis coefficients of den times entry (i, j) of the k-th,
+        den > 0 the least common denominator.  The dtype is int64 when
+        every coefficient fits below 2^62, and Python ints (object)
+        otherwise."""
+        indices = list(indices)
+        dens = self._dens[indices].tolist()
+        den = math.lcm(*dens)
+        scale = np.array([den // x for x in dens], dtype=object)
+        scale = scale.reshape(-1, 1, 1, 1)
+        nums = self._nums[indices]
+        if nums.dtype != object and _big(nums) * _big(scale) < _INT62:
+            return nums * scale.astype(np.int64), den
+        nums = nums.astype(object) * scale
+        return (nums.astype(np.int64) if _big(nums) < _INT62 else nums), den
+
+    @functools.cached_property
+    def elements(self) -> tuple[Matrix, ...]:
+        """Every element as an exact matrix, in index order; built on
+        first use."""
+        values, codes = _distinct_entries(self._dens, self._nums, self.dim,
+                                          self.conductor)
+        d = self.dim
+        return tuple(Matrix([[values[c] for c in row[i:i + d]]
+                             for i in range(0, d * d, d)]) for row in codes)
+
+    def diagonal_indices(self) -> list[int]:
+        """The indices of the diagonal elements, in index order."""
+        off = ~np.eye(self.dim, dtype=bool)
+        return np.flatnonzero(
+            (self._nums[:, off] == 0).all(axis=(1, 2))).tolist()
+
+    # ------------------------------------------------------------------
+    # index arithmetic
 
     def mult(self, i: int, j: int) -> int:
         """The index of e_i * e_j: a table lookup, or above the table
@@ -385,10 +428,16 @@ class MatrixGroup:
         )
 
     def class_traces(self) -> tuple[Cyclotomic, ...]:
+        """The trace of each class representative, exact: the sum of its
+        diagonal rows of power-basis coefficients over its
+        denominator."""
         if self._class_traces is None:
+            reps = [c.rep_index for c in self.classes]
+            d = range(self.dim)
+            sums = self._nums[reps][:, d, d].sum(axis=1)
             self._class_traces = tuple(
-                self.elements[c.rep_index].trace() for c in self.classes
-            )
+                from_power_basis(self.conductor, row, den) for row, den in
+                zip(sums.tolist(), self._dens[reps].tolist()))
         return self._class_traces
 
     def class_profiles(self) -> tuple[EigenProfile, ...]:
@@ -411,7 +460,13 @@ class MatrixGroup:
     # structural predicates
 
     def scalar_indices(self) -> list[int]:
-        return [i for i, m in enumerate(self.elements) if m.is_scalar()]
+        """The indices of the scalar elements: diagonal, with equal
+        diagonal entries."""
+        d = range(self.dim)
+        diagonal = self.diagonal_indices()
+        entries = self._nums[diagonal][:, d, d]
+        equal = (entries == entries[:, :1]).all(axis=(1, 2))
+        return [i for i, eq in zip(diagonal, equal.tolist()) if eq]
 
     def is_projectively_faithful(self) -> bool:
         """True when the identity is the only scalar matrix in the group,
@@ -509,6 +564,12 @@ def _orbit(start, steps) -> list:
 
 # an int64 product is formed only when a bound proves that it fits
 _INT64_LIMIT = 1 << 63
+# the bound below which linalg.int_array keeps coefficients in int64
+_INT62 = 1 << 62
+
+
+def _big(array) -> int:
+    return int(np.abs(array).max()) if array.size else 0
 
 
 class _RightMultiplication:
@@ -589,25 +650,16 @@ def _check_order(step: _RightMultiplication, identity):
                                  "not a finite group element")
 
 
-def _exact_elements(dens, nums, d: int, n: int):
-    """The elements as exact matrices, and their sort keys (the printed
-    entries).  Each distinct entry becomes one exact value and one
-    string, shared by every element it occurs in."""
-    phi = nums.shape[1] // (d * d)
+def _distinct_entries(dens, nums, d: int, n: int):
+    """(values, codes): each distinct entry of the elements once, as an
+    exact value, and per element the indices into values of its d*d
+    entries, row-major."""
     distinct = {}
     codes = []
     for den, num in zip(dens.tolist(), nums):
-        codes.extend(distinct.setdefault((den, tuple(entry)), len(distinct))
-                     for entry in num.reshape(d * d, phi).tolist())
-    values = [from_power_basis(n, num, den) for den, num in distinct]
-    texts = [str(v) for v in values]
-    matrices, sort_keys = [], []
-    for start in range(0, len(codes), d * d):
-        row = codes[start:start + d * d]
-        matrices.append(Matrix([[values[c] for c in row[i:i + d]]
-                                for i in range(0, d * d, d)]))
-        sort_keys.append(tuple(texts[c] for c in row))
-    return matrices, sort_keys
+        codes.append([distinct.setdefault((den, tuple(entry)), len(distinct))
+                      for entry in num.reshape(d * d, -1).tolist()])
+    return [from_power_basis(n, num, den) for den, num in distinct], codes
 
 
 _LABELS = {

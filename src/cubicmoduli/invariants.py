@@ -15,18 +15,21 @@ h-weight, so only the surviving monomials are expanded, once per coset
 representative.  When the identity is the only diagonal element the
 fold is the plain sum.
 
-The loop runs on integer arrays (`linalg.int_array`): each
-representative's inverse is a (5, 5, phi(n)) array of coefficients on
-the zeta_n power basis over one common denominator, n the group's
-conductor.  For a surviving monomial x_p*x_q*x_r the products
-A[p, a] * A[q, b] * A[r, c] of one nonzero entry from each factor's row
-(at most 125 of them) are formed as integer polynomials in zeta_n and
-added into one accumulator, one representative at a time.  Only at the
-end are the 125 products collapsed onto the 35 monomials, reduced mod
-Phi_n, divided by the denominator and turned into exact numbers, one
-per nonzero entry.  int64 is used when a bound on the sums, computed
-from the input, proves it cannot overflow; otherwise the same code runs
-on Python ints.
+The loop runs on integer arrays, read from the group
+(`MatrixGroup.arrays`, the closure's own arrays in the form of
+`linalg.int_array`): each representative's inverse is a (5, 5, phi(n))
+array of coefficients on the zeta_n power basis over one common
+denominator, n the group's conductor.  For a surviving monomial
+x_p*x_q*x_r the products A[p, a] * A[q, b] * A[r, c] of one nonzero
+entry from each factor's row (at most 125 of them) are formed as
+integer polynomials in zeta_n and added into one accumulator, one
+representative at a time.  Only at the end are the 125 products
+collapsed onto the 35 monomials and reduced mod Phi_n.  int64 is used
+when a bound on the sums, computed from the input, proves it cannot
+overflow; otherwise the same code runs on Python ints.  This kernel,
+`_sum_of_images`, is the package's only substitution: `act`,
+`substitution_matrix` and `fixed_by` run it on the array of one g^-1
+and make exact values from its output.
 
 Forms are read by the package's one expression parser
 (`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
@@ -43,13 +46,16 @@ Reduction mod p can only lower a rank, so a shortfall moves on to the
 next split prime and an excess is a contract violation.
 
 One check per generator g shows that the columns are invariant:
-S_g R = R, with S_g built by exact substitution (`_images`, the route
-behind `act` and `substitution_matrix`, with g^-1 read from the group
-table), which shares no code with the Reynolds sums.  Only S_g's
-columns on the support of R enter, and the product runs on integer
-arrays mod Phi_n, in int64 under an overflow bound as above.  With the
-dimension checked against the character count (the audit does that),
-the columns of R are all of U^G.
+S_g R = R, with the columns of S_g on the support of R computed by the
+same kernel from the array of g^-1 (read from the group's tables), over
+den^3.  The check shares the triple-product kernel with R, so it does
+not test the kernel; it does test the fold through the cosets of <h>,
+the set of surviving columns, the coset representatives and the
+summation.  The kernel itself is pinned against exact substitution in
+the tests, and the dimension against the character count (the audit
+does that); with both, the columns of R are all of U^G.  The product
+S_g R runs on integer arrays mod Phi_n, in int64 under an overflow
+bound as above.
 
 The canonical echelon basis is built by exact row reduction on first
 use only (`InvariantSpace.basis`: `invariants`, `selftest` and library
@@ -73,9 +79,11 @@ from .cyclo import (
     root_of_unity,
 )
 from .errors import ContractViolationError
+from .groups import _big, _orbit
 from .linalg import (
     RANK_PRIME_ATTEMPTS,
     Matrix,
+    conductor_of,
     int_array,
     pivots_mod_p,
     reduce_mod_p,
@@ -105,9 +113,6 @@ assert len(MONOMIALS) == 35 and MONOMIALS[0] == (3, 0, 0, 0, 0)
 def _factors(expo) -> tuple:
     """The variable indices of a monomial with multiplicity, ascending."""
     return tuple(i for i, e in enumerate(expo) for _ in range(e))
-
-
-_FACTOR_INDEX = {_factors(e): i for i, e in enumerate(MONOMIALS)}
 
 
 def _collapse_order():
@@ -242,94 +247,62 @@ class CubicForm:
 # ----------------------------------------------------------------------
 # group action
 
-def _inverse_rows(g_inv: Matrix):
-    return [[g_inv[i, j] for j in range(N_VARS)] for i in range(N_VARS)]
+def _inverse_array(g: Matrix):
+    """(A, den, n): g^-1 as a one-element `int_array` over zeta_n, n the
+    conductor of its entries."""
+    inv = g.inverse()
+    n = conductor_of(inv.data)
+    return (*int_array([inv], n), n)
 
 
-def _product(a: dict, b: dict) -> dict:
-    """The product of two forms held as {ascending variable indices:
-    nonzero coefficient}, exact."""
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(sorted(ka + kb))
-            term = ca * cb
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if v}
-
-
-def _expand_monomial(linear, expo, quadrics) -> dict:
-    """Image of the monomial with exponents expo when x_i is replaced by
-    the linear form linear[i] ({(j,): coefficient}): the product of its
-    first two factors' images, kept in quadrics for the monomials that
-    share them, times the third's."""
-    p, q, r = _factors(expo)
-    quad = quadrics.get((p, q))
-    if quad is None:
-        quad = quadrics[p, q] = _product(linear[p], linear[q])
-    return _product(quad, linear[r])
-
-
-def _images(rows, monomials=MONOMIALS) -> list:
-    """Per monomial, the 35 exact coefficients of its image when x_i is
-    replaced by the linear form rows[i]."""
-    linear = [{(j,): c for j, c in enumerate(row) if c} for row in rows]
-    quadrics = {}
-    cols = []
-    for expo in monomials:
-        col = [_ZERO] * 35
-        for key, value in _expand_monomial(linear, expo, quadrics).items():
-            col[_FACTOR_INDEX[key]] = value
-        cols.append(col)
-    return cols
+def _substituted(A, den, n, form: CubicForm) -> CubicForm:
+    """F(g^-1 x) for A, den the array of g^-1 over zeta_n: the images of
+    F's monomials from the kernel, over den^3, combined exactly with F's
+    coefficients."""
+    terms = [(c, _factors(e)) for e, c in zip(MONOMIALS, form.coefficients)
+             if c]
+    images = _sum_of_images(A, [f for _, f in terms], n).tolist()
+    coeffs = [_ZERO] * 35
+    for (c, _), image in zip(terms, images):
+        for m, value in enumerate(image):
+            if any(value):
+                coeffs[m] = coeffs[m] + c * from_power_basis(n, value,
+                                                             den ** 3)
+    return CubicForm(coeffs)
 
 
 def act(g: Matrix, form: CubicForm) -> CubicForm:
     """The substituted form F(g^-1 x)."""
-    return _act_with_rows(_inverse_rows(g.inverse()), form)
+    return _substituted(*_inverse_array(g), form)
 
 
 def fixed_by(group, i: int, forms) -> bool:
     """Whether act(g, F) == F for every form F, g the element of index i
-    of group; g^-1 is read from the group's tables, not computed by an
+    of group; g^-1 is read from the group's arrays, not computed by an
     exact matrix inverse."""
-    rows = _inverse_rows(group.elements[group.inverse_index(i)])
-    return all(_act_with_rows(rows, f) == f for f in forms)
-
-
-def _act_with_rows(rows, form: CubicForm) -> CubicForm:
-    terms = [(e, c) for e, c in zip(MONOMIALS, form.coefficients) if c]
-    coeffs = [_ZERO] * 35
-    for (_, c), image in zip(terms, _images(rows, [e for e, _ in terms])):
-        for m, value in enumerate(image):
-            if value:
-                coeffs[m] = coeffs[m] + c * value
-    return CubicForm(coeffs)
+    A, den = group.arrays([group.inverse_index(i)])
+    return all(_substituted(A, den, group.conductor, f) == f for f in forms)
 
 
 def substitution_matrix(g: Matrix) -> Matrix:
     """35x35 matrix S with S * coeffs(F) = coeffs(F(g^-1 x))."""
-    cols = _images(_inverse_rows(g.inverse()))
-    return Matrix([[cols[j][i] for j in range(35)] for i in range(35)])
+    A, den, n = _inverse_array(g)
+    images = _sum_of_images(A, [_factors(e) for e in MONOMIALS], n)
+    return Matrix([[_exact(n, value, den ** 3) for value in row]
+                   for row in images.transpose(1, 0, 2).tolist()])
 
 
 def _diagonal_of_largest_order(group):
     """The diagonal element h of largest order n (the identity when no
     other element is diagonal) and its exponents: entry i of h is
     zeta_n^k_i."""
-    best = None
-    for i, m in enumerate(group.elements):
-        if any(m[a, b] for a in range(N_VARS) for b in range(N_VARS)
-               if a != b):
-            continue
-        n = group.element_order(i)
-        if best is None or n > best[0]:
-            best = (n, i)
-    n, h_idx = best
-    h = group.elements[h_idx]
+    h_idx = max(group.diagonal_indices(), key=group.element_order)
+    n = group.element_order(h_idx)
+    array, den = group.arrays([h_idx])
     roots = {root_of_unity(n, k): k for k in range(n)}
-    return n, h_idx, [roots[h[i, i]] for i in range(N_VARS)]
+    return n, h_idx, [
+        roots[from_power_basis(group.conductor, array[0, i, i].tolist(), den)]
+        for i in range(N_VARS)]
 
 
 def _reynolds_array(group):
@@ -350,20 +323,16 @@ def _reynolds_array(group):
     surviving = [j for j, expo in enumerate(MONOMIALS)
                  if sum(a * k for a, k in zip(expo, exps)) % n == 0]
 
-    # left coset representatives of <h>
-    h_powers = group.powers(h_idx)
-    seen = [False] * group.order
-    reps = []
+    # left coset representatives of <h>: the coset of i is its orbit
+    # under right multiplication by h
+    by_h = [group.mult(i, h_idx) for i in range(group.order)]
+    reps, seen = [], set()
     for i in range(group.order):
-        if seen[i]:
-            continue
-        reps.append(i)
-        for p in h_powers:
-            seen[group.mult(i, p)] = True
+        if i not in seen:
+            reps.append(i)
+            seen.update(_orbit(i, [by_h.__getitem__]))
 
-    arrays, den = int_array(
-        [group.elements[group.inverse_index(r)] for r in reps],
-        group.conductor)
+    arrays, den = group.arrays([group.inverse_index(r) for r in reps])
     sums = _sum_of_images(arrays, [_factors(MONOMIALS[j]) for j in surviving],
                           group.conductor)
     R = np.zeros((35, 35, sums.shape[-1]), dtype=sums.dtype)
@@ -390,10 +359,6 @@ def _reduction_table(n, length):
     """(length, phi(n)) int64: row e holds zeta_n^e on the power basis."""
     table = _power_table(n)
     return np.array([table[e % n] for e in range(length)], dtype=np.int64)
-
-
-def _big(array) -> int:
-    return int(np.abs(array).max()) if array.size else 0
 
 
 def _convolve(a, b):
@@ -541,9 +506,8 @@ def invariant_basis(group) -> InvariantSpace:
     integer Reynolds array R: its nonzero columns span the space, its
     nonzero rows are the monomial support, and its rank mod a split
     prime, certified by the exact trace, is the dimension.  One check
-    per generator g, S_g R = R with S_g from exact substitution (which
-    shares no code with the Reynolds sums), shows that the columns are
-    invariant."""
+    per generator g, S_g R = R with S_g from the same kernel on the
+    array of g^-1, shows that the columns are invariant."""
     R, den = _reynolds_array(group)
     n = group.conductor
     diagonal = np.arange(35)
@@ -557,15 +521,16 @@ def invariant_basis(group) -> InvariantSpace:
 
     independent, primes = (), []
     if len(support):
-        monomials = [MONOMIALS[m] for m in support]
+        factors = [_factors(MONOMIALS[m]) for m in support]
         # each distinct generator once; the identity fixes R anyway
         gens = dict.fromkeys(group.generator_indices)
         gens.pop(group.identity_index, None)
         for i in gens:
-            rows = _inverse_rows(group.elements[group.inverse_index(i)])
-            S, s_den = int_array([Matrix(_images(rows, monomials))], n)
-            # S[0] holds the columns of S_g at the support as its rows
-            if not _fixes(S[0].transpose(1, 0, 2), s_den, R, support, n):
+            A, a_den = group.arrays([group.inverse_index(i)])
+            # the images of the support's monomials are the columns of
+            # S_g there, over a_den^3
+            S = _sum_of_images(A, factors, n)
+            if not _fixes(S.transpose(1, 0, 2), a_den ** 3, R, support, n):
                 raise ContractViolationError(
                     "averaging operator moves under a generator")
         for p in itertools.islice(split_primes(n), RANK_PRIME_ATTEMPTS):

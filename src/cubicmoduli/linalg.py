@@ -160,16 +160,6 @@ class Matrix:
             for j in range(self.cols)
         )
 
-    def is_scalar(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        d = self[0, 0]
-        return all(
-            self[i, j] == (d if i == j else ZERO)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
     def inverse(self) -> "Matrix":
         assert self.rows == self.cols
         n = self.rows
@@ -216,23 +206,6 @@ def rref(m: Matrix):
 
 def rank(m: Matrix) -> int:
     return rref(m)[0]
-
-
-def nullspace(m: Matrix) -> list[tuple[Cyclotomic, ...]]:
-    """Basis of the right kernel, one vector per free column, in column
-    order.  Each vector has entry 1 at its free column."""
-    r, red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * m.cols
-        vec[free] = ONE
-        for i, p in enumerate(pivots):
-            vec[p] = -red[i, free]
-        basis.append(tuple(vec))
-    return basis
 
 
 def solve_in_span(basis_rows: list, target) -> bool:

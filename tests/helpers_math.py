@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 from cubicmoduli.cyclo import cyclo, root_of_unity
+from cubicmoduli.invariants import MONOMIALS
 from cubicmoduli.linalg import Matrix
 
 
@@ -73,3 +74,38 @@ def exact_profile(n, traces, dim):
             mults[k] = int(value)
     assert sum(mults.values()) == dim
     return mults
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two forms held as {ascending variable indices:
+    nonzero coefficient}, exact."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(sorted(ka + kb))
+            out[key] = out.get(key, cyclo(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def exact_substitution(g):
+    """Reference substitution matrix by exact products: the 35x35 S with
+    S * coeffs(F) = coeffs(F(g^-1 x)), g^-1 by Matrix.inverse.  Column j
+    is the image of monomial j with x_i replaced by the linear form of
+    row i of g^-1, expanded as a product of three linear forms."""
+    def factors(expo):
+        return tuple(i for i, e in enumerate(expo) for _ in range(e))
+
+    inv = g.inverse()
+    d = inv.rows
+    linear = [{(j,): inv[i, j] for j in range(d) if inv[i, j]}
+              for i in range(d)]
+    index = {factors(e): k for k, e in enumerate(MONOMIALS)}
+    columns = []
+    for expo in MONOMIALS:
+        p, q, r = factors(expo)
+        column = [cyclo(0)] * len(MONOMIALS)
+        image = _product(_product(linear[p], linear[q]), linear[r])
+        for key, value in image.items():
+            column[index[key]] = value
+        columns.append(column)
+    return Matrix([list(row) for row in zip(*columns)])

@@ -22,6 +22,7 @@ from cubicmoduli.invariants import (
 from cubicmoduli.linalg import Matrix, int_array, rref, split_primes
 
 import fixtures as fx
+from helpers_math import exact_substitution
 
 KLEIN = "x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2"
 FERMAT = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"
@@ -85,16 +86,44 @@ def test_klein_form_is_preserved():
     assert act(fx.KLEIN_P, f) == f
 
 
+def _applied(S, form):
+    """The form with coefficient vector S * coeffs(form)."""
+    return CubicForm((S * Matrix([[c] for c in form.coefficients])).column(0))
+
+
 def test_action_is_homomorphism():
+    # the kernel's composites against products of the exact reference
     rng = random.Random(11)
     g = MatrixGroup.generate([fx.ALT4_A, fx.ALT4_B])
     f = CubicForm.parse("x0^3 + 2*x1*x2^2 - x3*x4^2 + x2*x3*x4")
     for _ in range(6):
         a = g.elements[rng.randrange(g.order)]
         b = g.elements[rng.randrange(g.order)]
-        assert act(a, act(b, f)) == act(a * b, f)
-        assert substitution_matrix(a * b) == \
-            substitution_matrix(a) * substitution_matrix(b)
+        product = exact_substitution(a) * exact_substitution(b)
+        assert act(a, act(b, f)) == act(a * b, f) == _applied(product, f)
+        assert substitution_matrix(a * b) == product
+
+
+_FORMS = [CubicForm.parse(s) for s in (
+    "x0^3 + 2*x1*x2^2 - x3*x4^2 + x2*x3*x4",
+    "E(3)*x0*x1*x2 - 1/2*x3^3 + x0*x4^2 - E(5)^2*x1^2*x4",
+)]
+
+
+@pytest.mark.parametrize("gens", [
+    *(list(catalog.load_entry(e).generators) for e in catalog.entry_ids()),
+    fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 6, 1, 1, 1),
+    fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 12, 1, 1, 1),
+], ids=[*catalog.entry_ids(), "klein-55-large", "klein-55-huge"])
+def test_substitution_kernel_matches_exact_substitution(gens):
+    group = MatrixGroup.generate(gens)
+    for g, i in zip(gens, group.generator_indices):
+        S = exact_substitution(g)
+        assert substitution_matrix(g) == S
+        for f in _FORMS:
+            image = _applied(S, f)
+            assert act(g, f) == image
+            assert invariants.fixed_by(group, i, [f]) == (image == f)
 
 
 def test_trivial_group_has_everything():
@@ -138,22 +167,36 @@ def test_klein_group_invariants():
         "klein-55-large", "klein-55-huge", "scalar-9"])
 def test_reynolds_operator_is_the_group_average(gens):
     g = MatrixGroup.generate(gens)
-    total = substitution_matrix(g.elements[0])
+    total = exact_substitution(g.elements[0])
     for m in g.elements[1:]:
-        total = total + substitution_matrix(m)
+        total = total + exact_substitution(m)
     assert reynolds_operator(g) == total * Fraction(1, g.order)
 
 
-@pytest.mark.parametrize("scale, dtype", [(10 ** 6, np.int64),
-                                          (10 ** 12, object)])
-def test_large_entries_take_the_python_int_path(scale, dtype):
-    g = MatrixGroup.generate(
-        fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, scale, 1, 1, 1))
-    arrays, den = int_array(g.elements, g.conductor)
-    assert den == scale and arrays.dtype == dtype
-    # a product of three entries alone leaves the int64 range, so the
-    # Reynolds sum must not run in int64
-    assert int(abs(arrays).max()) ** 3 >= 2 ** 63
+@pytest.mark.parametrize("scale, den, dtype", [
+    pytest.param((1, 10 ** 6, 1, 1, 1), 10 ** 6, np.int64,
+                 id="1000000-int64"),
+    pytest.param((1, 10 ** 12, 1, 1, 1), 10 ** 12, object,
+                 id="1000000000000-object"),
+    # element denominators 1, 2 and 4, over one common denominator
+    pytest.param((1, 2, 4, 1, 1), 4, np.int64, id="rational-1-2-4"),
+])
+def test_large_entries_take_the_python_int_path(scale, den, dtype):
+    g = MatrixGroup.generate(fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], *scale))
+    arrays, got_den = int_array(g.elements, g.conductor)
+    assert got_den == den and arrays.dtype == dtype
+    # the group's own arrays are int_array's, for any index set
+    for indices in (range(g.order),
+                    [g.inverse_index(i) for i in range(0, g.order, 3)]):
+        got, got_den = g.arrays(indices)
+        want, want_den = int_array([g.elements[i] for i in indices],
+                                   g.conductor)
+        assert got_den == want_den and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    if max(scale) >= 10 ** 6:
+        # a product of three entries alone leaves the int64 range, so
+        # the Reynolds sum must not run in int64
+        assert int(abs(arrays).max()) ** 3 >= 2 ** 63
 
 
 def test_nine_element_diagonal_group():
@@ -283,22 +326,21 @@ def test_psl2_11_rows_match_their_echelon_bases(psl2_11_rows):
 
 def test_perturbed_reynolds_sums_are_caught(monkeypatch):
     g = MatrixGroup.generate([fx.KLEIN_D, fx.KLEIN_P])
-    real = invariants._sum_of_images
+    real = invariants._reynolds_array
 
-    def perturbed(arrays, factors, n):
+    def perturbed(group):
         # add row k of R to a row m whose column is zero: R becomes
         # (I + E_mk) R, so rank and trace stay and only the operator
         # check can see it
-        sums = real(arrays, factors, n)
-        rows = set(np.flatnonzero(sums.any(axis=(0, 2))))
-        cols = {invariants._FACTOR_INDEX[tuple(f)]
-                for f, s in zip(factors, sums) if s.any()}
+        R, den = real(group)
+        rows = set(np.flatnonzero(R.any(axis=(1, 2))))
+        cols = set(np.flatnonzero(R.any(axis=(0, 2))))
         k = min(rows)
         m = min(set(range(35)) - rows - cols)
-        sums[:, m] += sums[:, k]
-        return sums
+        R[m] += R[k]
+        return R, den
 
-    monkeypatch.setattr(invariants, "_sum_of_images", perturbed)
+    monkeypatch.setattr(invariants, "_reynolds_array", perturbed)
     with pytest.raises(ContractViolationError, match="moves under"):
         invariant_basis(g)
 
@@ -346,7 +388,7 @@ def test_audit_builds_no_exact_basis(monkeypatch, entry):
 
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
     monkeypatch.setattr(invariants, "rref", counted("rref", invariants.rref))
-    monkeypatch.setattr(invariants, "_act_with_rows",
-                        counted("act", invariants._act_with_rows))
     check_criterion(g, group_id=entry)
     assert calls == []
+    # nor the exact element matrices, which are built on first use
+    assert "elements" not in vars(g)

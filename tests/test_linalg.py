@@ -1,4 +1,4 @@
-"""Exact row reduction, kernels, and commutant dimensions mod p."""
+"""Exact row reduction and commutant dimensions mod p."""
 
 import itertools
 import random
@@ -12,7 +12,6 @@ from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.linalg import (
     Matrix,
     commutant_dimension,
-    nullspace,
     pivots_mod_p,
     rank,
     rank_mod_p,
@@ -35,7 +34,7 @@ def test_matrix_basics():
     assert a.transpose().transpose() == a
     assert a.trace() == 5
     assert Matrix.diagonal([1, 2, 3])[1, 1] == 2
-    assert Matrix.scalar(3, E(3)).is_scalar()
+    assert Matrix.scalar(3, E(3)) == Matrix.diagonal([E(3)] * 3)
     assert not Matrix.scalar(3, E(3)).is_identity()
 
 
@@ -46,14 +45,6 @@ def test_rref_rank_one_cyclotomic():
     assert r == 1
     assert pivots == (0,)
     assert red.row(0) == (cyclo(1), E(3))
-    ker = nullspace(m)
-    assert len(ker) == 1
-    assert ker[0][1] == 1
-    for i in range(2):
-        acc = cyclo(0)
-        for j in range(2):
-            acc = acc + m[i, j] * ker[0][j]
-        assert acc == 0
 
 
 def test_rref_identity_and_zero():
@@ -62,7 +53,6 @@ def test_rref_identity_and_zero():
     assert r == 4 and red == ident and pivots == (0, 1, 2, 3)
     zero = Matrix([[0, 0], [0, 0], [0, 0]])
     assert rank(zero) == 0
-    assert len(nullspace(zero)) == 2
 
 
 def test_rref_is_idempotent_and_rank_transpose():
@@ -73,19 +63,6 @@ def test_rref_is_idempotent_and_rank_transpose():
         r2, red2, pivots2 = rref(red)
         assert (r, red, pivots) == (r2, red2, pivots2)
         assert r == rank(m.transpose())
-        assert len(nullspace(m)) == m.cols - r
-
-
-def test_nullspace_vectors_are_in_kernel():
-    rng = random.Random(17)
-    for _ in range(20):
-        m = random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
-        for vec in nullspace(m):
-            for i in range(m.rows):
-                acc = cyclo(0)
-                for j in range(m.cols):
-                    acc = acc + m[i, j] * vec[j]
-                assert acc == 0
 
 
 def test_inverse():
