@@ -45,7 +45,7 @@ from .errors import (
 from .groups import EigenProfile, MatrixGroup
 from .invariants import InvariantSpace, invariant_basis
 from .linalg import RANK_PRIME_ATTEMPTS, commutant_dimension, split_primes
-from .smoothprobe import probe_nonempty, reduce_forms
+from .smoothprobe import probe_nonempty, reduce_columns
 
 DEFAULT_TRIALS = 20
 DEFAULT_SEED = 0
@@ -301,7 +301,7 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
     if prime is not None and probe is None:
         # a chosen prime must be usable even where the probe never ran;
         # where it ran, it made the same checks
-        reduce_forms(space.spanning, prime)
+        reduce_columns(*space.columns, prime)
 
     if nonempty.status == "Certified":
         dim_moduli = dim_u - comm

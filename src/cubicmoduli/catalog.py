@@ -84,11 +84,22 @@ def load_entry(name: str) -> CatalogEntry:
     try:
         if not raw["generators"]:
             raise ValueError("at least one generator required")
+        # a file repeats a few entry strings many times: each distinct
+        # one is parsed once
+        parsed = {}
+
+        def value(text):
+            if not isinstance(text, str):
+                return parse_cyclo(text)  # fails with parse_cyclo's message
+            if text not in parsed:
+                parsed[text] = parse_cyclo(text)
+            return parsed[text]
+
         gens = []
         for rows in raw["generators"]:
             if len(rows) != 5 or any(len(r) != 5 for r in rows):
                 raise ValueError("generators must be 5x5")
-            gens.append(Matrix([[parse_cyclo(v) for v in r] for r in rows]))
+            gens.append(Matrix([[value(v) for v in r] for r in rows]))
         notes = tuple(raw["notes"])
         if len(notes) != len(gens):
             raise ValueError("one note per generator required")

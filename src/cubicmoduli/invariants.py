@@ -37,13 +37,15 @@ every term is a cubic monomial in x0..x4.
 
 The space is read off the integer array R of that operator, and
 nothing exact is built that no output prints.  R's nonzero columns span
-U^G (`spanning`: exact forms, which the smoothness probe samples).  Its
-nonzero rows are the monomial support, exact on integers, which
-`missing_variables` and `split_variable` read.  Its rank mod the first
-split prime p = 1 mod n near 2^30 is the dimension, certified by the
-exact trace of R, which is an integer because R is a projection.
-Reduction mod p can only lower a rank, so a shortfall moves on to the
-next split prime and an excess is a contract violation.
+U^G; the space keeps them as integers (`InvariantSpace.columns`), which
+the smoothness probe reduces mod p as they are, and makes them exact
+forms on first use only (`spanning`).  Its nonzero rows are the
+monomial support, exact on integers, which `missing_variables` and
+`split_variable` read.  Its rank mod the first split prime p = 1 mod
+n near 2^30 is the dimension, certified by the exact trace of R, which
+is an integer because R is a projection.  Reduction mod p can only
+lower a rank, so a shortfall moves on to the next split prime and an
+excess is a contract violation.
 
 One check per generator g shows that the columns are invariant:
 S_g R = R, with the columns of S_g on the support of R computed by the
@@ -431,22 +433,33 @@ def _fixes(S, s_den, R, support, n) -> bool:
 class InvariantSpace:
     """The invariant cubics of a group.
 
-    `spanning` holds the nonzero images of the monomials under the
-    averaging operator, with denominators dividing the group order times
-    the entry denominators; the smoothness probe samples from them.
-    `basis`, the canonical echelon basis of the same space, is built by
-    exact row reduction on first use.  Its pivot divisions can bring
-    huge numerators, which make a reduction mod p degenerate for unlucky
-    primes, so only printing and membership tests use it.  `rank_primes`
-    are the split primes at which `dimension` was read, in order."""
+    `columns` holds the nonzero columns of the integer Reynolds array
+    as (array, den, n): array, of shape (c, 35, phi(n)), holds den times
+    the c nonzero images of monomials under the averaging operator on
+    the zeta_n power basis, n the group's conductor.  The smoothness probe
+    reduces them mod p as they are (`smoothprobe.reduce_columns`).
+    `spanning`, the same images as exact forms, with denominators
+    dividing the group order times the entry denominators, is built on
+    first use only.  `basis`, the canonical echelon basis of the space,
+    is built by exact row reduction on first use.  Its pivot divisions
+    can bring huge numerators, which make a reduction mod p degenerate
+    for unlucky primes, so only printing and membership tests use it.
+    `rank_primes` are the split primes at which `dimension` was read,
+    in order."""
 
-    def __init__(self, spanning, independent, support, rank_primes=()):
-        self.spanning = tuple(spanning)
+    def __init__(self, columns, independent, support, rank_primes=()):
+        self.columns = columns
         # indices into spanning of dimension-many forms, independent
         # mod a prime and so in characteristic zero too
         self._independent = tuple(independent)
         self._support = tuple(sorted(support, reverse=True))
         self.rank_primes = tuple(rank_primes)
+
+    @functools.cached_property
+    def spanning(self) -> tuple:
+        array, den, n = self.columns
+        return tuple(CubicForm([_exact(n, coeffs, den) for coeffs in form])
+                     for form in array.tolist())
 
     @property
     def dimension(self) -> int:
@@ -543,7 +556,5 @@ def invariant_basis(group) -> InvariantSpace:
             f"averaging operator has trace {trace} but rank "
             f"{len(independent)} mod the primes {primes}")
 
-    spanning = [CubicForm([_exact(n, coeffs, den) for coeffs in column])
-                for column in R.transpose(1, 0, 2).tolist()]
-    return InvariantSpace(spanning, independent,
+    return InvariantSpace((R.transpose(1, 0, 2), den, n), independent,
                           [MONOMIALS[m] for m in support], primes)

@@ -21,6 +21,7 @@ the character inner product <chi, chi>.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -254,9 +255,22 @@ def primes_one_mod(n: int, floor: int, ceiling: int):
         p += step
 
 
+@functools.lru_cache(maxsize=256)
+def _first_split_primes(n: int) -> tuple:
+    return tuple(itertools.islice(
+        primes_one_mod(n, RANK_PRIME_FLOOR, RANK_PRIME_CEILING),
+        RANK_PRIME_ATTEMPTS))
+
+
 def split_primes(n: int):
-    """The primes p = 1 mod n in [2^30, 2^31), ascending."""
-    return primes_one_mod(n, RANK_PRIME_FLOOR, RANK_PRIME_CEILING)
+    """The primes p = 1 mod n in [2^30, 2^31), ascending.  The first
+    RANK_PRIME_ATTEMPTS of them are memoized per n: each one costs
+    primality tests from 2^30 upwards, and every class profile and rank
+    asks for them."""
+    first = _first_split_primes(n)
+    yield from first
+    if len(first) == RANK_PRIME_ATTEMPTS:
+        yield from primes_one_mod(n, first[-1] + 1, RANK_PRIME_CEILING)
 
 
 @functools.lru_cache(maxsize=256)

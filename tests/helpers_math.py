@@ -1,11 +1,15 @@
 """Shared sampling helpers and exact reference routes for the test suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from cubicmoduli.cyclo import cyclo, root_of_unity
-from cubicmoduli.invariants import MONOMIALS
+from cubicmoduli.invariants import MONOMIALS, N_VARS
 from cubicmoduli.linalg import Matrix
+from cubicmoduli.smoothprobe import ScanResult
 
 
 def random_cyclo(rng, conductors=(1, 3, 4, 5, 8, 9, 12)):
@@ -109,3 +113,38 @@ def exact_substitution(g):
             column[index[key]] = value
         columns.append(column)
     return Matrix([list(row) for row in zip(*columns)])
+
+
+def brute_force_scan(coeffs, p):
+    """Reference singular scan: all five partials of the cubic with
+    integer coefficients evaluated at every point of P^4(F_p), in the
+    scan's order (chart by chart, the first nonzero coordinate scaled to
+    1, each chart in lexicographic order), and the first point where all
+    of them vanish mod p as the witness."""
+    charts = []
+    for chart in range(N_VARS):
+        rest = list(itertools.product(range(p), repeat=N_VARS - 1 - chart))
+        block = np.zeros((len(rest), N_VARS), dtype=np.int64)
+        block[:, chart] = 1
+        block[:, chart + 1:] = np.array(rest, dtype=np.int64).reshape(
+            len(rest), -1)
+        charts.append(block)
+    points = np.concatenate(charts)
+    singular = np.ones(len(points), dtype=bool)
+    for i in range(N_VARS):
+        value = np.zeros(len(points), dtype=np.int64)
+        for c, expo in zip(coeffs, MONOMIALS):
+            if c % p and expo[i]:
+                d = list(expo)
+                d[i] -= 1
+                term = np.full(len(points), c * expo[i] % p, dtype=np.int64)
+                for v, e in enumerate(d):
+                    term = term * points[:, v] ** e % p
+                value += term
+        singular &= value % p == 0
+    hits = np.flatnonzero(singular)
+    if not len(hits):
+        return ScanResult(p, True, len(points), None)
+    first = int(hits[0])
+    return ScanResult(p, False, first + 1,
+                      tuple(int(x) for x in points[first]))

@@ -125,6 +125,31 @@ def test_malformed_entry_is_a_parse_error(tmp_path, name, change, message):
         catalog.load_entry(_write_variant(tmp_path, name, change))
 
 
+def test_each_distinct_entry_string_is_parsed_once(monkeypatch):
+    real = catalog.parse_cyclo
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(catalog, "parse_cyclo", counted)
+    for name in catalog.entry_ids():
+        calls.clear()
+        entry = catalog.load_entry(name)
+        assert len(calls) == len(set(calls)), name
+        strings = json.loads(open(entry.path).read())["generators"]
+        assert set(calls) == {v for g in strings for row in g for v in row}
+
+
+def test_non_string_entry_is_a_parse_error(tmp_path):
+    def numeric(doc):
+        doc["generators"][0][0][0] = 1
+
+    with pytest.raises(ParseError, match="expected string"):
+        catalog.load_entry(_write_variant(tmp_path, "c2-sign", numeric))
+
+
 def test_tampered_order(tmp_path):
     doc = json.loads(open(catalog.load_entry("c2-sign").path).read())
     doc["contract"]["order"] = 3

@@ -10,9 +10,13 @@ import pytest
 from cubicmoduli.cyclo import _is_prime, cyclo, root_of_unity
 from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.linalg import (
+    RANK_PRIME_ATTEMPTS,
+    RANK_PRIME_CEILING,
+    RANK_PRIME_FLOOR,
     Matrix,
     commutant_dimension,
     pivots_mod_p,
+    primes_one_mod,
     rank,
     rank_mod_p,
     root_of_unity_mod,
@@ -188,6 +192,15 @@ def test_commutant_mod_p_is_never_below_the_exact_value():
     # E(11) has no image mod a prime that is not 1 mod 11
     with pytest.raises(BadPrimeError):
         commutant_dimension([Matrix.scalar(5, E(11))], prime=q)
+
+
+def test_split_primes_run_on_past_the_memoized_ones():
+    count = RANK_PRIME_ATTEMPTS + 3
+    for n in (1, 3, 12, 660):
+        want = list(itertools.islice(
+            primes_one_mod(n, RANK_PRIME_FLOOR, RANK_PRIME_CEILING), count))
+        for _ in range(2):  # computed, then memoized
+            assert list(itertools.islice(split_primes(n), count)) == want
 
 
 def test_split_primes_and_roots_mod_p():

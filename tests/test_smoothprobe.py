@@ -1,10 +1,12 @@
+import copy
 import itertools
+import math
 import random
 import tracemalloc
 
 import pytest
 
-from cubicmoduli import catalog, smoothprobe
+from cubicmoduli import audit, catalog, smoothprobe
 from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.invariants import (
@@ -14,17 +16,20 @@ from cubicmoduli.invariants import (
     CubicForm,
     invariant_basis,
 )
-from cubicmoduli.linalg import root_of_unity_mod
+from cubicmoduli.linalg import Matrix, int_array, root_of_unity_mod
 from cubicmoduli.smoothprobe import (
+    ProbeResult,
     ScanResult,
     choose_prime,
     form_conductor,
     probe_nonempty,
+    reduce_columns,
     reduce_forms,
     singular_scan,
 )
 
 import fixtures as fx
+from helpers_math import brute_force_scan
 
 KLEIN = CubicForm.parse("x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2")
 FERMAT = CubicForm.parse("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
@@ -351,6 +356,127 @@ def test_scan_matches_point_by_point_walk(prime, count, kind):
 
 
 # ----------------------------------------------------------------------
+# the blocked scan against every partial evaluated at every point
+
+def _witness_in_chart(rng, p, chart):
+    """A seeded cubic mod p whose first singular point lies in the given
+    chart (2, 3 or 4), with the reference scan's result.  Chart 4 is the
+    point e_4; chart 3 is the p points over e_3, the scan's last prefix;
+    chart 2 is the points over e_2, the last point of P^2, which the
+    last block of P^2 rows holds."""
+    while True:
+        if chart == 4:
+            # a cone over a cubic surface, singular at its vertex e_4
+            coeffs = [0 if m[4] else rng.randrange(p) for m in MONOMIALS]
+        else:
+            coeffs = [0 if m[chart] >= 2 else rng.randrange(p)
+                      for m in MONOMIALS]
+            shifts = [rng.randrange(p) for _ in range(N_VARS)]
+            coeffs = _substitute(coeffs, chart, shifts, p)
+        if not any(coeffs):
+            continue
+        ref = brute_force_scan(coeffs, p)
+        if not ref.smooth and ref.first_singular.index(1) == chart:
+            return coeffs, ref
+
+
+@pytest.mark.parametrize("one_row", [False, True],
+                         ids=["blocks", "one-row-blocks"])
+@pytest.mark.parametrize("prime", [5, 7, 11, 13])
+def test_scan_matches_brute_force(prime, one_row, monkeypatch):
+    if one_row:
+        monkeypatch.setattr(smoothprobe, "SCAN_BLOCK_PREFIXES", 1)
+    rng = random.Random(f"brute/{prime}")
+    cases = [(coeffs, brute_force_scan(coeffs, prime))
+             for kind in ("dense", "sparse") for _ in range(4)
+             for coeffs in [_random_cubic(rng, prime, kind)]]
+    cases += [_witness_in_chart(rng, prime, chart) for chart in (2, 3, 4)]
+    for coeffs, ref in cases:
+        assert singular_scan(coeffs, prime) == ref, coeffs
+    witnesses = {ref.first_singular[:3] for _, ref in cases
+                 if not ref.smooth}
+    assert {(0, 0, 1), (0, 0, 0)} <= witnesses
+    assert (0, 0, 0, 0, 1) in {ref.first_singular for _, ref in cases}
+
+
+# ----------------------------------------------------------------------
+# the probe reads the Reynolds columns as it would the exact forms
+
+ROUTE_PRIMES = (5, 7, 11, 13, 31, 37, 43)
+
+
+@pytest.fixture(scope="module")
+def spaces():
+    return {e: invariant_basis(catalog.load(e)) for e in catalog.entry_ids()}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except BadPrimeError as e:
+        return f"BadPrimeError: {e}"
+
+
+def test_columns_reduce_as_the_spanning_forms(spaces):
+    errors = set()
+    for entry, space in spaces.items():
+        for p in ROUTE_PRIMES:
+            got = _outcome(lambda: reduce_columns(*space.columns, p))
+            want = _outcome(lambda: reduce_forms(space.spanning, p))
+            if isinstance(want, str):
+                errors.add(want)
+                assert got == want, (entry, p)
+            else:
+                assert got[0] == p, (entry, p)
+                assert got[1].tolist() == want.tolist(), (entry, p)
+    # the conductor check is among those met
+    assert any("does not divide" in e for e in errors)
+
+
+def test_probe_reads_columns_as_the_exact_forms(spaces):
+    def probe_all(spaces):
+        return [_outcome(lambda: probe_nonempty(space, prime=p, seed=seed))
+                for space in spaces for p in (None, 5, 13)
+                for seed in (0, 1)]
+
+    twins = []
+    for space in spaces.values():
+        if not space.dimension:
+            continue
+        # the same space with its columns read off its exact spanning
+        # forms, over their own conductor, as reduce_forms reads them
+        forms = space.spanning
+        n = math.lcm(1, *map(form_conductor, forms))
+        array, den = int_array([Matrix([f.coefficients for f in forms])], n)
+        twin = copy.copy(space)
+        twin.columns = (array[0], den, n)
+        twins.append((space, twin))
+    got = probe_all(space for space, _ in twins)
+    assert probe_all(twin for _, twin in twins) == got
+    assert any(isinstance(r, ProbeResult) and r.certified for r in got)
+    assert any(isinstance(r, str) for r in got)
+
+
+def test_audit_builds_no_exact_spanning_forms(monkeypatch):
+    made = []
+    real = audit.invariant_basis
+
+    def recorded(group):
+        made.append(real(group))
+        return made[-1]
+
+    monkeypatch.setattr(audit, "invariant_basis", recorded)
+    for entry in catalog.entry_ids():
+        audit.check_criterion(catalog.load(entry), entry)
+    # a chosen prime is checked where the probe does not run, too
+    audit.check_criterion(catalog.load("z3-z4"), "z3-z4", prime=7)
+    audit.check_criterion(catalog.load("alt5-sixpoint"), "alt5-sixpoint",
+                          prime=43)
+    assert len(made) == len(catalog.entry_ids()) + 2
+    assert all("spanning" not in space.__dict__ for space in made)
+
+
+# ----------------------------------------------------------------------
 # the probe's walk at a large prime, as computed by the array scan that
 # walked every point of a chart at once; any later scan kernel must
 # reproduce it
@@ -427,11 +553,12 @@ def _traced_peak_mib(fn):
 
 
 def test_scan_memory_at_the_largest_prime():
-    # the array scan over the p^4 points of a chart peaked at 1.24 GiB
+    # the array scan over the p^4 points of a chart peaked at 1.24 GiB,
+    # the scan over all of P^3 at once at 89 MiB; in blocks about 21 MiB
     res, peak = _traced_peak_mib(lambda: singular_scan(FERMAT, 127))
     assert res.smooth
     assert res.points == 262209281
-    assert peak < 256
+    assert peak < 30
 
 
 def test_dense_scan_memory_at_43():
@@ -439,5 +566,6 @@ def test_dense_scan_memory_at_43():
     coeffs = [rng.randrange(43) for _ in MONOMIALS]
     res, peak = _traced_peak_mib(lambda: singular_scan(coeffs, 43))
     assert res.points == 3500201
-    # the array scan over the p^4 points of a chart peaked at 10.2 MiB
-    assert peak < 10
+    # the array scan over the p^4 points of a chart peaked at 10.2 MiB;
+    # the blocked scan at about 0.55 MiB
+    assert peak < 2
