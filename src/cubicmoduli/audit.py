@@ -214,13 +214,12 @@ def cyclic_locus_flag(group: MatrixGroup,
     return CyclicLocusFlag(False)
 
 
-def dims_dual_route(group: MatrixGroup, space: InvariantSpace | None = None):
+def dims_dual_route(group: MatrixGroup):
     """dim U and commutant dim, each checked against the character route.
 
     Returns (dim U, commutant dim, chi, space, rank primes), the last
     being the split primes tried for the commutant, in order."""
-    if space is None:
-        space = invariant_basis(group)
+    space = invariant_basis(group)
     chi = character_of(group)
     dim_u_matrix = space.dimension
     dim_u_char = dim_invariant_cubics(chi)
@@ -350,8 +349,7 @@ class LatticeRow:
     report: AuditReport
 
 
-def lattice_report(group: MatrixGroup, trials: int = DEFAULT_TRIALS,
-                   seed: int = DEFAULT_SEED) -> list[LatticeRow]:
+def lattice_report(group: MatrixGroup) -> list[LatticeRow]:
     """Audit one representative of every conjugacy class of subgroups
     generated by at most two elements, in deterministic order."""
     rows = []
@@ -362,8 +360,7 @@ def lattice_report(group: MatrixGroup, trials: int = DEFAULT_TRIALS,
             gens = [group.elements[i] for i in rec.generator_indices]
             sub = MatrixGroup.generate(gens)
             assert sub.order == len(rec.element_indices)
-        report = check_criterion(sub, group_id=rec.label, trials=trials,
-                                 seed=seed)
+        report = check_criterion(sub, group_id=rec.label)
         rows.append(LatticeRow(
             label=rec.label,
             order=rec.order,

@@ -703,11 +703,22 @@ class _Parser:
         if self.peek() != "^":
             return base
         self.take()
-        if self.peek() == "-":
+        negative = self.peek() == "-"
+        if negative:
             self.take()
-            return {(): _nonzero(base, "a negative power's base")
-                    ** -self.integer()}
-        k = self.integer()
+        k = -self.integer() if negative else self.integer()
+        # bounded before any product is formed: a cubic needs no power
+        # above 3 of a polynomial, and a power of a number above
+        # MAX_CONDUCTOR only grows the number
+        if any(base):
+            if k > 3:
+                raise ValueError(
+                    f"power {k} of a polynomial; at most 3 is allowed")
+        elif abs(k) > MAX_CONDUCTOR:
+            raise ValueError(
+                f"power {k} of a number; |k| at most {MAX_CONDUCTOR}")
+        if negative:
+            return {(): _nonzero(base, "a negative power's base") ** k}
         if () in base and len(base) == 1:
             return {(): base[()] ** k}
         out = {(): Fraction(1)}
@@ -745,7 +756,9 @@ def parse_polynomial(text: str) -> dict:
     largest conductor (12), and a larger n fails before its tables are
     built: they cost about phi(n)^3 exact operations, so E(119) parses in
     0.13 s and E(1212) in 3.2 s (2-vCPU VM, Python 3.11.7).  E(n) for
-    n = 2 mod 4 is built from the tables of n/2."""
+    n = 2 mod 4 is built from the tables of n/2.  A power of a base with
+    a variable term is at most 3, and of a number at most MAX_CONDUCTOR
+    in absolute value; both are checked before any product is formed."""
     parser = _Parser(_tokenize(text))
     value = parser.expr()
     if parser.peek() is not None:

@@ -96,30 +96,6 @@ class EigenProfile:
         return "(" + ", ".join(parts) + ")"
 
 
-def matrix_order(m: Matrix) -> int:
-    power = m
-    n = 1
-    while not power.is_identity():
-        power = power * m
-        n += 1
-        if n > ORDER_BOUND:
-            raise NotFiniteError(f"element order exceeds bound {ORDER_BOUND}; "
-                                 "not a finite group element")
-    return n
-
-
-def eigen_profile(m: Matrix) -> EigenProfile:
-    """Eigenvalue multiset of a finite-order matrix from the traces of its
-    powers: mult(zeta_n^k) = (1/n) * sum_j trace(m^j) zeta_n^(-jk)."""
-    n = matrix_order(m)
-    traces = []
-    power = Matrix.identity(m.rows)
-    for _ in range(n):
-        traces.append(power.trace())
-        power = power * m
-    return _profile_from_traces(n, traces, m.rows)
-
-
 def _profile_from_traces(n: int, traces: list[Cyclotomic], dim: int) -> EigenProfile:
     """mult(zeta_n^k) = (1/n) * sum_j t_j zeta_n^(-jk) for the traces t_j
     of the powers g^j.  Each multiplicity is an integer in [0, dim], so

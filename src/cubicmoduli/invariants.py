@@ -348,15 +348,6 @@ def _exact(n, coeffs: list, den) -> Cyclotomic:
     return from_power_basis(n, coeffs, den) if any(coeffs) else _ZERO
 
 
-def reynolds_operator(group) -> Matrix:
-    """Average of the substitution matrices over the whole group, exact:
-    the integer array of `_reynolds_array` turned into numbers."""
-    R, den = _reynolds_array(group)
-    n = group.conductor
-    return Matrix([[_exact(n, coeffs, den) for coeffs in row]
-                   for row in R.tolist()])
-
-
 def _reduction_table(n, length):
     """(length, phi(n)) int64: row e holds zeta_n^e on the power basis."""
     table = _power_table(n)

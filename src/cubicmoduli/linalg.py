@@ -47,12 +47,6 @@ RANK_PRIME_CEILING = 1 << 31
 RANK_PRIME_ATTEMPTS = 4
 
 
-def _entry(value) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return cyclo(value)
-
-
 class Matrix:
     """Immutable matrix with Cyclotomic entries, row-major."""
 
@@ -81,12 +75,12 @@ class Matrix:
 
     @staticmethod
     def scalar(n: int, value) -> "Matrix":
-        v = _entry(value)
+        v = cyclo(value)
         return Matrix([[v if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def diagonal(values) -> "Matrix":
-        vals = [_entry(v) for v in values]
+        vals = [cyclo(v) for v in values]
         n = len(vals)
         return Matrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -125,7 +119,7 @@ class Matrix:
                     row.append(acc)
                 out.append(row)
             return Matrix(out)
-        v = _entry(other)
+        v = cyclo(other)
         return Matrix([[x * v for x in self.row(i)] for i in range(self.rows)])
 
     def __add__(self, other):

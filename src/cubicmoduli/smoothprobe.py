@@ -35,10 +35,11 @@ P^3 or P^4 is built, and a block's temporaries are small enough that
 the allocator hands the same memory back for the next block instead
 of mapping fresh pages.
 
-In a block, one partial is solved for t at every prefix: by the square
-roots of F_p (a table of p entries) when A != 0, as t = -C/B where
-B != 0 when A = 0, and for every t where B = C = 0.  That leaves about
-one candidate point per prefix; the other partials are evaluated only
+In a block, one partial is solved for t at every prefix, one with
+A != 0 where there is one: by the square roots of F_p (a table of p
+entries) when A != 0, as t = -C/B where B != 0 when A = 0, and for
+every t where B = C = 0.  That leaves about one candidate point per
+prefix, and at most two when A != 0; the other partials are evaluated only
 at the candidates left, by looking up their B and C.  The blocks run in
 scan order, so the least candidate of the first block with one left is
 the first singular point, and the scan stops there.
@@ -72,9 +73,8 @@ DEFAULT_PRIME_CEILING = 31
 # int16 (values of size below 2 p^2) and int32 (below 3 p^3), exact for
 # every p under the bound.  At p = 127, the largest prime below it, one
 # scan of the Fermat cubic walks 256 blocks in about 0.13 s and peaks
-# at about 21 MiB (tracemalloc): its first partial, 3 x0^2, vanishes for
-# every t over each prefix with x0 = 0, so such a block holds p
-# candidates per prefix
+# at about 1 MiB (tracemalloc): the partial it solves first is 3 x4^2,
+# which has A != 0 and so leaves at most two candidates per prefix
 MAX_CHART_POINTS = 1 << 28
 # about this many prefixes (points of P^3) make one block of the scan:
 # whole runs of p, one run per point of P^2.  For a dense form a block's
@@ -318,8 +318,12 @@ def singular_scan(form, prime: int) -> ScanResult:
     q = (reduce_forms([form], p)[0] @ _DERIVATIVE % p).astype(np.int16)
     q = q.reshape(N_VARS, N_VARS, N_VARS)
     # a nonzero form mod p >= 5 has a nonzero partial; a zero partial
-    # vanishes everywhere and is left out
+    # vanishes everywhere and is left out.  A partial with A != 0 goes
+    # first where there is one: solved for t it leaves at most two
+    # candidates per prefix.  The witness is the least candidate that
+    # every partial keeps, so the order does not change it
     q = q[q.reshape(N_VARS, -1).any(axis=1)]
+    q = q[np.argsort(q[:, -1, -1] == 0, kind="stable")]
     a = q[:, -1, -1]
     for offset, B, C in _blocks(q, p):
         index = _first_candidate(a, B, C, p)

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from cubicmoduli.cyclo import cyclo, root_of_unity
-from cubicmoduli.invariants import MONOMIALS, N_VARS
+from cubicmoduli.cyclo import cyclo, from_power_basis, root_of_unity
+from cubicmoduli.invariants import MONOMIALS, N_VARS, _reynolds_array
 from cubicmoduli.linalg import Matrix
 from cubicmoduli.smoothprobe import ScanResult
 
@@ -78,6 +78,28 @@ def exact_profile(n, traces, dim):
             mults[k] = int(value)
     assert sum(mults.values()) == dim
     return mults
+
+
+def matrix_profile(m):
+    """Reference eigenvalue profile by exact matrix powers: (order n,
+    {k: multiplicity of zeta_n^k}), from the traces of m^0 .. m^(n-1)
+    as `exact_profile` reads them.  n is the least k with m^k the
+    identity."""
+    traces, power = [], Matrix.identity(m.rows)
+    while not traces or not power.is_identity():
+        assert len(traces) < 1000, "order above 1000"
+        traces.append(power.trace())
+        power = power * m
+    n = len(traces)
+    return n, exact_profile(n, traces, m.rows)
+
+
+def exact_reynolds(group):
+    """The group average of the substitution matrices, exact: the
+    integer array of the package's `_reynolds_array` as numbers."""
+    R, den = _reynolds_array(group)
+    return Matrix([[from_power_basis(group.conductor, coeffs, den)
+                    for coeffs in row] for row in R.tolist()])
 
 
 def _product(a: dict, b: dict) -> dict:

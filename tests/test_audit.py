@@ -249,8 +249,8 @@ def test_negative_moduli_dimension_is_inconsistent(monkeypatch):
 
     real = audit_module.dims_dual_route
 
-    def commutant_too_large(group, space=None):
-        dim_u, _, chi, space, primes = real(group, space)
+    def commutant_too_large(group):
+        dim_u, _, chi, space, primes = real(group)
         return dim_u, dim_u + 1, chi, space, primes
 
     monkeypatch.setattr(audit_module, "dims_dual_route", commutant_too_large)

@@ -187,6 +187,31 @@ def test_module_entry_point_runs_from_a_checkout(tmp_path):
     assert done.stdout.rstrip().endswith("all checks passed")
 
 
+def test_readme_library_block_and_the_top_level_names(capsys):
+    import re
+    from pathlib import Path
+
+    import cubicmoduli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme,
+                      re.S).group(1)
+    exec(block, {})
+    assert capsys.readouterr().out == "2 2 True\n"
+
+    # the top level is the README's library block and the error the
+    # command line catches
+    assert cubicmoduli.__all__ == ["catalog", "check_criterion",
+                                   "invariant_basis", "CubicModuliError",
+                                   "__version__"]
+    names = {}
+    exec("from cubicmoduli import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(cubicmoduli.__all__)
+    for name, value in names.items():
+        assert getattr(cubicmoduli, name) is value
+
+
 def test_one_parser_serves_every_call(capsys):
     from cubicmoduli import cli
 

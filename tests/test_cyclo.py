@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from cubicmoduli.cyclo import (
     parse_cyclo,
     root_of_unity,
 )
+from cubicmoduli.invariants import CubicForm
 
 E = root_of_unity
 
@@ -198,6 +200,13 @@ def test_parse_examples():
     assert parse_cyclo("2^3/4") == 2
     assert parse_cyclo("3/2^2") == Fraction(3, 4)  # '^' binds tighter
     assert parse_cyclo("-(1 - E(4))^-2 + 3 ") == 3 - (1 - E(4)) ** -2
+    # powers at their bounds: 3 for a polynomial, MAX_CONDUCTOR for a
+    # number
+    assert CubicForm.parse("(x0 + x1)^3") == CubicForm.parse(
+        "x0^3 + 3*x0^2*x1 + 3*x0*x1^2 + x1^3")
+    assert parse_cyclo(f"2^{MAX_CONDUCTOR}") == 2 ** MAX_CONDUCTOR
+    assert parse_cyclo(f"2^-{MAX_CONDUCTOR}") == Fraction(1, 2 ** MAX_CONDUCTOR)
+    assert parse_cyclo("0^0") == 1 and parse_cyclo("(x0 - x0)^5") == 0
 
 
 @pytest.mark.parametrize("text", [
@@ -209,6 +218,23 @@ def test_parse_examples():
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_cyclo(text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    # a power of a polynomial above 3 cannot be a cubic
+    (CubicForm.parse, "(x0+x1+x2+x3+x4)^100"),
+    (CubicForm.parse, "x0^4"),
+    # a power of a number is bounded by MAX_CONDUCTOR either way
+    (parse_cyclo, "2^121"),
+    (parse_cyclo, "2^-121"),
+    (parse_cyclo, "2^10000000000"),
+    (parse_cyclo, "0^10000000000"),
+])
+def test_powers_are_bounded_before_they_are_formed(parse, text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="power"):
+        parse(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_print_parse_round_trip():

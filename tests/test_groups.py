@@ -14,14 +14,12 @@ from cubicmoduli.groups import (
     MatrixGroup,
     _RightMultiplication,
     _times,
-    eigen_profile,
     fingerprint_label,
-    matrix_order,
 )
 from cubicmoduli.linalg import Matrix
 
 import fixtures as fx
-from helpers_math import exact_closure, exact_profile
+from helpers_math import exact_closure, matrix_profile
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,14 +123,15 @@ def test_index_arithmetic_matches_matrices():
     for i in range(g.order):
         inv = g.inverse_index(i)
         assert (g.elements[i] * g.elements[inv]).is_identity()
-        assert matrix_order(g.elements[i]) == g.element_order(i)
+        assert matrix_profile(g.elements[i])[0] == g.element_order(i)
 
 
 def test_powers_match_matrix_powers():
     g = _entry_group("alt5-sixpoint")
     for i in range(g.order):
         powers = g.powers(i)
-        assert len(powers) == g.element_order(i) == matrix_order(g.elements[i])
+        assert (len(powers) == g.element_order(i)
+                == matrix_profile(g.elements[i])[0])
         power = Matrix.identity(5)
         for j in powers:
             assert g.elements[j] == power
@@ -215,22 +214,23 @@ def test_order55_class_data():
     assert st.order == 55 and sum(st.sizes) == 55
 
 
+def _profile(prof):
+    """An EigenProfile in the oracle's form: (order, {k: mult})."""
+    return prof.order, prof.as_dict()
+
+
 def test_eigen_profiles():
-    p = eigen_profile(fx.C5_REGULAR)
-    assert p.order == 5
-    assert p.as_dict() == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
-
-    p = eigen_profile(fx.C3_BALANCED)
-    assert (p.order, p.as_dict()) == (3, {0: 1, 1: 2, 2: 2})
-
-    p = eigen_profile(fx.KLEIN_P)
-    assert (p.order, p.as_dict()) == (5, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1})
-
-    p = eigen_profile(Matrix.identity(5))
-    assert (p.order, p.as_dict()) == (1, {0: 5})
-
-    p = eigen_profile(fx.C2_GEN)
-    assert (p.order, p.as_dict()) == (2, {0: 3, 1: 2})
+    # the oracle on hand-checked matrices, and the class route on the
+    # groups they generate
+    for m, want in [
+            (fx.C5_REGULAR, (5, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1})),
+            (fx.C3_BALANCED, (3, {0: 1, 1: 2, 2: 2})),
+            (fx.KLEIN_P, (5, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1})),
+            (Matrix.identity(5), (1, {0: 5})),
+            (fx.C2_GEN, (2, {0: 3, 1: 2}))]:
+        assert matrix_profile(m) == want
+        g = MatrixGroup.generate([m])
+        assert _profile(g.eigen_profile_of(g.generator_indices[0])) == want
 
 
 def test_closure_with_a_denominator_past_int64():
@@ -253,13 +253,7 @@ def test_class_profiles_match_matrix_powers(name):
     g = _entry_group(name)
     for c, prof in zip(g.classes, g.class_profiles()):
         m = g.elements[c.rep_index]
-        assert prof == eigen_profile(m)
-        n = matrix_order(m)
-        traces, power = [], Matrix.identity(5)
-        for _ in range(n):
-            traces.append(power.trace())
-            power = power * m
-        assert prof.as_dict() == exact_profile(n, traces, 5)
+        assert _profile(prof) == matrix_profile(m)
 
 
 def test_subgroup_class_profiles_match_matrix_powers():
@@ -269,7 +263,8 @@ def test_subgroup_class_profiles_match_matrix_powers():
             [g.elements[i] for i in rec.generator_indices])
         assert sub.order == rec.order
         for c, prof in zip(sub.classes, sub.class_profiles()):
-            assert prof == eigen_profile(sub.elements[c.rep_index])
+            assert _profile(prof) == matrix_profile(
+                sub.elements[c.rep_index])
 
 
 def test_profiles_cover_dimension():
@@ -277,7 +272,7 @@ def test_profiles_cover_dimension():
     for i in range(g.order):
         prof = g.eigen_profile_of(i)
         assert prof.dimension() == 5
-        assert prof == eigen_profile(g.elements[i])
+        assert _profile(prof) == matrix_profile(g.elements[i])
 
 
 def test_projective_faithfulness_and_saturation():

@@ -16,13 +16,12 @@ from cubicmoduli.invariants import (
     act,
     invariant_basis,
     monomial_str,
-    reynolds_operator,
     substitution_matrix,
 )
 from cubicmoduli.linalg import Matrix, int_array, rref, split_primes
 
 import fixtures as fx
-from helpers_math import exact_substitution
+from helpers_math import exact_reynolds, exact_substitution
 
 KLEIN = "x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2"
 FERMAT = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"
@@ -170,7 +169,7 @@ def test_reynolds_operator_is_the_group_average(gens):
     total = exact_substitution(g.elements[0])
     for m in g.elements[1:]:
         total = total + exact_substitution(m)
-    assert reynolds_operator(g) == total * Fraction(1, g.order)
+    assert exact_reynolds(g) == total * Fraction(1, g.order)
 
 
 @pytest.mark.parametrize("scale, den, dtype", [
@@ -278,7 +277,7 @@ def _assert_matches_transpose_echelon_basis(g, space):
     """The space against the row reduction of R^T, R the exact Reynolds
     operator: the same basis, the same values read off it, and R's
     nonzero columns as the spanning forms."""
-    R = reynolds_operator(g)
+    R = exact_reynolds(g)
     rank_, reduced, _ = rref(R.transpose())
     basis = tuple(CubicForm(reduced.row(i)) for i in range(rank_))
     assert space.basis == basis

@@ -554,11 +554,13 @@ def _traced_peak_mib(fn):
 
 def test_scan_memory_at_the_largest_prime():
     # the array scan over the p^4 points of a chart peaked at 1.24 GiB,
-    # the scan over all of P^3 at once at 89 MiB; in blocks about 21 MiB
+    # the scan over all of P^3 at once at 89 MiB, in blocks about
+    # 21 MiB, and in blocks that solve 3 x4^2 (A != 0) first, not
+    # 3 x0^2 (p candidates at each prefix with x0 = 0), about 1 MiB
     res, peak = _traced_peak_mib(lambda: singular_scan(FERMAT, 127))
     assert res.smooth
     assert res.points == 262209281
-    assert peak < 30
+    assert peak < 2
 
 
 def test_dense_scan_memory_at_43():
