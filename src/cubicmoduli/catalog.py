@@ -6,7 +6,7 @@ representatives, and optionally a cubic form every generator must fix.
 load() regenerates the group (a closure on integer arrays, see
 `groups`) and re-checks the whole contract every time: order, class
 traces, and the fixed form under each generator, whose inverse comes
-from the group's table.  A corrupted fixture fails loudly instead of
+from the group's tables.  A corrupted fixture fails loudly instead of
 feeding silently wrong numbers into reports.
 
 The environment variable CUBICMODULI_CATALOG may name a directory of
@@ -100,6 +100,9 @@ def load_entry(name: str) -> CatalogEntry:
             if len(rows) != 5 or any(len(r) != 5 for r in rows):
                 raise ValueError("generators must be 5x5")
             gens.append(Matrix([[value(v) for v in r] for r in rows]))
+        if not (isinstance(raw["notes"], list)
+                and all(isinstance(s, str) and s for s in raw["notes"])):
+            raise ValueError("notes must be a list of non-empty strings")
         notes = tuple(raw["notes"])
         if len(notes) != len(gens):
             raise ValueError("one note per generator required")

@@ -17,9 +17,10 @@ one exact value per distinct entry.
 
 After the closure every group operation is an integer lookup on the
 tables it built: the generators' indices, one right-multiplication row
-per generator, the BFS tree and, up to _TABLE_LIMIT elements, the full
-right-multiplication table.  Above the limit a product e_i * e_j walks
-e_j's BFS word through the generator rows.  Powers are cached once per
+per generator and the BFS tree.  At every order, a product e_i * e_j
+pushes e_i through e_j's BFS word, and e_j's whole row composes the
+generator rows along it, so no table of order^2 indices is kept
+(psl2-11's closure retains about 1.5 MiB).  Powers are cached once per
 element and give orders and inverses; one orbit walk gives conjugacy
 classes, conjugacy orbits of subgroups and subgroup closures.
 Eigenvalue profiles come from the class traces: each multiplicity is a
@@ -50,7 +51,6 @@ DEFAULT_CAP = 20000
 ORDER_BOUND = 1000
 # the largest group order subgroups_two_generated is sized for
 SUBGROUP_SCAN_LIMIT = 1000
-_TABLE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,13 @@ class SubgroupRecord:
 
 
 class MatrixGroup:
-    def __init__(self, *, dens, nums, generators, generator_indices, table,
-                 steps, parent, identity_index, conductor):
+    def __init__(self, *, dens, nums, generators, generator_indices, steps,
+                 parent, identity_index, conductor):
         # internal; use MatrixGroup.generate
         self._dens = dens  # per element: its positive denominator
         self._nums = nums  # per element: its (d, d, phi) numerators
         self.generators: tuple[Matrix, ...] = generators
         self.generator_indices: tuple[int, ...] = generator_indices
-        self._table = table  # per-element right-multiplication rows, or None
         self._steps = steps  # per-generator right-multiplication rows
         self._parent = parent  # (parent index, generator index), BFS tree
         self.identity_index = identity_index
@@ -234,32 +233,12 @@ class MatrixGroup:
                               dtype=np.intp)
         old_to_new = np.empty(order, dtype=np.intp)
         old_to_new[new_to_old] = np.arange(order)
-        # one shared int per index, so that rows of indices stay small
-        ints = list(range(order))
-
-        def canonical(row):
-            return list(map(ints.__getitem__, old_to_new[row][new_to_old].tolist()))
-
-        gen_rows = np.array(rmul_gen, dtype=np.intp)
-        table = None
-        if order <= _TABLE_LIMIT:
-            # row a maps i to the index of e_i * e_a, composed along the
-            # BFS tree: e_i * (e_p * g) = (e_i * e_p) * g
-            full = np.empty((order, order), dtype=np.intp)
-            full[0] = np.arange(order)
-            for child in range(1, order):
-                p, gi = parent[child]
-                full[child] = gen_rows[gi][full[p]]
-            # row by row, so that no temporary of the table's size is made
-            table = [canonical(full[a]) for a in new_to_old]
-
         return cls(
             dens=dens[new_to_old],
             nums=nums[new_to_old].reshape(order, d, d, -1),
             generators=tuple(gens),
             generator_indices=tuple(int(old_to_new[row[0]]) for row in rmul_gen),
-            table=table,
-            steps=[canonical(row) for row in gen_rows],
+            steps=[old_to_new[r][new_to_old].tolist() for r in rmul_gen],
             parent=[(-1, -1) if p < 0 else (int(old_to_new[p]), gi)
                     for p, gi in (parent[old] for old in new_to_old.tolist())],
             identity_index=int(old_to_new[0]),
@@ -306,28 +285,40 @@ class MatrixGroup:
     # ------------------------------------------------------------------
     # index arithmetic
 
-    def mult(self, i: int, j: int) -> int:
-        """The index of e_i * e_j: a table lookup, or above the table
-        limit e_i times e_j's BFS word, one generator row at a time."""
-        if self._table is not None:
-            return self._table[j][i]
+    def _word(self, j: int) -> list[int]:
+        """The generators whose rows, in this order, take e to e_j."""
         word = []
         while j != self.identity_index:
             j, gi = self._parent[j]
             word.append(gi)
-        for gi in reversed(word):
+        return word[::-1]
+
+    def mult(self, i: int, j: int) -> int:
+        """The index of e_i * e_j: e_i pushed through e_j's BFS word,
+        one generator row at a time."""
+        for gi in self._word(j):
             i = self._steps[gi][i]
         return i
+
+    def row(self, j: int) -> list[int]:
+        """The right-multiplication row of e_j: entry i is the index of
+        e_i * e_j, composed from the generator rows along e_j's word."""
+        row = list(range(self.order))
+        for gi in self._word(j):
+            row = list(map(self._steps[gi].__getitem__, row))
+        return row
 
     def powers(self, i: int) -> tuple[int, ...]:
         """(e, g, g^2, ..., g^(k-1)) for g = e_i of order k."""
         got = self._powers.get(i)
         if got is None:
+            steps = [self._steps[gi] for gi in self._word(i)]
             got = [self.identity_index]
             j = i
             while j != self.identity_index:
                 got.append(j)
-                j = self.mult(j, i)
+                for step in steps:
+                    j = step[j]
             got = self._powers[i] = tuple(got)
         return got
 
@@ -384,9 +375,9 @@ class MatrixGroup:
         """Per generator g, the row mapping x to the index of g x g^-1."""
         if self._conj is None:
             self._conj = [
-                [self.mult(self.mult(g, x), ginv) for x in range(self.order)]
-                for g, ginv in ((g, self.inverse_index(g))
-                                for g in self.generator_indices)]
+                [by_ginv[self.mult(g, x)] for x in range(self.order)]
+                for g, by_ginv in ((g, self.row(self.inverse_index(g)))
+                                   for g in self.generator_indices)]
         return self._conj
 
     # ------------------------------------------------------------------
@@ -461,12 +452,12 @@ class MatrixGroup:
             raise CapExceededError(
                 f"group of order {self.order} is above the subgroup scan "
                 f"limit {SUBGROUP_SCAN_LIMIT}")
-        assert self._table is not None
 
         # distinct cyclic subgroups with one generator each
         cyclic = {}
         for i in range(self.order):
             cyclic.setdefault(frozenset(self.powers(i)), i)
+        rows = {i: self.row(i) for i in cyclic.values()}
 
         # s -> g s g^-1 for each generator g
         conj = [lambda s, row=row: frozenset(map(row.__getitem__, s))
@@ -492,8 +483,8 @@ class MatrixGroup:
                 # right multiplication by a and b reaches every word in
                 # them, which is the whole subgroup <a, b>
                 h = frozenset(_orbit(self.identity_index,
-                                     [self._table[a].__getitem__,
-                                      self._table[b].__getitem__]))
+                                     [rows[a].__getitem__,
+                                      rows[b].__getitem__]))
                 subgroups.setdefault(h, (a, b))
 
         # dedupe up to conjugacy, keeping the lexicographically least set

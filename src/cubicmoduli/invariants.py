@@ -327,7 +327,7 @@ def _reynolds_array(group):
 
     # left coset representatives of <h>: the coset of i is its orbit
     # under right multiplication by h
-    by_h = [group.mult(i, h_idx) for i in range(group.order)]
+    by_h = group.row(h_idx)
     reps, seen = [], set()
     for i in range(group.order):
         if i not in seen:
@@ -390,11 +390,16 @@ def _sum_of_images(arrays, factors, n):
                    dtype=arrays.dtype)
     for A in arrays:
         nonzero = (A != 0).any(axis=-1)
-        s, a, b, c = np.nonzero(nonzero[p, :, None, None]
-                                & nonzero[q, None, :, None]
-                                & nonzero[r, None, None, :])
-        acc[s, a, b, c] += _convolve(_convolve(A[p[s], a], A[q[s], b]),
-                                     A[r[s], c])
+        found = np.nonzero(nonzero[p, :, None, None]
+                           & nonzero[q, None, :, None]
+                           & nonzero[r, None, None, :])
+        # in blocks of 512 products, each temporary stays below glibc's
+        # 128 KiB mmap threshold (phi <= 10), so its pages come from the
+        # heap again instead of being faulted in afresh on every call
+        for k in range(0, len(found[0]), 512):
+            s, a, b, c = (x[k:k + 512] for x in found)
+            acc[s, a, b, c] += _convolve(_convolve(A[p[s], a], A[q[s], b]),
+                                         A[r[s], c])
     flat = acc.reshape(len(factors), N_VARS ** 3, 3 * phi - 2)
     collapsed = np.add.reduceat(flat[:, _BY_MONOMIAL], _MONOMIAL_STARTS,
                                 axis=1)

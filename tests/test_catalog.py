@@ -115,11 +115,23 @@ def _no_generators(doc):
     doc["generators"], doc["notes"] = [], []
 
 
+def _string_notes(doc):
+    # two characters for two generators: not one note per generator
+    doc["notes"] = "ab"
+
+
+def _number_notes(doc):
+    doc["notes"] = [1, 2]
+
+
 @pytest.mark.parametrize("name, change, message", [
     ("c2-sign", _zero_denominator_generator, "division by zero"),
     ("z11-klein", _zero_denominator_form, "division by zero"),
     ("c2-sign", _no_generators, "at least one generator"),
-], ids=["generator", "fixed-form", "no-generators"])
+    ("alt4-klein", _string_notes, "notes must be a list"),
+    ("alt4-klein", _number_notes, "notes must be a list"),
+], ids=["generator", "fixed-form", "no-generators", "string-notes",
+        "number-notes"])
 def test_malformed_entry_is_a_parse_error(tmp_path, name, change, message):
     with pytest.raises(ParseError, match=message):
         catalog.load_entry(_write_variant(tmp_path, name, change))

@@ -1,12 +1,14 @@
 import functools
+import gc
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from cubicmoduli import catalog, groups
+from cubicmoduli import catalog
 from cubicmoduli.audit import check_criterion
 from cubicmoduli.cyclo import cyclo, root_of_unity
 from cubicmoduli.errors import CapExceededError, NotFiniteError
@@ -27,11 +29,17 @@ def _entry_group(name):
     return catalog.load(name)
 
 
-def _assert_matches_exact_closure(g, gens):
-    elements, rmul, identity_index, conductor = exact_closure(gens)
+@functools.lru_cache(maxsize=None)
+def _entry_oracle(name):
+    # psl2-11's exact closure takes seconds: build each entry's once
+    return exact_closure(list(catalog.load_entry(name).generators))
+
+
+def _assert_matches_exact_closure(g, oracle):
+    elements, rmul, identity_index, conductor = oracle
     assert g.order == len(elements)
     assert list(g.elements) == elements
-    assert g._table == rmul
+    assert [g.row(j) for j in range(g.order)] == rmul
     assert g.identity_index == identity_index
     assert g.conductor == conductor
 
@@ -71,7 +79,7 @@ def test_cap_enforced():
 @pytest.mark.parametrize("name", catalog.entry_ids())
 def test_closure_matches_exact_products(name):
     g = _entry_group(name)
-    _assert_matches_exact_closure(g, list(catalog.load_entry(name).generators))
+    _assert_matches_exact_closure(g, _entry_oracle(name))
 
 
 def test_closure_with_rational_conjugation():
@@ -80,7 +88,7 @@ def test_closure_with_rational_conjugation():
     # the generators', and products must be brought to lowest terms
     gens = fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 2, 4, 1, 1)
     g = MatrixGroup.generate(gens)
-    _assert_matches_exact_closure(g, gens)
+    _assert_matches_exact_closure(g, exact_closure(gens))
 
     def den(m):
         return math.lcm(*(c.denominator for v in m.data
@@ -102,7 +110,7 @@ def test_closure_past_the_int64_bound(scale):
     assert nums.dtype == object
     g = MatrixGroup.generate(gens)
     assert g.order == 55
-    _assert_matches_exact_closure(g, gens)
+    _assert_matches_exact_closure(g, exact_closure(gens))
 
 
 def test_generation_is_deterministic():
@@ -149,29 +157,31 @@ def test_power_index_reduces_the_exponent_mod_the_order():
 
 
 @pytest.mark.parametrize("name", catalog.entry_ids())
-def test_word_walk_above_the_table_limit_matches_the_table(name, monkeypatch):
+def test_word_walk_above_the_table_limit_matches_the_table(name):
+    # the BFS-word walk is the only product route at every order; the
+    # oracle's table of exact products checks it
     g = _entry_group(name)
-    monkeypatch.setattr(groups, "_TABLE_LIMIT", 0)
-    walk = catalog.load(name)
-    assert walk._table is None and g._table is not None
-    assert walk.elements == g.elements
+    _, rmul, identity_index, _ = _entry_oracle(name)
     if g.order <= 60:
         pairs = [(i, j) for i in range(g.order) for j in range(g.order)]
     else:
         rng = random.Random(11)
         pairs = [(rng.randrange(g.order), rng.randrange(g.order))
                  for _ in range(2000)]
-    assert [walk.mult(i, j) for i, j in pairs] == [g.mult(i, j) for i, j in pairs]
+    assert [g.mult(i, j) for i, j in pairs] == [rmul[j][i] for i, j in pairs]
+    for j in sorted({j for _, j in pairs}):
+        assert g.row(j) == rmul[j]
     for i in range(g.order):
-        assert walk.inverse_index(i) == g.inverse_index(i)
-        assert walk.element_order(i) == g.element_order(i)
-    assert walk.classes == g.classes
-    assert walk.class_profiles() == g.class_profiles()
+        powers = [identity_index]
+        while rmul[i][powers[-1]] != identity_index:
+            powers.append(rmul[i][powers[-1]])
+        assert g.element_order(i) == len(powers)
+        assert rmul[g.inverse_index(i)][i] == identity_index
 
 
 def test_fermat_automorphism_group_above_the_table_limit():
     # {diag(zeta_3^a) : sum a = 0 mod 3} x| S_5, the projective
-    # automorphism group of the Fermat cubic, has no full table
+    # automorphism group of the Fermat cubic
     def permutation(images):
         return Matrix([[1 if images[j] == i else 0 for j in range(5)]
                        for i in range(5)])
@@ -179,8 +189,7 @@ def test_fermat_automorphism_group_above_the_table_limit():
     g = MatrixGroup.generate([fx.diag(fx.W, fx.W ** 2, 1, 1, 1),
                               permutation([1, 0, 2, 3, 4]),
                               permutation([1, 2, 3, 4, 0])])
-    assert g.order == 9720 > groups._TABLE_LIMIT
-    assert g._table is None
+    assert g.order == 9720
     start = time.perf_counter()
     report = check_criterion(g, "fermat")
     elapsed = time.perf_counter() - start
@@ -190,6 +199,23 @@ def test_fermat_automorphism_group_above_the_table_limit():
     assert report.criterion_holds is True
     assert str(report.cyclic_locus).startswith("CertifiedYes(")
     assert elapsed < 1.0
+
+
+def test_closure_memory_is_linear_in_the_order():
+    # psl2-11 (order 660): the group keeps its integer arrays and one
+    # row per generator, about 1.5 MiB; an order x order table of
+    # indices would add about 3 MiB more
+    gens = list(catalog.load_entry("psl2-11").generators)
+    MatrixGroup.generate(gens)  # the conductor's power tables, cached
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = MatrixGroup.generate(gens)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 660
+    assert retained < 2.5 * 2 ** 20
 
 
 def test_alt4_class_data():
@@ -245,7 +271,7 @@ def test_closure_with_a_denominator_past_int64():
     gens = [reflection, fx.diag(-1, -1, fx.W, 1, 1)]
     g = MatrixGroup.generate(gens)
     assert g.order == 12
-    _assert_matches_exact_closure(g, gens)
+    _assert_matches_exact_closure(g, exact_closure(gens))
 
 
 @pytest.mark.parametrize("name", catalog.entry_ids())
