@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cubicmoduli import audit, catalog, smoothprobe
@@ -145,6 +146,13 @@ def test_cone_is_caught():
     assert res.points == 2801
 
 
+def test_lone_partial_with_x4_squared():
+    # dF/dx4 = 3 x4^2 is the only partial, and no other is left to
+    # filter the prefixes by: singular wherever x4 = 0
+    res = singular_scan(CubicForm.parse("x4^3"), 7)
+    assert (res.points, res.first_singular) == (1, (1, 0, 0, 0, 0))
+
+
 def test_scan_is_deterministic():
     cone = CubicForm.parse("x0^3 + x1^3 + x3^3 + x0*x1*x4")
     a = singular_scan(cone, 11)
@@ -280,6 +288,9 @@ def _substitute(coeffs, chart, shifts, p):
     return out
 
 
+X3_ONE = {(1, 0, 0, 1, 1), (1, 0, 0, 2, 0)}
+
+
 def _random_cubic(rng, p, kind):
     """Seeded test cubics mod p:
     dense    every coefficient random
@@ -294,6 +305,16 @@ def _random_cubic(rng, p, kind):
              for every x4 over each prefix with x1 = 0
     square   a*x0*(x4 + linear form in x1..x3)^2 plus a form in x1..x4:
              dF/dx0 is a square in x4, a double root at every prefix
+    x4-cube  x4 only in a*x4^3: no partial but dF/dx4 has x4, so the
+             pairs' resultants in x3 vanish identically
+    x3-flat  no monomial divisible by x3^2 or x3*x4: no partial has an
+             x3*x4 or x3^2 term, so the resultants have no x3^3 term
+    x3-one   x3 only in x0*x3*x4 and x0*x3^2: of the partials only dF/dx0
+             has an x3*x4 or x3^2 term, so again no resultant has an
+             x3^3 term, and few partials are free of x4 anywhere
+    binomial two random monomials
+    monomial one random monomial; x4^3 leaves one partial, 3*x4^2,
+             and no form linear in x4 to filter the prefixes with
     """
     while True:
         if kind == "dense":
@@ -317,6 +338,20 @@ def _random_cubic(rng, p, kind):
                       else 0 for m in MONOMIALS]
             if not any(c for c, m in zip(coeffs, MONOMIALS) if m[0]):
                 continue
+        elif kind == "x4-cube":
+            coeffs = [0 if m[4] else rng.randrange(p) for m in MONOMIALS]
+            coeffs[MONOMIAL_INDEX[(0, 0, 0, 0, 3)]] = rng.randrange(1, p)
+        elif kind == "x3-flat":
+            coeffs = [0 if m[3] >= 2 or (m[3] and m[4]) else rng.randrange(p)
+                      for m in MONOMIALS]
+        elif kind == "x3-one":
+            coeffs = [rng.randrange(p) if not m[3] or m in X3_ONE else 0
+                      for m in MONOMIALS]
+        elif kind in ("binomial", "monomial"):
+            coeffs = [0] * len(MONOMIALS)
+            for i in rng.sample(range(len(MONOMIALS)),
+                                2 if kind == "binomial" else 1):
+                coeffs[i] = rng.randrange(1, p)
         elif kind == "square":
             coeffs = [0 if m[0] else rng.randrange(p) for m in MONOMIALS]
             a = rng.randrange(1, p)
@@ -345,7 +380,9 @@ def _random_cubic(rng, p, kind):
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "cone", "line",
-                                  "late", "flat", "every", "square"])
+                                  "late", "flat", "every", "square",
+                                  "x4-cube", "x3-flat", "x3-one",
+                                  "binomial", "monomial"])
 @pytest.mark.parametrize("prime,count", [(5, 12), (7, 6), (11, 2)])
 def test_scan_matches_point_by_point_walk(prime, count, kind):
     rng = random.Random(f"{prime}/{kind}")
@@ -356,7 +393,7 @@ def test_scan_matches_point_by_point_walk(prime, count, kind):
 
 
 # ----------------------------------------------------------------------
-# the blocked scan against every partial evaluated at every point
+# the scan against every partial evaluated at every point
 
 def _witness_in_chart(rng, p, chart):
     """A seeded cubic mod p whose first singular point lies in the given
@@ -391,6 +428,12 @@ def test_scan_matches_brute_force(prime, one_row, monkeypatch):
              for kind in ("dense", "sparse") for _ in range(4)
              for coeffs in [_random_cubic(rng, prime, kind)]]
     cases += [_witness_in_chart(rng, prime, chart) for chart in (2, 3, 4)]
+    # forms whose prefix filter falls back from a cubic in x3
+    cases += [(coeffs, brute_force_scan(coeffs, prime))
+              for kind in ("x4-cube", "x3-flat", "x3-one", "flat",
+                           "binomial")
+              for _ in range(2)
+              for coeffs in [_random_cubic(rng, prime, kind)]]
     for coeffs, ref in cases:
         assert singular_scan(coeffs, prime) == ref, coeffs
     witnesses = {ref.first_singular[:3] for _, ref in cases
@@ -533,6 +576,21 @@ PINNED_SCANS = [
     (43, "25*x0^2*x4 + 9*x0*x1*x4 + 25*x0*x2*x3 + 27*x0*x3^2 + 6*x1^2*x2"
          " + 25*x1*x2^2 + 8*x1*x2*x4 + 13*x2*x4^2",
      3419418, (0, 1, 0, 14, 14)),
+    # p = 127, as computed by the scan that solved one partial for x4
+    # at every point of P^3
+    (127, "124*x0^3 + 98*x0^2*x1 + 123*x0^2*x2 + 20*x0^2*x3"
+          " + 101*x0^2*x4 + 31*x0*x1^2 + 120*x0*x1*x2 + 99*x0*x1*x3"
+          " + 22*x0*x1*x4 + 45*x0*x2^2 + 45*x0*x2*x3 + 100*x0*x2*x4"
+          " + 82*x0*x3^2 + 5*x0*x3*x4 + 125*x0*x4^2 + 49*x1^3"
+          " + 66*x1^2*x2 + 71*x1^2*x3 + 116*x1^2*x4 + 119*x1*x2^2"
+          " + 27*x1*x2*x3 + 66*x1*x2*x4 + 122*x1*x3^2 + 62*x1*x3*x4"
+          " + 24*x1*x4^2 + 5*x2^3 + 67*x2^2*x3 + 32*x2^2*x4"
+          " + 97*x2*x3^2 + 54*x2*x3*x4 + 20*x2*x4^2 + 23*x3^3"
+          " + 7*x3^2*x4 + 107*x3*x4^2 + 47*x4^3",
+     260716227, (0, 1, 35, 55, 85)),
+    (127, "28*x0^2*x4 + 53*x0*x1*x2 + 47*x1^3 + 26*x2^2*x4"
+          " + 107*x2*x3^2 + 29*x2*x3*x4",
+     262209216, (0, 0, 0, 1, 62)),
 ]
 
 
@@ -541,6 +599,61 @@ def test_singular_scan_at_large_primes_is_pinned(prime, text, points,
                                                  witness):
     assert singular_scan(CubicForm.parse(text), prime) == ScanResult(
         prime, False, points, witness)
+
+
+@pytest.mark.parametrize("kind", ["dense", "x4-cube", "x3-flat", "x3-one"])
+def test_scan_searches_o_p2_prefixes(kind, monkeypatch):
+    # the prefix filter leaves at most three values of x3 over each
+    # point of P^2, and e_3, whether a pair's resultant is a cubic in
+    # x3 (dense) or not; a walk of all p^3 + p^2 + p + 1 points of P^3
+    # would send 81,400 prefixes at p = 43
+    p = 43
+    rng = random.Random(f"route/{kind}")
+    coeffs = _random_cubic(rng, p, kind)
+    real = smoothprobe._first_candidate
+    searched = []
+
+    def counted(a0, B, C, prefix, p):
+        searched.append(len(prefix))
+        return real(a0, B, C, prefix, p)
+
+    monkeypatch.setattr(smoothprobe, "_first_candidate", counted)
+    singular_scan(coeffs, p)
+    assert 0 < sum(searched) <= 3 * (p * p + p + 1) + 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 43, 127])
+def test_cubic_root_table_matches_brute_force(p):
+    roots = smoothprobe._cubic_tables(p)[1]
+    z = np.arange(p)
+    for b in range(p):
+        # value[c, z] = z^3 + b z + c mod p
+        value = (z ** 3 + b * z + np.arange(p)[:, None]) % p
+        for c in range(p):
+            listed = [int(v) for v in roots[b, c] if v >= 0]
+            assert listed == np.flatnonzero(value[c] == 0).tolist(), (b, c)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_roots_in_x3_match_brute_force(p):
+    # every cubic y^3 + a y^2 + b y + c and every quadratic mod p
+    a, b, c = np.indices((p, p, p), dtype=np.int16).reshape(3, -1)
+    y = np.arange(p)
+    cubic = smoothprobe._cubic_roots_in_y(a, b, c, p)
+    value = (((y + a[:, None]) * y + b[:, None]) * y + c[:, None]) % p
+    for i in range(len(a)):
+        assert sorted(v for v in cubic[i].tolist() if v >= 0) == \
+            np.flatnonzero(value[i] == 0).tolist()
+    roots, every = smoothprobe._quadratic_roots_in_y(np.stack((a, b, c)), p)
+    value = ((a[:, None] * y + b[:, None]) * y + c[:, None]) % p
+    for i in range(len(a)):
+        found = set(roots[i].tolist()) - {-1}
+        zeros = set(np.flatnonzero(value[i] == 0).tolist())
+        assert every[i] == (a[i] == b[i] == c[i] == 0)
+        if a[i] == b[i] == 0:
+            assert found == set()  # a constant
+        else:
+            assert zeros <= found <= zeros | {0}
 
 
 def _traced_peak_mib(fn):
