@@ -359,7 +359,11 @@ def lattice_report(group: MatrixGroup) -> list[LatticeRow]:
         else:
             gens = [group.elements[i] for i in rec.generator_indices]
             sub = MatrixGroup.generate(gens)
-            assert sub.order == len(rec.element_indices)
+            if sub.order != len(rec.element_indices):
+                raise InconsistencyError(
+                    f"subgroup {rec.label}: closure of its generators has "
+                    f"order {sub.order}, the subgroup scan found "
+                    f"{len(rec.element_indices)} elements")
         report = check_criterion(sub, group_id=rec.label)
         rows.append(LatticeRow(
             label=rec.label,

@@ -78,7 +78,9 @@ def load_entry(name: str) -> CatalogEntry:
     """Parse one entry file; no group generation happens here."""
     path = _resolve(name)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from None
     try:

@@ -10,6 +10,9 @@ produce the same object state.
 
 Coefficients are integer vectors over one positive denominator; Phi_n is
 monic with integer coefficients, so reduction never leaves the integers.
+Division uses the same multiplication and Galois action: the inverse of
+x is the product of its other Galois conjugates over the norm of x, the
+product of all of them, which is a nonzero rational.
 
 Text format: E(n) denotes zeta_n, E(n)^k its k-th power, and a value is a
 sum of terms with rational literals, e.g. "-1/2*E(11)^3 + 2".  str() and
@@ -379,29 +382,20 @@ class Cyclotomic:
         return result
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_n over Q[x]."""
+        """Multiplicative inverse by the Galois norm: x^-1 = others / N,
+        where others is the product of the conjugates sigma_t(x) for t in
+        2..n-1 coprime to the conductor n, and N = x * others, the
+        product of all conjugates, is a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self._n == 1:
             sign = 1 if self._num[0] > 0 else -1
             return Cyclotomic._make(1, [self._den * sign], abs(self._num[0]))
-        # invariant: r_i = s_i * self (mod Phi_n); ends with r0 a nonzero
-        # constant because Phi_n is squarefree and self is nonzero mod Phi_n
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self._n)]
-        r1 = _trim([Fraction(v, self._den) for v in self._num])
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q = _poly_div(r0, r1)
-            r0, r1 = r1, _poly_sub_mul(r0, q, r1)
-            s0, s1 = s1, _poly_sub_mul(s0, q, s1)
-        assert len(r0) == 1 and r0[0]
-        coeffs = [c / r0[0] for c in s0]
-        den = math.lcm(*[c.denominator for c in coeffs])
-        phi = len(_power_table(self._n)[0])
-        assert len(coeffs) <= phi
-        num = [int(c * den) for c in coeffs] + [0] * (phi - len(coeffs))
-        return Cyclotomic._make(self._n, num, den)
+        others = ONE
+        for t in range(2, self._n):
+            if math.gcd(t, self._n) == 1:
+                others = others * self.galois(t)
+        return others / (self * others).as_rational()
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -499,40 +493,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({str(self)!r})"
-
-
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_div(a, b):
-    # quotient of a by b over Q, coefficients low to high, b nonzero
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for i, v in enumerate(b):
-            a[shift + i] -= c * v
-        a.pop()
-    return q
-
-
-def _poly_sub_mul(a, q, b):
-    # a - q*b, trimmed
-    out = list(a) + [Fraction(0)] * max(len(q) + len(b) - 1 - len(a), 0)
-    for i, qc in enumerate(q):
-        if qc:
-            for j, bc in enumerate(b):
-                if bc:
-                    out[i + j] -= qc * bc
-    return _trim(out)
 
 
 def _coerce(value):
@@ -655,6 +615,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -667,6 +628,16 @@ class _Parser:
             raise ValueError(f"expected {expected!r}, got {tok!r}")
         self.pos += 1
         return tok
+
+    def nested(self, parse) -> dict:
+        # one level of '(' or unary '-': bounded at 100 so that deep input
+        # fails with a ValueError well inside Python's recursion limit
+        if self.depth == 100:
+            raise ValueError("parentheses and signs nest more than 100 deep")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def integer(self) -> int:
         tok = self.take()
@@ -698,7 +669,7 @@ class _Parser:
     def factor(self) -> dict:
         if self.peek() == "-":
             self.take()
-            return _negate(self.factor())
+            return _negate(self.nested(self.factor))
         base = self.atom()
         if self.peek() != "^":
             return base
@@ -729,7 +700,7 @@ class _Parser:
     def atom(self) -> dict:
         tok = self.take()
         if tok == "(":
-            value = self.expr()
+            value = self.nested(self.expr)
             self.take(")")
             return value
         if tok.isdigit():
@@ -758,7 +729,9 @@ def parse_polynomial(text: str) -> dict:
     0.13 s and E(1212) in 3.2 s (2-vCPU VM, Python 3.11.7).  E(n) for
     n = 2 mod 4 is built from the tables of n/2.  A power of a base with
     a variable term is at most 3, and of a number at most MAX_CONDUCTOR
-    in absolute value; both are checked before any product is formed."""
+    in absolute value; both are checked before any product is formed.
+    Parentheses and unary minus signs nest at most 100 deep together, so
+    that deep input is a ValueError, not a RecursionError."""
     parser = _Parser(_tokenize(text))
     value = parser.expr()
     if parser.peek() is not None:

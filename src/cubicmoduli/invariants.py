@@ -27,9 +27,8 @@ representative at a time.  Only at the end are the 125 products
 collapsed onto the 35 monomials and reduced mod Phi_n.  int64 is used
 when a bound on the sums, computed from the input, proves it cannot
 overflow; otherwise the same code runs on Python ints.  This kernel,
-`_sum_of_images`, is the package's only substitution: `act`,
-`substitution_matrix` and `fixed_by` run it on the array of one g^-1
-and make exact values from its output.
+`_sum_of_images`, is the package's only substitution: `fixed_by` runs
+it on the array of one g^-1 and makes exact values from its output.
 
 Forms are read by the package's one expression parser
 (`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
@@ -85,12 +84,9 @@ from .groups import _big, _orbit
 from .linalg import (
     RANK_PRIME_ATTEMPTS,
     Matrix,
-    conductor_of,
-    int_array,
     pivots_mod_p,
     reduce_mod_p,
     rref,
-    solve_in_span,
     split_primes,
 )
 
@@ -249,14 +245,6 @@ class CubicForm:
 # ----------------------------------------------------------------------
 # group action
 
-def _inverse_array(g: Matrix):
-    """(A, den, n): g^-1 as a one-element `int_array` over zeta_n, n the
-    conductor of its entries."""
-    inv = g.inverse()
-    n = conductor_of(inv.data)
-    return (*int_array([inv], n), n)
-
-
 def _substituted(A, den, n, form: CubicForm) -> CubicForm:
     """F(g^-1 x) for A, den the array of g^-1 over zeta_n: the images of
     F's monomials from the kernel, over den^3, combined exactly with F's
@@ -273,25 +261,12 @@ def _substituted(A, den, n, form: CubicForm) -> CubicForm:
     return CubicForm(coeffs)
 
 
-def act(g: Matrix, form: CubicForm) -> CubicForm:
-    """The substituted form F(g^-1 x)."""
-    return _substituted(*_inverse_array(g), form)
-
-
 def fixed_by(group, i: int, forms) -> bool:
-    """Whether act(g, F) == F for every form F, g the element of index i
+    """Whether F(g^-1 x) == F for every form F, g the element of index i
     of group; g^-1 is read from the group's arrays, not computed by an
     exact matrix inverse."""
     A, den = group.arrays([group.inverse_index(i)])
     return all(_substituted(A, den, group.conductor, f) == f for f in forms)
-
-
-def substitution_matrix(g: Matrix) -> Matrix:
-    """35x35 matrix S with S * coeffs(F) = coeffs(F(g^-1 x))."""
-    A, den, n = _inverse_array(g)
-    images = _sum_of_images(A, [_factors(e) for e in MONOMIALS], n)
-    return Matrix([[_exact(n, value, den ** 3) for value in row]
-                   for row in images.transpose(1, 0, 2).tolist()])
 
 
 def _diagonal_of_largest_order(group):
@@ -477,10 +452,17 @@ class InvariantSpace:
         return tuple(CubicForm(reduced.row(i)) for i in range(rank_))
 
     def contains(self, form: CubicForm) -> bool:
-        if not self.basis:
-            return not form
-        rows = [list(b.coefficients) for b in self.basis]
-        return solve_in_span(rows, list(form.coefficients))
+        """Whether form lies in the space: each row of the echelon basis
+        has a 1 at its pivot, its first nonzero coefficient, where every
+        other row is 0, so subtracting each row times form's coefficient
+        there leaves zero exactly for the members."""
+        rest = form.coefficients
+        for row in self.basis:
+            coeffs = row.coefficients
+            at_pivot = rest[next(i for i, c in enumerate(coeffs) if c)]
+            if at_pivot:
+                rest = [r - at_pivot * c for r, c in zip(rest, coeffs)]
+        return not any(rest)
 
     def variable_support(self) -> tuple:
         return tuple(i for i in range(N_VARS)

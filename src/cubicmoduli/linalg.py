@@ -146,15 +146,6 @@ class Matrix:
             acc = acc + self[i, i]
         return acc
 
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self[i, j] == (ONE if i == j else ZERO)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
     def inverse(self) -> "Matrix":
         assert self.rows == self.cols
         n = self.rows
@@ -197,19 +188,6 @@ def rref(m: Matrix):
         if rank == m.rows:
             break
     return rank, Matrix(rows), tuple(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[0]
-
-
-def solve_in_span(basis_rows: list, target) -> bool:
-    """Whether target (a coefficient vector) lies in the row span of
-    basis_rows; all entries Cyclotomic-coercible."""
-    stacked = Matrix(list(basis_rows) + [list(target)])
-    base = Matrix(basis_rows) if basis_rows else None
-    base_rank = rank(base) if base is not None else 0
-    return rank(stacked) == base_rank
 
 
 def int_array(mats, n: int):

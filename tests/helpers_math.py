@@ -7,8 +7,16 @@ from fractions import Fraction
 import numpy as np
 
 from cubicmoduli.cyclo import cyclo, from_power_basis, root_of_unity
-from cubicmoduli.invariants import MONOMIALS, N_VARS, _reynolds_array
-from cubicmoduli.linalg import Matrix
+from cubicmoduli.invariants import (
+    MONOMIALS,
+    N_VARS,
+    _exact,
+    _factors,
+    _reynolds_array,
+    _substituted,
+    _sum_of_images,
+)
+from cubicmoduli.linalg import Matrix, conductor_of, int_array
 from cubicmoduli.smoothprobe import ScanResult
 
 
@@ -86,7 +94,7 @@ def matrix_profile(m):
     as `exact_profile` reads them.  n is the least k with m^k the
     identity."""
     traces, power = [], Matrix.identity(m.rows)
-    while not traces or not power.is_identity():
+    while not traces or power != Matrix.identity(m.rows):
         assert len(traces) < 1000, "order above 1000"
         traces.append(power.trace())
         power = power * m
@@ -135,6 +143,30 @@ def exact_substitution(g):
             column[index[key]] = value
         columns.append(column)
     return Matrix([list(row) for row in zip(*columns)])
+
+
+def _inverse_array(g):
+    """(A, den, n): g^-1, by Matrix.inverse, as a one-element `int_array`
+    over zeta_n, n the conductor of its entries."""
+    inv = g.inverse()
+    n = conductor_of(inv.data)
+    return (*int_array([inv], n), n)
+
+
+def act(g, form):
+    """The substituted form F(g^-1 x): the package's kernel
+    (`invariants._substituted`) on the array of the exact inverse of g."""
+    return _substituted(*_inverse_array(g), form)
+
+
+def substitution_matrix(g):
+    """The 35x35 S with S * coeffs(F) = coeffs(F(g^-1 x)): the images of
+    all 35 monomials under the package's kernel (`_sum_of_images`) on the
+    array of the exact inverse of g, made exact."""
+    A, den, n = _inverse_array(g)
+    images = _sum_of_images(A, [_factors(e) for e in MONOMIALS], n)
+    return Matrix([[_exact(n, value, den ** 3) for value in row]
+                   for row in images.transpose(1, 0, 2).tolist()])
 
 
 def brute_force_scan(coeffs, p):

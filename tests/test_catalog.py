@@ -207,7 +207,8 @@ def test_env_override(tmp_path, monkeypatch):
 
 
 def test_klein_forms_fixed():
-    from cubicmoduli.invariants import CubicForm, act
+    from cubicmoduli.invariants import CubicForm
+    from helpers_math import act
 
     klein = CubicForm.parse(
         "x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2")

@@ -99,6 +99,39 @@ def test_bad_file_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (lambda doc: json.dumps(doc).replace(
+        '"E(3)"', '"' + "(" * 3000 + "E(3)" + ")" * 3000 + '"', 1).encode(),
+     "nest more than 100 deep"),
+    (lambda doc: json.dumps(doc).replace(
+        '"E(3)"', '"' + "-" * 3000 + "E(3)" + '"', 1).encode(),
+     "nest more than 100 deep"),
+    (lambda doc: b"\xff\xfe" + json.dumps(doc).encode(), "not UTF-8"),
+], ids=["deep-parentheses", "deep-signs", "not-utf-8"])
+def test_malformed_entry_file_is_one_line_exit_1(tmp_path, content, message):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cubicmoduli
+    from cubicmoduli import catalog
+
+    doc = json.loads(Path(catalog.load_entry("c3-balanced").path).read_text())
+    path = tmp_path / "entry.json"
+    path.write_bytes(content(doc))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cubicmoduli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cubicmoduli", "audit", str(path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]
+
+
 def _diag(*entries):
     return [[entries[i] if i == j else "0" for j in range(5)]
             for i in range(5)]

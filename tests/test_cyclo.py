@@ -137,6 +137,20 @@ def test_inverse_examples():
         assert x * x.inverse() == 1
 
 
+@pytest.mark.parametrize("n", [5, 7, 11, 12, 60, 120])
+def test_inverse_at_the_conductor(n):
+    # dense values that need all of Q(zeta_n): the inverse is the
+    # product of the other Galois conjugates over the norm
+    rng = random.Random(n)
+    found = 0
+    while found < 4:
+        x = sum((Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) * E(n, k)
+                 for k in range(n)), cyclo(0))
+        if x.conductor == n:
+            found += 1
+            assert x * x.inverse() == 1
+
+
 def test_field_axioms_on_samples():
     rng = random.Random(20)
     for _ in range(60):
@@ -200,6 +214,7 @@ def test_parse_examples():
     assert parse_cyclo("2^3/4") == 2
     assert parse_cyclo("3/2^2") == Fraction(3, 4)  # '^' binds tighter
     assert parse_cyclo("-(1 - E(4))^-2 + 3 ") == 3 - (1 - E(4)) ** -2
+    assert parse_cyclo("1/(1 + E(119))") * (1 + E(119)) == 1
     # powers at their bounds: 3 for a polynomial, MAX_CONDUCTOR for a
     # number
     assert CubicForm.parse("(x0 + x1)^3") == CubicForm.parse(
@@ -218,6 +233,17 @@ def test_parse_examples():
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_cyclo(text)
+
+
+@pytest.mark.parametrize("nest, sign", [
+    (lambda k: "(" * k + "E(3)" + ")" * k, lambda k: 1),
+    (lambda k: "-" * k + "E(3)", lambda k: (-1) ** k),
+], ids=["parentheses", "signs"])
+def test_nesting_depth_is_bounded(nest, sign):
+    assert parse_cyclo(nest(100)) == sign(100) * E(3)
+    for k in (101, 3000):
+        with pytest.raises(ValueError, match="nest more than 100 deep"):
+            parse_cyclo(nest(k))
 
 
 @pytest.mark.parametrize("parse, text", [

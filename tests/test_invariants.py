@@ -13,15 +13,19 @@ from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.invariants import (
     MONOMIALS,
     CubicForm,
-    act,
     invariant_basis,
     monomial_str,
-    substitution_matrix,
 )
 from cubicmoduli.linalg import Matrix, int_array, rref, split_primes
 
 import fixtures as fx
-from helpers_math import exact_reynolds, exact_substitution
+from helpers_math import (
+    act,
+    exact_reynolds,
+    exact_substitution,
+    random_cyclo,
+    substitution_matrix,
+)
 
 KLEIN = "x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2"
 FERMAT = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"
@@ -230,6 +234,34 @@ def test_alt4_invariants():
               "x1*x2^2 + E(3)*x1*x3^2 + E(3)^2*x1*x4^2"):
         assert space.contains(CubicForm.parse(s)), s
     assert not space.contains(CubicForm.parse(FERMAT))
+
+
+def test_membership_on_a_non_monomial_family():
+    # membership is read at the pivots of the echelon basis: a form that
+    # agrees with a member there but not elsewhere must be out, as the
+    # rank of the basis with the form appended says
+    space = invariant_basis(catalog.load("alt5-sixpoint"))
+    rows = [list(b.coefficients) for b in space.basis]
+    pivots = rref(Matrix(rows))[2]
+    rng = random.Random(5)
+    member = CubicForm.zero()
+    for b in space.basis:
+        assert space.contains(b)
+        member = member + b.scale(random_cyclo(rng))
+    assert space.contains(member)
+    assert rref(Matrix([*rows, member.coefficients]))[0] == len(rows)
+    for j in range(35):
+        if j in pivots:
+            continue
+        off = list(member.coefficients)
+        off[j] = off[j] + 1
+        assert not space.contains(CubicForm(off))
+        assert rref(Matrix([*rows, off]))[0] == len(rows) + 1
+    # with no basis rows only the zero form is in
+    zero = invariant_basis(MatrixGroup.generate(
+        [Matrix.scalar(5, root_of_unity(9))]))
+    assert zero.contains(CubicForm.zero())
+    assert not zero.contains(CubicForm.parse(FERMAT))
 
 
 def test_dimension_matches_character_route():

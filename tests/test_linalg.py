@@ -17,11 +17,9 @@ from cubicmoduli.linalg import (
     commutant_dimension,
     pivots_mod_p,
     primes_one_mod,
-    rank,
     rank_mod_p,
     root_of_unity_mod,
     rref,
-    solve_in_span,
     split_primes,
 )
 from helpers_math import random_cyclo, random_matrix
@@ -39,7 +37,7 @@ def test_matrix_basics():
     assert a.trace() == 5
     assert Matrix.diagonal([1, 2, 3])[1, 1] == 2
     assert Matrix.scalar(3, E(3)) == Matrix.diagonal([E(3)] * 3)
-    assert not Matrix.scalar(3, E(3)).is_identity()
+    assert Matrix.scalar(3, E(3)) != Matrix.identity(3)
 
 
 def test_rref_rank_one_cyclotomic():
@@ -56,7 +54,7 @@ def test_rref_identity_and_zero():
     r, red, pivots = rref(ident)
     assert r == 4 and red == ident and pivots == (0, 1, 2, 3)
     zero = Matrix([[0, 0], [0, 0], [0, 0]])
-    assert rank(zero) == 0
+    assert rref(zero)[0] == 0
 
 
 def test_rref_is_idempotent_and_rank_transpose():
@@ -66,31 +64,23 @@ def test_rref_is_idempotent_and_rank_transpose():
         r, red, pivots = rref(m)
         r2, red2, pivots2 = rref(red)
         assert (r, red, pivots) == (r2, red2, pivots2)
-        assert r == rank(m.transpose())
+        assert r == rref(m.transpose())[0]
 
 
 def test_inverse():
     m = Matrix([[1, E(3)], [0, 1]])
     inv = m.inverse()
-    assert (m * inv).is_identity()
-    assert (inv * m).is_identity()
+    assert m * inv == inv * m == Matrix.identity(2)
     with pytest.raises(ZeroDivisionError):
         Matrix([[1, 1], [1, 1]]).inverse()
     rng = random.Random(11)
     found = 0
     while found < 10:
         m = random_matrix(rng, 3, 3)
-        if rank(m) < 3:
+        if rref(m)[0] < 3:
             continue
         found += 1
-        assert (m * m.inverse()).is_identity()
-
-
-def test_solve_in_span():
-    basis = [[1, 0, 1], [0, 1, 1]]
-    assert solve_in_span(basis, [1, 1, 2])
-    assert not solve_in_span(basis, [0, 0, 1])
-    assert not solve_in_span([], [0, 0, 1])
+        assert m * m.inverse() == Matrix.identity(3)
 
 
 def test_commutant_dimension_examples():
@@ -136,7 +126,7 @@ def exact_commutant_dimension(mats):
                     row[i * d + k] = row[i * d + k] + g[k, j]
                     row[k * d + j] = row[k * d + j] - g[i, k]
                 rows.append(row)
-    return d * d - rank(Matrix(rows))
+    return d * d - rref(Matrix(rows))[0]
 
 
 def random_system(rng, n):
@@ -148,7 +138,7 @@ def random_system(rng, n):
     while True:
         p = Matrix([[rng.randrange(-2, 3) for _ in range(5)]
                     for _ in range(5)])
-        if rank(p) == 5:
+        if rref(p)[0] == 5:
             break
     p_inv = p.inverse()
     values = [1, 2, E(n) if n > 1 else -1]
