@@ -24,7 +24,6 @@ probe can only ever certify the positive direction.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,11 +43,9 @@ from .errors import (
 )
 from .groups import EigenProfile, MatrixGroup
 from .invariants import InvariantSpace, invariant_basis
-from .linalg import RANK_PRIME_ATTEMPTS, commutant_dimension, split_primes
-from .smoothprobe import probe_nonempty, reduce_columns
-
-DEFAULT_TRIALS = 20
-DEFAULT_SEED = 0
+from .linalg import commutant_dimension, split_primes
+from .smoothprobe import (DEFAULT_SEED, DEFAULT_TRIALS, probe_nonempty,
+                          reduce_columns)
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,7 @@ def dims_dual_route(group: MatrixGroup):
         )
     comm_char = commutant_dimension_from_character(chi)
     primes = []
-    for p in itertools.islice(split_primes(group.conductor),
-                              RANK_PRIME_ATTEMPTS):
+    for p in split_primes(group.conductor):
         primes.append(p)
         comm_matrix = commutant_dimension(group.generators, prime=p)
         if comm_matrix == comm_char:

@@ -78,14 +78,6 @@ class ClassFunction:
             v.conjugate() for v in self.values
         ))
 
-    def __eq__(self, other):
-        return (isinstance(other, ClassFunction)
-                and self.structure == other.structure
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.structure, self.values))
-
 
 def _same_structure(a: ClassFunction, b: ClassFunction):
     if a.structure != b.structure:

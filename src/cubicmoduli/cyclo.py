@@ -14,6 +14,12 @@ Division uses the same multiplication and Galois action: the inverse of
 x is the product of its other Galois conjugates over the norm of x, the
 product of all of them, which is a nonzero rational.
 
+The package's one exact elimination lives here too: `rref` does
+Gauss-Jordan elimination on rows of Fractions or Cyclotomics with
+deterministic first-nonzero pivoting, and inverts a pivot entry once per
+pivot row, so exact divisions stay rare.  The subfield descent tables
+and `linalg.rref` both call it.
+
 Text format: E(n) denotes zeta_n, E(n)^k its k-th power, and a value is a
 sum of terms with rational literals, e.g. "-1/2*E(11)^3 + 2".  str() and
 parse_cyclo round-trip exactly.  The package's one expression parser
@@ -24,16 +30,12 @@ be a number, and CubicForm.parse adds the degree-3 and x0..x4 checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
-import threading
 from fractions import Fraction
 
-_LOCK = threading.Lock()
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-_POWER_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-_DESCENT_CACHE: dict[int, tuple] = {}
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
@@ -53,33 +55,23 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+@functools.cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, low to high, computed by dividing x^n - 1 by
     the Phi_d of all proper divisors d of n.  Cached per conductor."""
-    with _LOCK:
-        got = _PHI_CACHE.get(n)
-    if got is not None:
-        return got
     if n == 1:
-        result = (-1, 1)
-    else:
-        poly = [0] * (n + 1)
-        poly[0], poly[n] = -1, 1
-        for d in range(1, n):
-            if n % d == 0:
-                poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
-        result = tuple(poly)
-    with _LOCK:
-        _PHI_CACHE.setdefault(n, result)
-    return result
+        return (-1, 1)
+    poly = [0] * (n + 1)
+    poly[0], poly[n] = -1, 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
+    return tuple(poly)
 
 
+@functools.cache
 def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     # row j is x^j reduced mod Phi_n, for j in range(n)
-    with _LOCK:
-        got = _POWER_CACHE.get(n)
-    if got is not None:
-        return got
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rows = []
@@ -92,20 +84,45 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
         if lead:
             for i in range(deg):
                 cur[i] -= lead * phi[i]
-    table = tuple(rows)
-    with _LOCK:
-        _POWER_CACHE.setdefault(n, table)
-    return table
+    return tuple(rows)
+
+
+def rref(rows: list[list], width: int | None = None):
+    """Reduced row echelon form of a list of rows of Fractions or
+    Cyclotomics, pivoting only in the first width columns (all of them by
+    default; the descent tables pivot on the subfield columns only).
+    Returns (rank, rows, pivot_columns), the rows reduced in place, the
+    pivot rows first.  Each pivot is the first row with a nonzero entry
+    in its column, so the result is deterministic for a given input."""
+    pivots = []
+    rank = 0
+    for col in range(len(rows[0]) if width is None else width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank, rows, tuple(pivots)
 
 
 class _Descent:
     """Rewrites coefficient vectors from Q(zeta_n) onto the zeta_m power
     basis for one maximal subfield m = n / p, or reports failure.
 
-    Built once per (n, m) from the row reduction of [E | I], where the
-    columns of E are the zeta_m basis powers expressed over the zeta_n
-    basis.  Consistency rows are checked first so a failed attempt is one
-    short dot product in the typical case.
+    Built once per (n, m) from the row reduction of [E | I] on the
+    columns of E, which are the zeta_m basis powers expressed over the
+    zeta_n basis.  Consistency rows are checked first so a failed attempt
+    is one short dot product in the typical case.
     """
 
     __slots__ = ("m", "cons", "pivot")
@@ -122,20 +139,8 @@ class _Descent:
             + [Fraction(1 if k == i else 0) for k in range(phi_n)]
             for i in range(phi_n)
         ]
-        rank = 0
-        pivots = []
-        for col in range(phi_m):
-            pivot = next((r for r in range(rank, phi_n) if aug[r][col]), None)
-            assert pivot is not None, "subfield basis must be independent"
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            inv = 1 / aug[rank][col]
-            aug[rank] = [v * inv for v in aug[rank]]
-            for r in range(phi_n):
-                if r != rank and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
-            pivots.append(rank)
-            rank += 1
+        rank, aug, _ = rref(aug, phi_m)
+        assert rank == phi_m, "subfield basis must be independent"
 
         def as_int_row(row):
             den = math.lcm(*[v.denominator for v in row]) if row else 1
@@ -144,7 +149,7 @@ class _Descent:
         self.cons = tuple(
             as_int_row(aug[r][phi_m:])[0] for r in range(rank, phi_n)
         )
-        self.pivot = tuple(as_int_row(aug[r][phi_m:]) for r in pivots)
+        self.pivot = tuple(as_int_row(aug[r][phi_m:]) for r in range(rank))
 
     def apply(self, num):
         for row in self.cons:
@@ -159,16 +164,9 @@ class _Descent:
         return out, lcm
 
 
+@functools.cache
 def _descents(n: int):
-    with _LOCK:
-        got = _DESCENT_CACHE.get(n)
-    if got is not None:
-        return got
-    targets = sorted(n // p for p in _prime_factors(n))
-    solvers = tuple(_Descent(n, m) for m in targets)
-    with _LOCK:
-        _DESCENT_CACHE.setdefault(n, solvers)
-    return solvers
+    return tuple(_Descent(n, n // p) for p in reversed(_prime_factors(n)))
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -404,7 +402,10 @@ class Cyclotomic:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.inverse() if other == ONE else other * self.inverse()
 
     # ------------------------------------------------------------------
     # Galois action

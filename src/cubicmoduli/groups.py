@@ -8,7 +8,8 @@ lowest terms, so the pair is a canonical dict key.  Right
 multiplication by a generator is one integer matrix, and each BFS level
 multiplies its whole frontier by it in one product.  The products run
 on int64 while a bound proves they cannot overflow, and on Python ints
-(object arrays) past it.  The group keeps these arrays, in canonical
+(object arrays) past it; an element's key does not depend on which of
+the two holds it.  The group keeps these arrays, in canonical
 order, as its only element representation: `arrays` hands any index set
 to the invariant kernels in the form of `linalg.int_array`, and class
 traces, scalar and diagonal elements are read off them in one numpy
@@ -55,23 +56,16 @@ SUBGROUP_SCAN_LIMIT = 1000
 
 @dataclass(frozen=True)
 class ConjClass:
-    """One conjugacy class: sorted member indices, representative (the
-    smallest member), and where powers land."""
+    """One conjugacy class: sorted member indices and representative
+    (the smallest member)."""
 
     rep_index: int
     members: tuple[int, ...]
     element_order: int
-    power_classes: tuple[tuple[int, int], ...]  # ((k, class index), ...)
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def power_class(self, k: int) -> int:
-        for kk, ci in self.power_classes:
-            if kk == k:
-                return ci
-        raise KeyError(k)
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,7 @@ def _profile_from_traces(n: int, traces: list[Cyclotomic], dim: int) -> EigenPro
     it is computed mod the first split prime p of lcm(n, conductor):
     p > dim makes the residue the integer itself."""
     m = math.lcm(n, conductor_of(traces))
-    p = next(split_primes(m))
+    p = split_primes(m)[0]
     w = root_of_unity_mod(m, p)
     w_powers = [pow(w, e, p) for e in range(len(_power_table(m)[0]))]
     residues = []
@@ -162,9 +156,6 @@ class MatrixGroup:
         self.order = len(dens)
         self.dim = generators[0].rows
         self._powers = {}
-        self._conj = None
-        self._classes = None
-        self._class_of = None
         self._class_traces = None
         self._class_profiles = None
 
@@ -198,14 +189,6 @@ class MatrixGroup:
             level = len(blocks)
             for gi, step in enumerate(steps):
                 pdens, pnums = _times(dens, nums, step)
-                if pnums.dtype != nums.dtype:
-                    # past the int64 bound: every element moves to
-                    # Python ints, so that the keys stay comparable
-                    dens, nums = dens.astype(object), nums.astype(object)
-                    blocks = [(a.astype(object), b.astype(object))
-                              for a, b in blocks]
-                    index = {key: i for i, key in enumerate(
-                        key for b in blocks for key in _keys(*b))}
                 fresh = []
                 for x, key in enumerate(_keys(pdens, pnums)):
                     y = index.get(key)
@@ -336,49 +319,39 @@ class MatrixGroup:
     # ------------------------------------------------------------------
     # conjugacy classes
 
-    @property
+    @functools.cached_property
     def classes(self) -> tuple[ConjClass, ...]:
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
-
-    def _compute_classes(self):
-        order = self.order
-        steps = [row.__getitem__ for row in self._conjugation_rows()]
-        assigned = [False] * order
+        """The conjugacy classes, ordered by element order, size and
+        representative."""
+        steps = [row.__getitem__ for row in self._conjugation_rows]
+        assigned = [False] * self.order
         raw = []
-        for start in range(order):
+        for start in range(self.order):
             if not assigned[start]:
                 members = tuple(sorted(_orbit(start, steps)))
                 for x in members:
                     assigned[x] = True
                 raw.append(members)
         raw.sort(key=lambda m: (self.element_order(m[0]), len(m), m[0]))
+        return tuple(ConjClass(rep_index=members[0], members=members,
+                               element_order=self.element_order(members[0]))
+                     for members in raw)
 
-        class_of = [0] * order
-        for cid, members in enumerate(raw):
-            for x in members:
+    @functools.cached_property
+    def _class_of(self) -> list[int]:
+        """Per element, the index of its conjugacy class."""
+        class_of = [0] * self.order
+        for cid, c in enumerate(self.classes):
+            for x in c.members:
                 class_of[x] = cid
-        self._classes = tuple(
-            ConjClass(
-                rep_index=members[0],
-                members=members,
-                element_order=self.element_order(members[0]),
-                power_classes=tuple(
-                    (k, class_of[self.power_index(members[0], k)])
-                    for k in (2, 3, 5)),
-            )
-            for members in raw)
-        self._class_of = class_of
+        return class_of
 
+    @functools.cached_property
     def _conjugation_rows(self) -> list[list[int]]:
         """Per generator g, the row mapping x to the index of g x g^-1."""
-        if self._conj is None:
-            self._conj = [
-                [by_ginv[self.mult(g, x)] for x in range(self.order)]
+        return [[by_ginv[self.mult(g, x)] for x in range(self.order)]
                 for g, by_ginv in ((g, self.row(self.inverse_index(g)))
                                    for g in self.generator_indices)]
-        return self._conj
 
     # ------------------------------------------------------------------
     # characters and profiles support
@@ -390,8 +363,9 @@ class MatrixGroup:
             sizes=tuple(c.size for c in cl),
             element_orders=tuple(c.element_order for c in cl),
             power_maps=tuple(
-                (k, tuple(c.power_class(k) for c in cl)) for k in (2, 3, 5)
-            ),
+                (k, tuple(self._class_of[self.power_index(c.rep_index, k)]
+                          for c in cl))
+                for k in (2, 3, 5)),
         )
 
     def class_traces(self) -> tuple[Cyclotomic, ...]:
@@ -461,7 +435,7 @@ class MatrixGroup:
 
         # s -> g s g^-1 for each generator g
         conj = [lambda s, row=row: frozenset(map(row.__getitem__, s))
-                for row in self._conjugation_rows()]
+                for row in self._conjugation_rows]
 
         # one representative cyclic subgroup per conjugacy orbit
         cyclic_reps = []
@@ -597,11 +571,20 @@ def _identity(d: int, phi: int):
 
 def _keys(dens, nums) -> list:
     """One dict key per element; equal keys mean equal elements, since
-    elements are in lowest terms over one basis."""
-    if nums.dtype == object:
-        return [(den, tuple(row)) for den, row in zip(dens.tolist(),
-                                                      nums.tolist())]
-    return [(den, row.tobytes()) for den, row in zip(dens.tolist(), nums)]
+    elements are in lowest terms over one basis.  A row that fits int64
+    is keyed by its int64 bytes whatever the dtype of its array, so the
+    int64 and Python-int blocks of one closure share keys."""
+    if nums.dtype != object:
+        return [(den, row.tobytes()) for den, row in zip(dens.tolist(), nums)]
+    return [_object_key(den, row)
+            for den, row in zip(dens.tolist(), nums.tolist())]
+
+
+def _object_key(den: int, row: list):
+    try:
+        return den, np.array(row, dtype=np.int64).tobytes()
+    except OverflowError:
+        return den, tuple(row)
 
 
 def _check_order(step: _RightMultiplication, identity):

@@ -82,7 +82,6 @@ from .cyclo import (
 from .errors import ContractViolationError
 from .groups import _big, _orbit
 from .linalg import (
-    RANK_PRIME_ATTEMPTS,
     Matrix,
     pivots_mod_p,
     reduce_mod_p,
@@ -524,7 +523,7 @@ def invariant_basis(group) -> InvariantSpace:
             if not _fixes(S.transpose(1, 0, 2), a_den ** 3, R, support, n):
                 raise ContractViolationError(
                     "averaging operator moves under a generator")
-        for p in itertools.islice(split_primes(n), RANK_PRIME_ATTEMPTS):
+        for p in split_primes(n):
             primes.append(p)
             independent = pivots_mod_p(reduce_mod_p(R, n, p), p)
             if len(independent) >= trace:

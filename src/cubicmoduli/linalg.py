@@ -2,8 +2,7 @@
 
 Sized for this project: matrices up to 35x35 (the space of cubic
 monomials in five variables) and commutant systems on 5x5 unknowns.
-Exact row reduction uses deterministic first-nonzero pivoting and
-inverts a pivot entry once per pivot row, so exact divisions stay rare.
+Exact row reduction of a Matrix is `cyclo.rref` on its rows.
 
 The matrix kernels work on one integer-array form of a list of
 matrices (`int_array`): entry (i, j) of matrix k becomes the integer
@@ -34,6 +33,7 @@ from .cyclo import (
     _prime_factors,
     cyclo,
     power_basis,
+    rref as _rref,
 )
 from .errors import BadPrimeError
 
@@ -163,31 +163,10 @@ class Matrix:
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns (rank, reduced_matrix, pivot_columns).  Pivoting picks the
-    first row with a nonzero entry in the current column, so the result
-    is deterministic for a given input.
-    """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    rank = 0
-    for col in range(m.cols):
-        pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(m.rows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank, Matrix(rows), tuple(pivots)
+    """Reduced row echelon form by `cyclo.rref`: (rank, reduced_matrix,
+    pivot_columns), deterministic for a given input."""
+    rank, rows, pivots = _rref([list(m.row(i)) for i in range(m.rows)])
+    return rank, Matrix(rows), pivots
 
 
 def int_array(mats, n: int):
@@ -228,21 +207,14 @@ def primes_one_mod(n: int, floor: int, ceiling: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _first_split_primes(n: int) -> tuple:
+def split_primes(n: int) -> tuple[int, ...]:
+    """The first RANK_PRIME_ATTEMPTS primes p = 1 mod n in [2^30, 2^31),
+    ascending: the primes a certified rank is tried at.  Memoized per n,
+    since each one costs primality tests from 2^30 upwards and every
+    class profile and rank asks for them."""
     return tuple(itertools.islice(
         primes_one_mod(n, RANK_PRIME_FLOOR, RANK_PRIME_CEILING),
         RANK_PRIME_ATTEMPTS))
-
-
-def split_primes(n: int):
-    """The primes p = 1 mod n in [2^30, 2^31), ascending.  The first
-    RANK_PRIME_ATTEMPTS of them are memoized per n: each one costs
-    primality tests from 2^30 upwards, and every class profile and rank
-    asks for them."""
-    first = _first_split_primes(n)
-    yield from first
-    if len(first) == RANK_PRIME_ATTEMPTS:
-        yield from primes_one_mod(n, first[-1] + 1, RANK_PRIME_CEILING)
 
 
 @functools.lru_cache(maxsize=256)
@@ -314,7 +286,7 @@ def commutant_dimension(mats: list[Matrix], prime: int | None = None) -> int:
     assert all(g.rows == g.cols == d for g in mats)
     n = conductor_of(v for m in mats for v in m.data)
     if prime is None:
-        prime = next(split_primes(n))
+        prime = split_primes(n)[0]
     elif not (_is_prime(prime) and prime < RANK_PRIME_CEILING):
         raise BadPrimeError(f"{prime} is not a prime below 2^31")
     array, _ = int_array(mats, n)

@@ -78,6 +78,9 @@ from .linalg import (Matrix, conductor_of, int_array, primes_one_mod,
 
 DEFAULT_PRIME_FLOOR = 7
 DEFAULT_PRIME_CEILING = 31
+# the probe's default sample count and random seed
+DEFAULT_TRIALS = 20
+DEFAULT_SEED = 0
 # P^4(F_p) has about p^4 points, kept below this bound.  The scan holds
 # arrays over the points of P^2 and over one chunk of candidate
 # prefixes at a time, in int16 (values below 2 p^2 + p) and int32
@@ -517,8 +520,9 @@ class ProbeResult:
     points: int  # sum of the scans' points
 
 
-def probe_nonempty(space, prime: int | None = None, trials: int = 20,
-                   seed: int = 0) -> ProbeResult:
+def probe_nonempty(space, prime: int | None = None,
+                   trials: int = DEFAULT_TRIALS,
+                   seed: int = DEFAULT_SEED) -> ProbeResult:
     """Search for a smooth member of the family spanned by the basis.
 
     Random F_p coefficient vectors are tried against the reduced

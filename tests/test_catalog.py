@@ -1,6 +1,7 @@
 """Catalog loading, validation and tamper evidence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +88,7 @@ def test_malformed_json(tmp_path):
 
 
 def test_missing_field(tmp_path):
-    doc = json.loads(open(catalog.load_entry("c2-sign").path).read())
+    doc = json.loads(Path(catalog.load_entry("c2-sign").path).read_text())
     del doc["contract"]["order"]
     bad = tmp_path / "c2-broken.json"
     bad.write_text(json.dumps(doc))
@@ -96,7 +97,7 @@ def test_missing_field(tmp_path):
 
 
 def _write_variant(tmp_path, name, change):
-    doc = json.loads(open(catalog.load_entry(name).path).read())
+    doc = json.loads(Path(catalog.load_entry(name).path).read_text())
     change(doc)
     path = tmp_path / f"{name}-variant.json"
     path.write_text(json.dumps(doc))
@@ -150,7 +151,7 @@ def test_each_distinct_entry_string_is_parsed_once(monkeypatch):
         calls.clear()
         entry = catalog.load_entry(name)
         assert len(calls) == len(set(calls)), name
-        strings = json.loads(open(entry.path).read())["generators"]
+        strings = json.loads(Path(entry.path).read_text())["generators"]
         assert set(calls) == {v for g in strings for row in g for v in row}
 
 
@@ -163,7 +164,7 @@ def test_non_string_entry_is_a_parse_error(tmp_path):
 
 
 def test_tampered_order(tmp_path):
-    doc = json.loads(open(catalog.load_entry("c2-sign").path).read())
+    doc = json.loads(Path(catalog.load_entry("c2-sign").path).read_text())
     doc["contract"]["order"] = 3
     bad = tmp_path / "c2-tampered.json"
     bad.write_text(json.dumps(doc))
@@ -173,7 +174,7 @@ def test_tampered_order(tmp_path):
 
 
 def test_tampered_generator_breaks_character(tmp_path):
-    doc = json.loads(open(catalog.load_entry("c3-balanced").path).read())
+    doc = json.loads(Path(catalog.load_entry("c3-balanced").path).read_text())
     # turn the profile (1,w,w,w^2,w^2) into (1,w^2,w,w^2,w^2): same
     # order, different trace row
     rows = doc["generators"][0]
@@ -186,7 +187,7 @@ def test_tampered_generator_breaks_character(tmp_path):
 
 
 def test_tampered_fixed_form(tmp_path):
-    doc = json.loads(open(catalog.load_entry("z11-klein").path).read())
+    doc = json.loads(Path(catalog.load_entry("z11-klein").path).read_text())
     doc["contract"]["fixed_form"] = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"
     bad = tmp_path / "z11-tampered.json"
     bad.write_text(json.dumps(doc))
@@ -196,7 +197,7 @@ def test_tampered_fixed_form(tmp_path):
 
 
 def test_env_override(tmp_path, monkeypatch):
-    doc = json.loads(open(catalog.load_entry("c2-sign").path).read())
+    doc = json.loads(Path(catalog.load_entry("c2-sign").path).read_text())
     doc["id"] = "extra-entry"
     (tmp_path / "extra-entry.json").write_text(json.dumps(doc))
     monkeypatch.setenv(catalog.ENV_VAR, str(tmp_path))

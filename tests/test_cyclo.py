@@ -67,6 +67,18 @@ def test_conductor_is_minimal():
     assert (E(12) ** 4).conductor == 3
 
 
+def test_every_root_of_unity_descends_to_its_minimal_conductor():
+    # zeta_n^k written over the zeta_n basis goes through every descent
+    # table of n, the coprime-factor ones (n = 15, 21, 35, 60, ...) too
+    for n in range(1, 61):
+        for k in range(n):
+            m = n // math.gcd(n, k)
+            if m % 4 == 2:
+                m //= 2
+            value = from_power_basis(n, _power_table(n)[k])
+            assert value.conductor == m, (n, k)
+
+
 def test_same_value_two_routes_same_representation():
     a = E(3) * E(5)
     b = E(15, 8)

@@ -101,7 +101,8 @@ def test_closure_with_rational_conjugation():
 @pytest.mark.parametrize("scale", [10 ** 6, 10 ** 12])
 def test_closure_past_the_int64_bound(scale):
     # scale 10^6: the generators fit int64 but a product of two elements
-    # may not, so the closure moves to Python ints part way; scale 10^12:
+    # may not, so the closure holds int64 and Python-int blocks side by
+    # side, and an element must get one key in either; scale 10^12:
     # not even the generators fit, so it runs on Python ints throughout
     gens = fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, scale, 1, 1, 1)
     step = _RightMultiplication(gens[1], 1)
@@ -226,9 +227,9 @@ def test_alt4_class_data():
     assert sizes == [1, 3, 4, 4]
     assert orders == [1, 2, 3, 3]
     # the two order-3 classes are swapped by squaring
-    assert g.classes[2].power_class(2) == 3
-    assert g.classes[3].power_class(2) == 2
-    assert g.classes[1].power_class(3) == 1
+    structure = g.class_structure()
+    assert structure.power_map(2)[2:] == (3, 2)
+    assert structure.power_map(3)[1] == 1
 
 
 def test_order55_class_data():

@@ -173,7 +173,7 @@ def test_commutant_mod_p_matches_exact_nullity(n):
 def test_commutant_mod_p_is_never_below_the_exact_value():
     # 1 + p is 1 mod p: the reduction is the identity, whose commutant
     # is everything, while the exact commutant is 4*4 + 1
-    p = next(split_primes(1))
+    p = split_primes(1)[0]
     m = Matrix.diagonal([1, 1, 1, 1, 1 + p])
     assert exact_commutant_dimension([m]) == 17
     assert commutant_dimension([m], prime=p) == 25
@@ -184,13 +184,14 @@ def test_commutant_mod_p_is_never_below_the_exact_value():
         commutant_dimension([Matrix.scalar(5, E(11))], prime=q)
 
 
-def test_split_primes_run_on_past_the_memoized_ones():
-    count = RANK_PRIME_ATTEMPTS + 3
+def test_split_primes_are_the_first_attempts_of_primes_one_mod():
     for n in (1, 3, 12, 660):
-        want = list(itertools.islice(
-            primes_one_mod(n, RANK_PRIME_FLOOR, RANK_PRIME_CEILING), count))
+        want = tuple(itertools.islice(
+            primes_one_mod(n, RANK_PRIME_FLOOR, RANK_PRIME_CEILING),
+            RANK_PRIME_ATTEMPTS))
+        assert len(want) == RANK_PRIME_ATTEMPTS
         for _ in range(2):  # computed, then memoized
-            assert list(itertools.islice(split_primes(n), count)) == want
+            assert split_primes(n) == want
 
 
 def test_split_primes_and_roots_mod_p():
