@@ -103,11 +103,14 @@ def rref(rows: list[list], width: int | None = None):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
+        # zero entries are left as they are: the values are canonical,
+        # so v * inv and a - f * 0 would only normalize them again
+        rows[rank] = [v * inv if v else v for v in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [a - f * b if b else a
+                           for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(rows):

@@ -513,6 +513,19 @@ def _big(array) -> int:
     return int(np.abs(array).max()) if array.size else 0
 
 
+@functools.cache
+def _pair_table(n: int):
+    """(phi(n), phi(n), phi(n)) int64, read-only: entry (a, b) holds
+    zeta_n^(a + b) on the power basis.  For a coefficient vector y,
+    y @ table is the matrix of multiplication by y (row a holds zeta_n^a
+    y), so the product of x and y is x @ (y @ table)."""
+    table = np.array(_power_table(n), dtype=np.int64)
+    phi = table.shape[1]
+    pairs = table[(np.arange(phi)[:, None] + np.arange(phi)) % n]
+    pairs.flags.writeable = False
+    return pairs
+
+
 class _RightMultiplication:
     """Right multiplication by one generator g on integer arrays.
 
@@ -528,10 +541,9 @@ class _RightMultiplication:
         array, den = int_array([g], n)
         num = array[0]
         d, _, phi = num.shape
-        table = np.array(_power_table(n), dtype=np.int64)
         # coefficient c of zeta^(a + b)
-        shift = table[(np.arange(phi)[:, None] + np.arange(phi)) % n]
-        if (phi * int(np.abs(num).max()) * int(np.abs(table).max())
+        shift = _pair_table(n)
+        if (phi * int(np.abs(num).max()) * _big(shift)
                 >= _INT64_LIMIT or den >= _INT64_LIMIT):
             num, shift = num.astype(object), shift.astype(object)
         matrix = np.einsum("kjb,abc->kajc", num, shift).reshape(d * phi, -1)

@@ -8,27 +8,33 @@ action and matches how symmetries of a hypersurface in projective space
 compose.
 
 The invariant subspace of a finite group is computed from the Reynolds
-operator, the average of all substitution matrices, built in one loop:
+operator, the average of all substitution matrices, built as one sum:
 the sum is folded through the cosets of the diagonal element h of
 largest order, whose own average kills every monomial of nonzero
 h-weight, so only the surviving monomials are expanded, once per coset
 representative.  When the identity is the only diagonal element the
 fold is the plain sum.
 
-The loop runs on integer arrays, read from the group
+The sum runs on integer arrays, read from the group
 (`MatrixGroup.arrays`, the closure's own arrays in the form of
 `linalg.int_array`): each representative's inverse is a (5, 5, phi(n))
 array of coefficients on the zeta_n power basis over one common
-denominator, n the group's conductor.  For a surviving monomial
-x_p*x_q*x_r the products A[p, a] * A[q, b] * A[r, c] of one nonzero
-entry from each factor's row (at most 125 of them) are formed as
-integer polynomials in zeta_n and added into one accumulator, one
-representative at a time.  Only at the end are the 125 products
-collapsed onto the 35 monomials and reduced mod Phi_n.  int64 is used
-when a bound on the sums, computed from the input, proves it cannot
-overflow; otherwise the same code runs on Python ints.  This kernel,
-`_sum_of_images`, is the package's only substitution: `fixed_by` runs
-it on the array of one g^-1 and makes exact values from its output.
+denominator, n the group's conductor.  Products in Q(zeta_n) go through
+one cached table of zeta_n^(a + b) on the power basis
+(`groups._pair_table`): an entry times the table is the phi x phi
+matrix of multiplication by that entry, so a product is a matmul and
+comes out reduced mod Phi_n.  For a surviving monomial x_p*x_q*x_r the
+pair products A[p, a] * A[q, b] of every representative are one batched
+matmul, and their products with the third factor A[r, c], summed over
+the representatives, one matmul that contracts over (representative,
+coefficient).  The 125 products x_a*x_b*x_c are then collapsed onto the
+35 monomials.  Blocks of monomials and of representatives keep every
+temporary below 128 KiB, whatever the number of representatives.  int64
+is used when a bound on the sums, computed from the input, proves it
+cannot overflow; otherwise the same code runs on Python ints.  This
+kernel, `_sum_of_images`, is the package's only substitution:
+`fixed_by` runs it on the array of one g^-1 and makes exact values from
+its output.
 
 Forms are read by the package's one expression parser
 (`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
@@ -77,10 +83,9 @@ from .cyclo import (
     cyclo,
     from_power_basis,
     parse_polynomial,
-    root_of_unity,
 )
 from .errors import ContractViolationError
-from .groups import _big, _orbit
+from .groups import _big, _orbit, _pair_table
 from .linalg import (
     Matrix,
     pivots_mod_p,
@@ -274,11 +279,19 @@ def _diagonal_of_largest_order(group):
     zeta_n^k_i."""
     h_idx = max(group.diagonal_indices(), key=group.element_order)
     n = group.element_order(h_idx)
+    c = group.conductor
+    # zeta_c^j = zeta_2c^(2j) is row j of the power table and its
+    # negative is zeta_2c^(2j + c): for odd c an entry of order 2c is
+    # only the negative of a row
+    exponents = {}
+    for j, row in enumerate(_power_table(c)):
+        exponents.setdefault(row, 2 * j)
+        exponents.setdefault(tuple(-v for v in row), 2 * j + c)
     array, den = group.arrays([h_idx])
-    roots = {root_of_unity(n, k): k for k in range(n)}
+    # entry i is zeta_2c^e of order dividing n, so 2c divides e * n
     return n, h_idx, [
-        roots[from_power_basis(group.conductor, array[0, i, i].tolist(), den)]
-        for i in range(N_VARS)]
+        exponents[tuple(v // den for v in array[0, i, i].tolist())]
+        * n // (2 * c) % n for i in range(N_VARS)]
 
 
 def _reynolds_array(group):
@@ -322,62 +335,63 @@ def _exact(n, coeffs: list, den) -> Cyclotomic:
     return from_power_basis(n, coeffs, den) if any(coeffs) else _ZERO
 
 
-def _reduction_table(n, length):
-    """(length, phi(n)) int64: row e holds zeta_n^e on the power basis."""
-    table = _power_table(n)
-    return np.array([table[e % n] for e in range(length)], dtype=np.int64)
-
-
-def _convolve(a, b):
-    """Row-wise products of integer polynomials: a and b hold one
-    polynomial per row, coefficients low to high."""
-    la, lb = a.shape[1], b.shape[1]
-    out = np.zeros((len(a), la + lb - 1), dtype=np.result_type(a, b))
-    for i in range(lb):
-        out[:, i:i + la] += a * b[:, i:i + 1]
-    return out
-
-
 def _sum_of_images(arrays, factors, n):
     """(len(factors), 35, phi(n)) integers: for each monomial, given by
     its factors (p, q, r), the sum over the substitutions x_i ->
     sum_k A[i, k] x_k, A one of arrays, of its image, on the zeta_n
     power basis.
 
-    Per representative, only the products A[p, a] A[q, b] A[r, c] whose
-    three entries are nonzero are formed (one per monomial for a
-    monomial matrix, at most 125), and each is added at (monomial, a, b,
-    c) of one accumulator, so no temporary grows with the number of
-    arrays."""
+    With M_A[i, j] = A[i, j] @ pair table, the matrix of multiplication
+    by entry (i, j), the image of x_p*x_q*x_r is sum_abc (A[p, a] @
+    M_A[q, b]) @ M_A[r, c] x_a*x_b*x_c: the pair products of every
+    representative are one batched matmul, and their products with the
+    third factor, summed over the representatives, one matmul that
+    contracts over (representative, coefficient).  Blocks of monomials
+    and of representatives keep every temporary small, whatever the
+    number of arrays."""
     p, q, r = np.array(factors, dtype=np.intp).reshape(-1, 3).T
     phi = arrays.shape[-1]
-    mod_phi = _reduction_table(n, 3 * phi - 2)
-    # |entry| <= big, so a product of three has coefficients of size at
-    # most phi^2 * big^3; 6 products share a monomial and len(arrays)
-    # representatives add up before 3 * phi - 2 terms are reduced
-    bound = (len(arrays) * 6 * phi ** 2 * _big(arrays) ** 3
-             * (3 * phi - 2) * _big(mod_phi))
+    table = _pair_table(n).reshape(phi, phi * phi)
+    # |entry| <= big and |table| <= t bound a multiplication matrix by
+    # phi * big * t, a pair product by phi^2 * big^2 * t and a triple
+    # product by phi^4 * big^3 * t^2; len(arrays) of them add up at each
+    # product x_a*x_b*x_c, and 6 products share a monomial
+    bound = (6 * len(arrays) * phi ** 4 * _big(arrays) ** 3
+             * _big(table) ** 2)
     if bound >= 1 << 63:
-        arrays = arrays.astype(object)
-        mod_phi = mod_phi.astype(object)
-    acc = np.zeros((len(factors), N_VARS, N_VARS, N_VARS, 3 * phi - 2),
-                   dtype=arrays.dtype)
-    for A in arrays:
-        nonzero = (A != 0).any(axis=-1)
-        found = np.nonzero(nonzero[p, :, None, None]
-                           & nonzero[q, None, :, None]
-                           & nonzero[r, None, None, :])
-        # in blocks of 512 products, each temporary stays below glibc's
-        # 128 KiB mmap threshold (phi <= 10), so its pages come from the
-        # heap again instead of being faulted in afresh on every call
-        for k in range(0, len(found[0]), 512):
-            s, a, b, c = (x[k:k + 512] for x in found)
-            acc[s, a, b, c] += _convolve(_convolve(A[p[s], a], A[q[s], b]),
-                                         A[r[s], c])
-    flat = acc.reshape(len(factors), N_VARS ** 3, 3 * phi - 2)
-    collapsed = np.add.reduceat(flat[:, _BY_MONOMIAL], _MONOMIAL_STARTS,
-                                axis=1)
-    return collapsed @ mod_phi
+        arrays, table = arrays.astype(object), table.astype(object)
+    # blocks of sb monomials and kb representatives keep every
+    # temporary at 2^14 values at most, 128 KiB, below glibc's mmap
+    # threshold, so its pages come from the heap again instead of being
+    # faulted in afresh on every call: the sums hold 125 * phi values
+    # per monomial, and per representative M holds 25 * phi^2, a
+    # gathered factor 5 * phi^2 per monomial and the pair products
+    # 25 * phi per monomial
+    sb = max(1, min(len(factors), (1 << 14) // (125 * phi)))
+    kb = max(1, (1 << 14) // max(25 * phi * phi, 5 * sb * phi * phi,
+                                 25 * sb * phi))
+    out = np.empty((len(factors), 35, phi), dtype=arrays.dtype)
+    for s0 in range(0, len(factors), sb):
+        ps, qs, rs = (x[s0:s0 + sb] for x in (p, q, r))
+        acc = np.zeros((len(ps), 25, N_VARS * phi), dtype=arrays.dtype)
+        for k0 in range(0, len(arrays), kb):
+            A = arrays[k0:k0 + kb]
+            k = len(A)
+            # M[k, i, m, j, o]: coefficient o of zeta_n^m * A[k, i, j]
+            M = (A.reshape(-1, phi) @ table).reshape(
+                k, N_VARS, N_VARS, phi, phi).transpose(0, 1, 3, 2, 4)
+            # pairs[k, s, a, (b, m)]: coefficient m of A[p, a] * A[q, b]
+            pairs = A[:, ps] @ M[:, qs].reshape(k, -1, phi, N_VARS * phi)
+            # rows (s, a, b) and columns (c, o) of the triple products,
+            # contracted over (k, m)
+            acc += (pairs.reshape(k, -1, 25, phi).transpose(1, 2, 0, 3)
+                    .reshape(-1, 25, k * phi)
+                    @ M[:, rs].transpose(1, 0, 2, 3, 4)
+                    .reshape(-1, k * phi, N_VARS * phi))
+        flat = acc.reshape(-1, N_VARS ** 3, phi)
+        out[s0:s0 + sb] = np.add.reduceat(flat[:, _BY_MONOMIAL],
+                                          _MONOMIAL_STARTS, axis=1)
+    return out
 
 
 def _fixes(S, s_den, R, support, n) -> bool:
@@ -386,18 +400,20 @@ def _fixes(S, s_den, R, support, n) -> bool:
     indices in support, and S, of shape (35, len(support), phi), holds
     the columns of a substitution matrix at those indices."""
     phi = S.shape[-1]
-    mod_phi = _reduction_table(n, 2 * phi - 1)
-    # a coefficient of S R is a sum of len(support) * phi products
-    # before 2 * phi - 1 of them are reduced
-    bound = max(len(support) * phi * _big(S) * _big(R) * (2 * phi - 1)
-                * _big(mod_phi), s_den * _big(R))
+    table = _pair_table(n).reshape(phi, phi * phi)
+    rows = R[support]
+    # a coefficient of a multiplication matrix of R is a sum of phi
+    # products, and one of S R a sum of len(support) * phi products of
+    # a coefficient of S with one of those
+    bound = max(len(support) * phi ** 2 * _big(S) * _big(R) * _big(table),
+                s_den * _big(R))
     if bound >= 1 << 63:
-        S, R, mod_phi = (a.astype(object) for a in (S, R, mod_phi))
-    out = np.zeros((35, R.shape[1], 2 * phi - 1), dtype=np.result_type(S, R))
-    rows = R[support].reshape(len(support), -1)
-    for a in range(phi):
-        out[:, :, a:a + phi] += (S[:, :, a] @ rows).reshape(35, -1, phi)
-    return np.array_equal(out @ mod_phi, s_den * R)
+        S, rows, table = (a.astype(object) for a in (S, rows, table))
+    # M[j, a, c, o]: coefficient o of zeta_n^a * R[j, c]
+    M = (rows.reshape(-1, phi) @ table).reshape(
+        len(support), -1, phi, phi).transpose(0, 2, 1, 3)
+    out = S.reshape(35, -1) @ M.reshape(len(support) * phi, -1)
+    return np.array_equal(out.reshape(R.shape), s_den * R)
 
 
 class InvariantSpace:
@@ -425,11 +441,15 @@ class InvariantSpace:
         self._support = tuple(sorted(support, reverse=True))
         self.rank_primes = tuple(rank_primes)
 
-    @functools.cached_property
-    def spanning(self) -> tuple:
+    def _forms(self, indices) -> tuple:
+        """The columns of the given indices as exact forms."""
         array, den, n = self.columns
         return tuple(CubicForm([_exact(n, coeffs, den) for coeffs in form])
-                     for form in array.tolist())
+                     for form in array[list(indices)].tolist())
+
+    @functools.cached_property
+    def spanning(self) -> tuple:
+        return self._forms(range(len(self.columns[0])))
 
     @property
     def dimension(self) -> int:
@@ -443,7 +463,7 @@ class InvariantSpace:
         if not self._independent:
             return ()
         rank_, reduced, _ = rref(Matrix(
-            [self.spanning[i].coefficients for i in self._independent]))
+            [f.coefficients for f in self._forms(self._independent)]))
         if rank_ != self.dimension:
             raise ContractViolationError(
                 f"invariant space has dimension {self.dimension} but its "

@@ -27,6 +27,12 @@ def from_cols(*cols):
     return Matrix([[cyclo(cols[j][i]) for j in range(n)] for i in range(n)])
 
 
+def permutation(images):
+    """The permutation matrix sending e_j to e_images[j]."""
+    return Matrix([[1 if images[j] == i else 0 for j in range(5)]
+                   for i in range(5)])
+
+
 def conjugated(gens, *scale):
     """The generators conjugated by diag(scale): entry (i, j) is
     multiplied by scale[i] / scale[j]."""
@@ -106,3 +112,8 @@ D12_FLIP = from_cols(
 )
 KLEIN_FOUR_A = diag(-1, -1, 1, 1, 1)
 KLEIN_FOUR_B = diag(1, -1, -1, 1, 1)
+
+# {diag(zeta_3^a) : sum a = 0 mod 3} x| S_5, order 9720, the projective
+# automorphism group of the Fermat cubic
+FERMAT_GENS = [diag(W, W ** 2, 1, 1, 1), permutation([1, 0, 2, 3, 4]),
+               permutation([1, 2, 3, 4, 0])]

@@ -182,15 +182,7 @@ def test_word_walk_above_the_table_limit_matches_the_table(name):
 
 
 def test_fermat_automorphism_group_above_the_table_limit():
-    # {diag(zeta_3^a) : sum a = 0 mod 3} x| S_5, the projective
-    # automorphism group of the Fermat cubic
-    def permutation(images):
-        return Matrix([[1 if images[j] == i else 0 for j in range(5)]
-                       for i in range(5)])
-
-    g = MatrixGroup.generate([fx.diag(fx.W, fx.W ** 2, 1, 1, 1),
-                              permutation([1, 0, 2, 3, 4]),
-                              permutation([1, 2, 3, 4, 0])])
+    g = MatrixGroup.generate(fx.FERMAT_GENS)
     assert g.order == 9720
     start = time.perf_counter()
     report = check_criterion(g, "fermat")

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +150,11 @@ def test_klein_group_invariants():
     assert space.basis[0] == CubicForm.parse(KLEIN)
 
 
+# x1 -> x0 + x1
+_SHEAR = fx.from_cols((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                      (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+
+
 @pytest.mark.parametrize("gens", [
     # a diagonal element of order 11 folds the sum over 5 cosets
     [fx.KLEIN_D, fx.KLEIN_P],
@@ -166,8 +173,12 @@ def test_klein_group_invariants():
     fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, 10 ** 12, 1, 1, 1),
     # every cubic monomial has weight 3 mod 9 under E(9): R = 0
     [Matrix.scalar(5, root_of_unity(9))],
+    # an order-11 element that is not diagonal: all 35 monomials over
+    # Q(zeta_11) survive, summed in several blocks of monomials and of
+    # elements
+    [_SHEAR * fx.KLEIN_D * _SHEAR.inverse()],
 ], ids=["klein-55", "alt4", "cyclic-shift", "alt5", "alt4-rational",
-        "klein-55-large", "klein-55-huge", "scalar-9"])
+        "klein-55-large", "klein-55-huge", "scalar-9", "z11-sheared"])
 def test_reynolds_operator_is_the_group_average(gens):
     g = MatrixGroup.generate(gens)
     total = exact_substitution(g.elements[0])
@@ -353,6 +364,59 @@ def test_psl2_11_rows_match_their_echelon_bases(psl2_11_rows):
         # dimension read mod p
         assert _read_off_space(space) == _read_off_echelon_basis(space.basis)
         assert space.dimension == dim_invariant_cubics(character_of(sub))
+
+
+def _assert_int64_kernel_matches_python_ints(monkeypatch, groups):
+    """Every substitution sum that invariant_basis makes on the groups,
+    the Reynolds sum and the generator checks, runs on int64 and equals
+    the same sum on Python ints."""
+    real = invariants._sum_of_images
+    calls = []
+
+    def recorded(arrays, factors, n):
+        out = real(arrays, factors, n)
+        calls.append((arrays, factors, n, out))
+        return out
+
+    monkeypatch.setattr(invariants, "_sum_of_images", recorded)
+    for g in groups:
+        invariant_basis(g)
+    assert calls
+    for arrays, factors, n, out in calls:
+        assert out.dtype == np.int64
+        assert np.array_equal(out, real(arrays.astype(object), factors, n))
+
+
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_catalog_sums_stay_in_int64(monkeypatch, entry):
+    _assert_int64_kernel_matches_python_ints(monkeypatch,
+                                             [catalog.load(entry)])
+
+
+def test_psl2_11_row_sums_stay_in_int64(monkeypatch, psl2_11_rows):
+    _assert_int64_kernel_matches_python_ints(monkeypatch, psl2_11_rows)
+
+
+@pytest.mark.parametrize("gens, limit", [
+    # 60 coset representatives over Q(zeta_11)
+    (list(catalog.load_entry("psl2-11").generators), 1.5 * 2 ** 20),
+    # 3240 coset representatives
+    (fx.FERMAT_GENS, 4 * 2 ** 20),
+], ids=["psl2-11", "fermat"])
+def test_reynolds_sum_memory_is_bounded(gens, limit):
+    # the kernel works in blocks of monomials and of representatives;
+    # summed in one piece, its temporaries would grow with the number
+    # of representatives
+    g = MatrixGroup.generate(gens)
+    invariant_basis(g)  # the group's and the conductor's tables, cached
+    gc.collect()
+    tracemalloc.start()
+    try:
+        invariant_basis(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def test_perturbed_reynolds_sums_are_caught(monkeypatch):
