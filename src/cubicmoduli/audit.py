@@ -226,10 +226,11 @@ def dims_dual_route(group: MatrixGroup):
             f"characters say {dim_u_char}"
         )
     comm_char = commutant_dimension_from_character(chi)
+    gens, _ = group.arrays(group.generator_indices)
     primes = []
     for p in split_primes(group.conductor):
         primes.append(p)
-        comm_matrix = commutant_dimension(group.generators, prime=p)
+        comm_matrix = commutant_dimension(gens, group.conductor, p)
         if comm_matrix == comm_char:
             return dim_u_matrix, comm_matrix, chi, space, primes
         if comm_matrix < comm_char:
@@ -347,27 +348,18 @@ class LatticeRow:
 
 def lattice_report(group: MatrixGroup) -> list[LatticeRow]:
     """Audit one representative of every conjugacy class of subgroups
-    generated by at most two elements, in deterministic order."""
+    generated by at most two elements, each restricted from the group's
+    tables, in the order of the subgroup scan."""
     rows = []
     for rec in group.subgroups_two_generated():
-        if len(rec.element_indices) == group.order:
-            sub = group
-        else:
-            gens = [group.elements[i] for i in rec.generator_indices]
-            sub = MatrixGroup.generate(gens)
-            if sub.order != len(rec.element_indices):
-                raise InconsistencyError(
-                    f"subgroup {rec.label}: closure of its generators has "
-                    f"order {sub.order}, the subgroup scan found "
-                    f"{len(rec.element_indices)} elements")
-        report = check_criterion(sub, group_id=rec.label)
+        sub = (group if rec.order == group.order
+               else group.subgroup(rec.generator_indices))
         rows.append(LatticeRow(
             label=rec.label,
             order=rec.order,
             fingerprint=rec.fingerprint,
-            report=report,
+            report=check_criterion(sub, group_id=rec.label),
         ))
-    rows.sort(key=lambda r: (r.order, r.label))
     return rows
 
 

@@ -23,7 +23,7 @@ from .cyclo import parse_cyclo
 from .errors import ContractViolationError, ParseError
 from .groups import MatrixGroup
 from .invariants import CubicForm, fixed_by
-from .linalg import Matrix, conductor_of
+from .linalg import Matrix
 
 ENV_VAR = "CUBICMODULI_CATALOG"
 _BUILTIN = Path(__file__).parent / "data" / "catalog"
@@ -128,13 +128,12 @@ def load_entry(name: str) -> CatalogEntry:
 
 def validate(entry: CatalogEntry) -> MatrixGroup:
     """Generate the group and check every stored expectation."""
-    n = conductor_of(v for g in entry.generators for v in g.data)
-    if n != entry.conductor:
+    group = MatrixGroup.generate(list(entry.generators))
+    if group.conductor != entry.conductor:
         raise ContractViolationError(
             f"{entry.id}: stored conductor {entry.conductor}, entries "
-            f"need {n}"
+            f"need {group.conductor}"
         )
-    group = MatrixGroup.generate(list(entry.generators))
     if group.order != entry.order:
         raise ContractViolationError(
             f"{entry.id}: generated order {group.order}, contract says "

@@ -10,9 +10,9 @@ produce the same object state.
 
 Coefficients are integer vectors over one positive denominator; Phi_n is
 monic with integer coefficients, so reduction never leaves the integers.
-Division uses the same multiplication and Galois action: the inverse of
-x is the product of its other Galois conjugates over the norm of x, the
-product of all of them, which is a nonzero rational.
+Division uses the same multiplication and Galois action: x times its
+conjugates over a maximal subfield Q(zeta_m) lies there, and the inverse
+descends to it, one prime of the conductor at a time, down to Q.
 
 The package's one exact elimination lives here too: `rref` does
 Gauss-Jordan elimination on rows of Fractions or Cyclotomics with
@@ -214,6 +214,19 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+def _accumulate(out, values, n: int, step: int, offset: int = 0):
+    """out plus the i-th of values times zeta_n^(offset + i*step), for
+    each i: rows of `_power_table(n)` added into out in place."""
+    table = _power_table(n)
+    for i, v in enumerate(values):
+        if v:
+            row = table[(offset + i * step) % n]
+            for k, r in enumerate(row):
+                if r:
+                    out[k] += v * r
+    return out
+
+
 def _normalize(n, num, den):
     # num: list[int] of length phi(n), den: positive int
     while n > 1:
@@ -288,16 +301,8 @@ class Cyclotomic:
         # the own conductor; denominator is unchanged
         if n == self._n:
             return list(self._num)
-        table = _power_table(n)
-        step = n // self._n
-        out = [0] * len(table[0])
-        for i, v in enumerate(self._num):
-            if v:
-                row = table[(i * step) % n]
-                for k, r in enumerate(row):
-                    if r:
-                        out[k] += v * r
-        return out
+        return _accumulate([0] * len(_power_table(n)[0]), self._num, n,
+                           n // self._n)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -350,22 +355,14 @@ class Cyclotomic:
             )
         n = math.lcm(self._n, other._n)
         a, b = self._promoted(n), other._promoted(n)
-        table = _power_table(n)
-        deg = len(table[0])
+        deg = len(a)
         conv = [0] * (2 * deg - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        out = list(conv[:deg])
-        for e in range(deg, len(conv)):
-            c = conv[e]
-            if c:
-                row = table[e % n] if e >= n else table[e]
-                for k, r in enumerate(row):
-                    if r:
-                        out[k] += c * r
+        out = _accumulate(conv[:deg], conv[deg:], n, 1, deg)
         return Cyclotomic._make(n, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -383,20 +380,21 @@ class Cyclotomic:
         return result
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse by the Galois norm: x^-1 = others / N,
-        where others is the product of the conjugates sigma_t(x) for t in
-        2..n-1 coprime to the conductor n, and N = x * others, the
-        product of all conjugates, is a nonzero rational."""
+        """Multiplicative inverse down the subfield tower: x^-1 = others *
+        (x * others)^-1, others the product of the conjugates sigma_t(x),
+        t = 1 mod m, t != 1, coprime to the conductor n, m = n / q for the
+        largest prime q | n; x * others, the norm to Q(zeta_m), lies there."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self._n == 1:
             sign = 1 if self._num[0] > 0 else -1
             return Cyclotomic._make(1, [self._den * sign], abs(self._num[0]))
+        m = self._n // _prime_factors(self._n)[-1]
         others = ONE
-        for t in range(2, self._n):
+        for t in range(1 + m, self._n, m):
             if math.gcd(t, self._n) == 1:
                 others = others * self.galois(t)
-        return others / (self * others).as_rational()
+        return others * (self * others).inverse()
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -421,14 +419,7 @@ class Cyclotomic:
         t %= n
         if math.gcd(t, n) != 1:
             raise ValueError(f"exponent {t} not coprime to conductor {n}")
-        table = _power_table(n)
-        out = [0] * len(table[0])
-        for i, v in enumerate(self._num):
-            if v:
-                row = table[(i * t) % n]
-                for k, r in enumerate(row):
-                    if r:
-                        out[k] += v * r
+        out = _accumulate([0] * len(self._num), self._num, n, t)
         return Cyclotomic._make(n, out, self._den)
 
     def conjugate(self) -> "Cyclotomic":

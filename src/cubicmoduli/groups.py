@@ -16,16 +16,17 @@ traces, scalar and diagonal elements are read off them in one numpy
 pass each.  Exact matrices (`elements`) are built on first use only,
 one exact value per distinct entry.
 
-After the closure every group operation is an integer lookup on the
-tables it built: the generators' indices, one right-multiplication row
-per generator and the BFS tree.  At every order, a product e_i * e_j
+A group is its closure tables: the generators' indices and one
+right-multiplication row per generator; the BFS tree is read off the
+rows.  Every group operation is an integer lookup on them: e_i * e_j
 pushes e_i through e_j's BFS word, and e_j's whole row composes the
-generator rows along it, so no table of order^2 indices is kept
-(psl2-11's closure retains about 1.5 MiB).  Powers are cached once per
-element and give orders and inverses; one orbit walk gives conjugacy
-classes, conjugacy orbits of subgroups and subgroup closures.
-Eigenvalue profiles come from the class traces: each multiplicity is a
-small integer, computed mod a split prime.
+generator rows along it, so no order^2 table is kept (psl2-11's closure
+retains about 1.5 MiB).  Powers are cached per element and give orders
+and inverses; one orbit walk gives classes, subgroup orbits and
+subgroups.  A subgroup is restricted from its parent (`subgroup`), with
+the parent's conductor: its entries lie in Q(zeta_conductor), not
+always the least such field.  Eigenvalue profiles come from the class
+traces, each multiplicity a small integer computed mod a split prime.
 
 Elements get a canonical order (lexicographic on the printed entries),
 which makes every derived report reproducible across runs and generator
@@ -142,19 +143,18 @@ class SubgroupRecord:
 
 
 class MatrixGroup:
-    def __init__(self, *, dens, nums, generators, generator_indices, steps,
-                 parent, identity_index, conductor):
-        # internal; use MatrixGroup.generate
+    def __init__(self, *, dens, nums, generator_indices, steps,
+                 identity_index, conductor):
+        # internal; use MatrixGroup.generate or MatrixGroup.subgroup
         self._dens = dens  # per element: its positive denominator
         self._nums = nums  # per element: its (d, d, phi) numerators
-        self.generators: tuple[Matrix, ...] = generators
         self.generator_indices: tuple[int, ...] = generator_indices
         self._steps = steps  # per-generator right-multiplication rows
-        self._parent = parent  # (parent index, generator index), BFS tree
+        self._parent = _tree(steps, identity_index)
         self.identity_index = identity_index
-        self.conductor = conductor
+        self.conductor = conductor  # every entry lies in Q(zeta_conductor)
         self.order = len(dens)
-        self.dim = generators[0].rows
+        self.dim = nums.shape[1]
         self._powers = {}
         self._class_traces = None
         self._class_profiles = None
@@ -178,34 +178,31 @@ class MatrixGroup:
 
         blocks = [identity]  # (dens, nums) of the elements, in index order
         index = {_keys(*identity)[0]: 0}
-        parent = [(-1, -1)]  # (parent index, generator index), BFS tree
         rmul_gen = [[] for _ in gens]  # per generator: index of e_i * g
         level = 0
         while level < len(blocks):
             # the frontier: the elements the last level found
             dens = np.concatenate([b[0] for b in blocks[level:]])
             nums = np.concatenate([b[1] for b in blocks[level:]])
-            base = len(parent) - len(dens)
             level = len(blocks)
-            for gi, step in enumerate(steps):
+            for step, row in zip(steps, rmul_gen):
                 pdens, pnums = _times(dens, nums, step)
                 fresh = []
                 for x, key in enumerate(_keys(pdens, pnums)):
                     y = index.get(key)
                     if y is None:
-                        y = len(parent)
+                        y = len(index)
                         if y >= cap:
                             raise CapExceededError(
                                 f"closure exceeded cap {cap}; raise the cap if intended"
                             )
                         index[key] = y
-                        parent.append((base + x, gi))
                         fresh.append(x)
-                    rmul_gen[gi].append(y)
+                    row.append(y)
                 if fresh:
                     blocks.append((pdens[fresh], pnums[fresh]))
 
-        order = len(parent)
+        order = len(index)
         dens = np.concatenate([b[0] for b in blocks])
         nums = np.concatenate([b[1] for b in blocks])
         values, codes = _distinct_entries(dens, nums, d, n)
@@ -219,13 +216,27 @@ class MatrixGroup:
         return cls(
             dens=dens[new_to_old],
             nums=nums[new_to_old].reshape(order, d, d, -1),
-            generators=tuple(gens),
             generator_indices=tuple(int(old_to_new[row[0]]) for row in rmul_gen),
             steps=[old_to_new[r][new_to_old].tolist() for r in rmul_gen],
-            parent=[(-1, -1) if p < 0 else (int(old_to_new[p]), gi)
-                    for p, gi in (parent[old] for old in new_to_old.tolist())],
             identity_index=int(old_to_new[0]),
             conductor=n,
+        )
+
+    def subgroup(self, gens) -> "MatrixGroup":
+        """The subgroup generated by the elements of the given indices:
+        the orbit of the identity under their rows, in this group's index
+        order (canonical for it too, both sorting on printed entries),
+        with this group's arrays, relabelled rows and conductor."""
+        rows = [self.row(g) for g in gens]
+        members = sorted(_orbit(self.identity_index,
+                                [row.__getitem__ for row in rows]))
+        local = dict(zip(members, range(len(members))))
+        return MatrixGroup(
+            dens=self._dens[members], nums=self._nums[members],
+            generator_indices=tuple(local[g] for g in gens),
+            steps=[[local[row[x]] for x in members] for row in rows],
+            identity_index=local[self.identity_index],
+            conductor=self.conductor,
         )
 
     # ------------------------------------------------------------------
@@ -501,6 +512,21 @@ def _orbit(start, steps) -> list:
                 seen.add(y)
                 orbit.append(y)
     return orbit
+
+
+def _tree(steps, root: int) -> list:
+    """Per element, (parent index, generator index) in the BFS tree of
+    the rows in steps from root, (-1, -1) at root: shortest words."""
+    parent = [None] * len(steps[0])
+    parent[root] = (-1, -1)
+    queue = [root]
+    for x in queue:
+        for gi, step in enumerate(steps):
+            y = step[x]
+            if parent[y] is None:
+                parent[y] = (x, gi)
+                queue.append(y)
+    return parent
 
 
 # an int64 product is formed only when a bound proves that it fits

@@ -192,13 +192,6 @@ class CubicForm:
     def support(self) -> tuple:
         return tuple(e for e, c in zip(MONOMIALS, self._coeffs) if c)
 
-    def variable_support(self) -> tuple:
-        used = set()
-        for e, c in zip(MONOMIALS, self._coeffs):
-            if c:
-                used.update(i for i in range(N_VARS) if e[i])
-        return tuple(sorted(used))
-
     def __add__(self, other):
         return CubicForm([a + b for a, b in
                           zip(self._coeffs, other._coeffs)])
@@ -521,11 +514,13 @@ def invariant_basis(group) -> InvariantSpace:
     R, den = _reynolds_array(group)
     n = group.conductor
     diagonal = np.arange(35)
-    trace = _exact(n, R[diagonal, diagonal].sum(axis=0).tolist(), den)
-    if not (trace.is_rational() and trace.as_rational().denominator == 1):
+    # an integer: a multiple of den times 1 on the power basis
+    trace, *rest = R[diagonal, diagonal].sum(axis=0).tolist()
+    if any(rest) or trace % den:
         raise ContractViolationError(
-            f"averaging operator has trace {trace}, not an integer")
-    trace = int(trace.as_rational())
+            f"averaging operator has trace {_exact(n, [trace, *rest], den)}, "
+            "not an integer")
+    trace //= den
     R = R[:, np.flatnonzero(R.any(axis=(0, 2)))]
     support = np.flatnonzero(R.any(axis=(1, 2)))
 

@@ -271,25 +271,22 @@ def rank_mod_p(m, p: int) -> int:
     return len(pivots_mod_p(m, p))
 
 
-def commutant_dimension(mats: list[Matrix], prime: int | None = None) -> int:
-    """Dimension over F_p of the algebra of d x d matrices commuting with
-    every given matrix: d*d minus the rank mod p of the stacked systems
-    (I (x) g^T - g (x) I) vec(X) = 0, which say X*g - g*X = 0.
+def commutant_dimension(array, n: int, prime: int | None = None) -> int:
+    """Dimension over F_p of the d x d matrices commuting with each matrix
+    of an `int_array` over zeta_n: d*d minus the rank mod p of the stacked
+    systems (I (x) g^T - g (x) I) vec(X) = 0, that is X*g = g*X.
 
-    p must be a prime below 2^31 with p = 1 mod the conductor of the
-    entries; by default it is the first of split_primes.  The result is
-    at least the exact (characteristic-zero) dimension and equals it
-    unless p divides one of the system's minors.  Common denominators
-    are dropped: a nonzero multiple of g has the same commutant."""
-    assert mats, "need at least one matrix"
-    d = mats[0].rows
-    assert all(g.rows == g.cols == d for g in mats)
-    n = conductor_of(v for m in mats for v in m.data)
+    p must be a prime below 2^31 with p = 1 mod n; by default it is the
+    first of split_primes(n).  The result is at least the exact
+    (characteristic-zero) dimension and equals it unless p divides one
+    of the system's minors.  The array's denominator is dropped: a
+    nonzero multiple of g has the same commutant."""
+    assert len(array), "need at least one matrix"
+    d = array.shape[1]
     if prime is None:
         prime = split_primes(n)[0]
     elif not (_is_prime(prime) and prime < RANK_PRIME_CEILING):
         raise BadPrimeError(f"{prime} is not a prime below 2^31")
-    array, _ = int_array(mats, n)
     g = reduce_mod_p(array, n, prime)
     eye = np.eye(d, dtype=np.int64)
     # row (i, j), column (a, b) of the system for one g:

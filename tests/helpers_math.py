@@ -16,7 +16,8 @@ from cubicmoduli.invariants import (
     _substituted,
     _sum_of_images,
 )
-from cubicmoduli.linalg import Matrix, conductor_of, int_array
+from cubicmoduli.linalg import (Matrix, commutant_dimension, conductor_of,
+                                int_array)
 from cubicmoduli.smoothprobe import ScanResult
 
 
@@ -70,6 +71,13 @@ def exact_closure(generators):
     conductor = math.lcm(*(v.conductor for m in elements for v in m.data))
     return ([elements[i] for i in new_to_old], rmul, old_to_new[0],
             conductor)
+
+
+def commutant_of(mats, prime=None):
+    """`commutant_dimension` of exact matrices: their `int_array` over
+    the conductor of their entries."""
+    n = conductor_of(v for m in mats for v in m.data)
+    return commutant_dimension(int_array(mats, n)[0], n, prime)
 
 
 def exact_profile(n, traces, dim):

@@ -21,9 +21,10 @@ from cubicmoduli.chars import (
 from cubicmoduli.cyclo import cyclo
 from cubicmoduli.errors import GroupMismatchError, NonIntegralCharacterError
 from cubicmoduli.groups import MatrixGroup
-from cubicmoduli.linalg import Matrix, commutant_dimension
+from cubicmoduli.linalg import Matrix
 
 import fixtures as fx
+from helpers_math import commutant_of
 
 
 def test_trivial_group_counts():
@@ -78,7 +79,7 @@ def test_matrix_group_matches_character_route():
         g = MatrixGroup.generate(gens)
         chi = character_of(g)
         assert commutant_dimension_from_character(chi) == \
-            commutant_dimension(g.elements)
+            commutant_of(g.elements)
 
 
 def test_order55_group_values():

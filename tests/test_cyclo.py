@@ -149,10 +149,12 @@ def test_inverse_examples():
         assert x * x.inverse() == 1
 
 
-@pytest.mark.parametrize("n", [5, 7, 11, 12, 60, 120])
+@pytest.mark.parametrize("n", [5, 7, 11, 12, 60, 105, 119, 120])
 def test_inverse_at_the_conductor(n):
-    # dense values that need all of Q(zeta_n): the inverse is the
-    # product of the other Galois conjugates over the norm
+    # dense values that need all of Q(zeta_n), and the sparse 1 + zeta_n:
+    # the inverse descends through the subfields, one prime at a time
+    sparse = 1 + E(n)
+    assert sparse * sparse.inverse() == 1
     rng = random.Random(n)
     found = 0
     while found < 4:

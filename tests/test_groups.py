@@ -279,12 +279,34 @@ def test_class_profiles_match_matrix_powers(name):
 def test_subgroup_class_profiles_match_matrix_powers():
     g = _entry_group("z11-z5-klein")
     for rec in g.subgroups_two_generated():
-        sub = MatrixGroup.generate(
-            [g.elements[i] for i in rec.generator_indices])
+        sub = g.subgroup(rec.generator_indices)
         assert sub.order == rec.order
         for c, prof in zip(sub.classes, sub.class_profiles()):
             assert _profile(prof) == matrix_profile(
                 sub.elements[c.rep_index])
+
+
+@pytest.mark.parametrize("name", ["psl2-11", "z11-z5-klein", "alt4-klein",
+                                  "alt5-sixpoint"])
+def test_subgroup_restriction_matches_reclosure(name):
+    # a lattice row restricted from the parent's tables against the
+    # closure of its generators' exact matrices: the same elements in the
+    # same order, the same tables, class data and audit
+    g = _entry_group(name)
+    for rec in g.subgroups_two_generated():
+        sub = g.subgroup(rec.generator_indices)
+        closed = MatrixGroup.generate(
+            [g.elements[i] for i in rec.generator_indices])
+        assert sub.elements == closed.elements
+        assert sub.conductor == g.conductor
+        assert (sub.generator_indices, sub.identity_index) == \
+            (closed.generator_indices, closed.identity_index)
+        assert sub._steps == closed._steps
+        assert sub.classes == closed.classes
+        assert sub.class_traces() == closed.class_traces()
+        assert sub.class_profiles() == closed.class_profiles()
+        assert (check_criterion(sub, rec.label)
+                == check_criterion(closed, rec.label))
 
 
 def test_profiles_cover_dimension():

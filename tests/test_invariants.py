@@ -349,9 +349,10 @@ def test_space_on_python_ints_matches_the_echelon_basis(gens):
 @pytest.fixture(scope="module")
 def psl2_11_rows():
     """The subgroups of order at most 60 in the psl2-11 lattice, one per
-    conjugacy class."""
+    conjugacy class, restricted from the group as the lattice audits
+    them."""
     g = catalog.load("psl2-11")
-    return [MatrixGroup.generate([g.elements[i] for i in rec.generator_indices])
+    return [g.subgroup(rec.generator_indices)
             for rec in g.subgroups_two_generated() if rec.order <= 60]
 
 
