@@ -18,8 +18,14 @@ family contains a smooth member, so dim_moduli is withheld (None), not
 reported as a number, unless non-emptiness is certified.  Emptiness
 itself is certified in exactly two ways: an eigenvalue-profile
 obstruction on elements of order 2, 4 or 5, or a variable missing from
-the whole family (every member is then a cone).  The random smoothness
-probe can only ever certify the positive direction.
+the whole family (every member is then a cone).  Non-emptiness is
+certified in two ways, and never refuted by them.  A family spanned by
+monomials whose torus strata pass `torus_strata_certified` has a smooth
+general member: a proof, from the monomials alone, with no prime and no
+scan.  Otherwise the random smoothness probe searches for a member with
+no F_p-rational singular point: evidence, not a proof.  The report's
+provenance names the route (`certificate`: "torus-strata", "scan" or
+None when not certified).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .groups import EigenProfile, MatrixGroup
 from .invariants import InvariantSpace, invariant_basis
 from .linalg import commutant_dimension, split_primes
 from .smoothprobe import (DEFAULT_SEED, DEFAULT_TRIALS, probe_nonempty,
-                          reduce_columns)
+                          reduce_columns, torus_strata_certified)
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,7 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
     violations = tuple(liftability_check(group))
     locus = cyclic_locus_flag(group, space)
 
-    probe = None
+    probe = certificate = None
     if violations:
         nonempty = NonemptyStatus(
             "EmptyCertified", "liftability violation: " + violations[0]
@@ -272,6 +278,12 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
             "EmptyCertified",
             f"every member is a cone: variable(s) {missing} never occur",
         )
+    elif torus_strata_certified(space):
+        certificate = "torus-strata"
+        nonempty = NonemptyStatus(
+            "Certified",
+            "torus-strata certificate: the general member is smooth",
+        )
     else:
         try:
             probe = probe_nonempty(space, prime=prime, trials=trials,
@@ -283,6 +295,7 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
             nonempty = NonemptyStatus("Inconclusive", f"no usable prime: {e}")
         if probe is not None:
             if probe.certified:
+                certificate = "scan"
                 nonempty = NonemptyStatus(
                     "Certified",
                     f"smooth member found mod {probe.prime}",
@@ -316,6 +329,8 @@ def check_criterion(group: MatrixGroup, group_id: str = "group",
         "trials": trials,
         "prime": probe.prime if probe is not None else prime,
         "rank_primes": rank_primes,
+        "space_rank_primes": list(space.rank_primes),
+        "certificate": certificate,
         "probe_scans": probe.scans if probe is not None else 0,
         "probe_points": probe.points if probe is not None else 0,
     }

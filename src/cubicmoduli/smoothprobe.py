@@ -59,6 +59,12 @@ The scan, however, only sees the F_p-rational points: a cubic can be
 singular at a conjugate pair of points defined over F_(p^2) and still
 pass.  So a passing scan means "no rational singular point", and the
 probe's certificate is not yet a proof.
+
+A family spanned by monomials, such as that of a diagonal group, needs
+no prime and no scan: `torus_strata_certified` proves its general
+member smooth from the monomials alone (Bertini off the base locus, a
+quasi-smoothness count on each torus stratum of it), or refuses, which
+proves nothing, and the probe runs as before.
 """
 
 from __future__ import annotations
@@ -554,3 +560,56 @@ def probe_nonempty(space, prime: int | None = None,
             return ProbeResult(True, p, trials, tuple(weights), result,
                                scans, points)
     return ProbeResult(False, p, trials, None, last, scans, points)
+
+
+def _strata_tables():
+    """(inside, linear, size) over the subsets I of the variables, each
+    a 5-bit mask: inside[m, I] when monomial m uses only variables of
+    I, linear[m, e, I] when e is outside I and m is x_e times a quadric
+    in the variables of I, and size[I] = |I|."""
+    masks = np.arange(1 << N_VARS)
+    inside = np.zeros((len(MONOMIALS), len(masks)), dtype=bool)
+    linear = np.zeros((len(MONOMIALS), N_VARS, len(masks)), dtype=bool)
+    for m, expo in enumerate(MONOMIALS):
+        support = sum(1 << i for i in range(N_VARS) if expo[i])
+        inside[m] = support & ~masks == 0
+        for e in range(N_VARS):
+            if expo[e] == 1:
+                linear[m, e] = support & ~masks == 1 << e
+    size = np.array([bin(mask).count("1") for mask in masks.tolist()])
+    return inside, linear, size
+
+
+_INSIDE, _LINEAR, _STRATUM_SIZE = _strata_tables()
+
+
+def torus_strata_certified(space) -> bool:
+    """Whether the general member of a monomial family is smooth, proven
+    from its monomials alone; False where the rule does not apply or
+    does not settle it, which proves nothing.
+
+    The family must be spanned by monomials: every spanning column of
+    the Reynolds array (`space.columns`) has one nonzero coefficient.
+    Its general member F = sum c_m m is smooth off the base locus by
+    Bertini's theorem in characteristic zero.  The base locus is a union
+    of torus strata T_I, the points whose nonzero coordinates are
+    exactly those in I, and holds T_I when no system monomial uses only
+    the variables of I.  On such a T_I the only partials of F that do
+    not vanish identically are the g_e = dF/dx_e, e not in I, that sum
+    the system monomials x_I^M x_e; they have disjoint coefficients and
+    no monomial vanishes on T_I.  So the general F is smooth on T_I when
+    some g_e is a single monomial, or when at least |I| of them are
+    nonzero: singularity at a given point of T_I is then at least |I|
+    independent linear conditions on the c_m, and T_I has dimension
+    |I| - 1.  This is Iano-Fletcher's quasi-smoothness
+    criterion ("Working with weighted complete intersections", 2000,
+    Thm 8.1) on a monomial linear system: sufficient, not necessary."""
+    rows = space.columns[0].any(axis=-1)
+    if not len(rows) or (rows.sum(axis=1) != 1).any():
+        return False
+    system = rows.any(axis=0)
+    base = ~_INSIDE[system].any(axis=0)
+    terms = _LINEAR[system].sum(axis=0)  # (e, I): monomials in g_e
+    passes = ((terms == 1).any(axis=0)
+              | ((terms > 0).sum(axis=0) >= _STRATUM_SIZE))
+    return bool((passes | ~base)[1:].all())  # I = {} is no stratum

@@ -17,7 +17,7 @@ from cubicmoduli.invariants import (
     _sum_of_images,
 )
 from cubicmoduli.linalg import (Matrix, commutant_dimension, conductor_of,
-                                int_array)
+                                int_array, pivots_mod_p)
 from cubicmoduli.smoothprobe import ScanResult
 
 
@@ -210,3 +210,31 @@ def brute_force_scan(coeffs, p):
     first = int(hits[0])
     return ScanResult(p, False, first + 1,
                       tuple(int(x) for x in points[first]))
+
+
+def _monomials_of_degree(d):
+    return sorted({tuple(picks.count(i) for i in range(N_VARS))
+                   for picks in itertools.combinations_with_replacement(
+                       range(N_VARS), d)}, reverse=True)
+
+
+def macaulay_rank(coeffs, p):
+    """Rank mod p, p a prime below 2^31, of the degree-6 Macaulay matrix
+    of the cubic with 35 integer coefficients: the 70 quartic monomials
+    times each of its 5 partials, as rows over the 210 sextic monomials.
+    The rank is 210 exactly when the partials have no common zero over
+    the algebraic closure of F_p (Macaulay: the Jacobian ideal of a
+    smooth cubic fills every degree from 6 on), so 210 proves the cubic
+    smooth mod p, and then its lift smooth in characteristic zero."""
+    sextic = {e: k for k, e in enumerate(_monomials_of_degree(6))}
+    rows = []
+    for quartic in _monomials_of_degree(4):
+        for i in range(N_VARS):
+            row = np.zeros(len(sextic), dtype=np.int64)
+            for c, expo in zip(coeffs, MONOMIALS):
+                if c % p and expo[i]:
+                    e = tuple(a + b - (v == i) for v, (a, b)
+                              in enumerate(zip(expo, quartic)))
+                    row[sextic[e]] = c * expo[i] % p
+            rows.append(row)
+    return len(pivots_mod_p(np.array(rows), p))

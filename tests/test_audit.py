@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cubicmoduli import linalg
+from cubicmoduli import catalog, linalg
 from cubicmoduli.audit import (
     check_criterion,
     cyclic_locus_flag,
@@ -145,20 +145,32 @@ def test_scalars_rejected():
 
 
 def test_probe_evidence_in_report():
-    g = MatrixGroup.generate([fx.C5_REGULAR])
-    # one sample, singular at (0:0:1:0:0) after 2745 of the 2801 points
+    # alt4-klein's span is not monomial, so the probe decides it
+    g = MatrixGroup.generate([fx.ALT4_A, fx.ALT4_B])
+    # one sample, singular at (0:1:0:0:0) after 2402 of the 2801 points
     r = check_criterion(g, trials=1, seed=0)
     assert r.nonempty.status == "Inconclusive"
     assert r.nonempty.reason == ("no smooth member in 1 scans of 1 samples "
-                                 "mod 7; last singular point (0:0:1:0:0)")
+                                 "mod 7; last singular point (0:1:0:0:0)")
     assert (r.provenance["probe_scans"], r.provenance["probe_points"]) == \
-        (1, 2745)
+        (1, 2402)
+    assert r.provenance["certificate"] is None
     assert r.dim_moduli is None
 
     r = check_criterion(g, seed=0)
     assert r.nonempty.status == "Certified"
+    assert r.provenance["certificate"] == "scan"
     assert (r.provenance["probe_scans"], r.provenance["probe_points"]) == \
-        (2, 2745 + 2801)
+        (2, 2402 + 2801)
+
+    # c5-regular's one sample was singular too, but its diagonal family
+    # is certified by its torus strata before any sample is drawn
+    r = check_criterion(MatrixGroup.generate([fx.C5_REGULAR]), trials=1,
+                        seed=0)
+    assert r.nonempty.status == "Certified"
+    assert r.provenance["certificate"] == "torus-strata"
+    assert (r.provenance["probe_scans"], r.provenance["probe_points"]) == \
+        (0, 0)
 
 
 def test_lattice_on_order55():
@@ -179,6 +191,17 @@ def test_lattice_on_order55():
     assert "Z/11:Z/5" in csv
     text = lattice_text(rows)
     assert "Z/11" in text and "=" in text
+
+
+def test_lattice_rows_certified_by_torus_strata():
+    rows = lattice_report(catalog.load("psl2-11"))
+    # the trivial and the diagonal rows; every other row is probed
+    strata = [row for row in rows
+              if row.report.provenance["certificate"] == "torus-strata"]
+    assert [row.label for row in strata] == ["1", "Z/11"]
+    assert all(row.report.provenance["probe_scans"] == 0 for row in strata)
+    assert all(row.report.provenance["certificate"] == "scan"
+               for row in rows if row not in strata)
 
 
 def test_cyclic_locus_flag_routes():

@@ -36,9 +36,11 @@ def test_audit_json_records_rank_primes(capsys):
     assert main(["audit", "z11-klein", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     # the commutant rank is certified at the first split prime for the
-    # conductor 11; the probe prime is a separate, small one
+    # conductor 11; the diagonal family is certified by its torus
+    # strata, so no probe prime is chosen
     assert doc["provenance"]["rank_primes"] == [1073741857]
-    assert doc["provenance"]["prime"] == 7
+    assert doc["provenance"]["prime"] is None
+    assert doc["provenance"]["certificate"] == "torus-strata"
     assert doc["commutant_dim"] == 5
 
 
@@ -163,6 +165,10 @@ def test_package_error_is_one_line_exit_1(tmp_path, capsys, generator,
 @pytest.mark.parametrize("entry, prime, message", [
     pytest.param("trivial", "4", "4 is not prime", id="4-4 is not prime"),
     pytest.param("trivial", "1000003", "too large", id="1000003-too large"),
+    # the trivial family is certified by its torus strata, so no probe
+    # runs, yet the prime is still checked
+    pytest.param("trivial", "33", "33 is not prime",
+                 id="33-33 is not prime"),
     # a cone family: certified empty before any probe, yet the prime is
     # still checked
     pytest.param("z3-z4", "4", "4 is not prime",

@@ -27,10 +27,11 @@ from cubicmoduli.smoothprobe import (
     reduce_columns,
     reduce_forms,
     singular_scan,
+    torus_strata_certified,
 )
 
 import fixtures as fx
-from helpers_math import brute_force_scan
+from helpers_math import brute_force_scan, macaulay_rank
 
 KLEIN = CubicForm.parse("x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2")
 FERMAT = CubicForm.parse("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
@@ -684,3 +685,113 @@ def test_dense_scan_memory_at_43():
     # the array scan over the p^4 points of a chart peaked at 10.2 MiB;
     # the blocked scan at about 0.55 MiB
     assert peak < 2
+
+
+# ----------------------------------------------------------------------
+# the torus-strata certificate against the degree-6 Macaulay rank
+
+# a prime below 2^31 for the rank; the monomial families have conductor 1
+RANK_PRIME = 2147483629
+MONOMIAL_FAMILIES = ["c2-sign", "c3-balanced", "c3-double", "c3xc3",
+                     "c5-regular", "family-43", "fermat-cyclic",
+                     "klein-four", "trivial", "z11-klein"]
+SPANS_NOT_MONOMIAL = ["alt4-klein", "alt5-sixpoint", "z11-z5-klein",
+                      "psl2-11"]
+
+
+class _Columns:
+    """An invariant space as the certificate reads it: its columns, one
+    form per row of `forms`, each a {monomial: coefficient} map."""
+
+    def __init__(self, forms):
+        array = np.zeros((len(forms), len(MONOMIALS), 1), dtype=np.int64)
+        for k, form in enumerate(forms):
+            for expo, c in form.items():
+                array[k, MONOMIAL_INDEX[expo], 0] = c
+        self.columns = (array, 1, 1)
+
+
+def _monomials(*expos):
+    return _Columns([{expo: 1} for expo in expos])
+
+
+def _general_rank(expos, rng):
+    """The Macaulay rank of the member with random nonzero coefficients
+    mod RANK_PRIME on the given monomials."""
+    coeffs = [0] * len(MONOMIALS)
+    for expo in expos:
+        coeffs[MONOMIAL_INDEX[expo]] = rng.randrange(1, RANK_PRIME)
+    return macaulay_rank(coeffs, RANK_PRIME)
+
+
+def test_torus_strata_certify_exactly_the_monomial_families(spaces):
+    certified = [e for e, space in spaces.items()
+                 if torus_strata_certified(space)]
+    assert certified == MONOMIAL_FAMILIES
+    rng = random.Random("monomial families")
+    for entry in certified:
+        assert _general_rank(spaces[entry].monomial_support(), rng) == 210, \
+            entry
+    for entry in SPANS_NOT_MONOMIAL:
+        assert not torus_strata_certified(spaces[entry]), entry
+
+
+def test_torus_strata_certified_systems_are_smooth():
+    rng = random.Random("random monomial systems")
+    certified = 0
+    for _ in range(60):
+        expos = rng.sample(MONOMIALS, rng.randrange(3, 14))
+        if torus_strata_certified(_monomials(*expos)):
+            certified += 1
+            assert _general_rank(expos, rng) == 210, expos
+    assert certified >= 5
+
+
+def test_torus_strata_refuse_a_singular_family():
+    singular = [(3, 0, 0, 0, 0), (0, 3, 0, 0, 0), (0, 0, 3, 0, 0),
+                (1, 0, 0, 1, 1)]
+    # every member is singular at e_3: x3 occurs only in x0*x3*x4
+    assert not torus_strata_certified(_monomials(*singular))
+    rng = random.Random("singular family")
+    assert _general_rank(singular, rng) < 210
+    coeffs = [int(expo in singular) for expo in MONOMIALS]
+    assert singular_scan(coeffs, 7) == ScanResult(7, False, 2794,
+                                                  (0, 0, 0, 1, 0))
+    smooth = singular + [(0, 0, 0, 3, 0), (0, 0, 0, 0, 3)]
+    assert torus_strata_certified(_monomials(*smooth))
+    assert _general_rank(smooth, rng) == 210
+
+
+def test_torus_strata_need_monomial_columns():
+    # the five cubes and x0*x1*x2 pass as monomials; summed in pairs into
+    # columns of two monomials each, the same support is refused
+    expos = [tuple(3 * (k == i) for k in range(N_VARS))
+             for i in range(N_VARS)] + [(1, 1, 1, 0, 0)]
+    assert torus_strata_certified(_monomials(*expos))
+    pairs = _Columns([{expos[k]: 1, expos[k + 1]: 1}
+                      for k in range(0, len(expos), 2)])
+    assert not torus_strata_certified(pairs)
+
+
+@pytest.mark.parametrize("entry", SPANS_NOT_MONOMIAL)
+def test_audit_probes_the_families_strata_cannot_certify(entry):
+    r = audit.check_criterion(catalog.load(entry), entry)
+    assert r.nonempty.status == "Certified"
+    assert r.provenance["certificate"] == "scan"
+    assert r.provenance["prime"] is not None
+    assert r.provenance["probe_scans"] >= 1
+
+
+@pytest.mark.parametrize("entry", MONOMIAL_FAMILIES)
+def test_audit_certifies_monomial_families_without_a_scan(entry,
+                                                          monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(audit, "probe_nonempty", no_scan)
+    r = audit.check_criterion(catalog.load(entry), entry)
+    assert str(r.nonempty) == ("Certified(torus-strata certificate: the "
+                               "general member is smooth)")
+    assert r.provenance["certificate"] == "torus-strata"
+    assert (r.provenance["prime"], r.provenance["probe_scans"],
+            r.provenance["probe_points"]) == (None, 0, 0)
