@@ -13,20 +13,39 @@ the invariants in the cubic forms without ever touching matrices.  That
 gives an independent route to numbers that are also computed directly
 from matrix actions elsewhere.
 
-For a matrix group, the trace character comes from the class traces and
-the determinant character from the eigenvalue profiles of the class
+A class function is held as integer rows (`ClassFunction`): row c holds
+the coefficients of den times its value on class c on the zeta_n power
+basis, over one positive denominator den.  A product of two class
+functions is one product per class through the table of zeta_n^(a + b)
+(`linalg._pair_table`); complex conjugation, and writing a value over a
+larger conductor, are one product with a cached table each.  An inner
+product is sizes @ (a * conj b) over the group order, and a value is
+rational exactly when its coefficients past the first are zero.  The
+rows are int64 while a bound proves that no product or sum overflows,
+and Python ints (object arrays) past it.  Exact values
+(`ClassFunction.values`) are made on first use only.
+
+For a matrix group, the trace character's rows are the class trace sums
+(`MatrixGroup.class_trace_rows`), and the determinant character's are
+rows of the power table read off the eigenvalue profiles of the class
 representatives (`MatrixGroup.class_profiles`, built from those same
-traces): the determinant is the product of the eigenvalues, so no
-matrix determinant is computed.
+traces): on a class with eigenvalue zeta_o^k of multiplicity m, the
+determinant is zeta_o^(sum k*m), so no matrix determinant is computed.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, cyclo, root_of_unity
+import numpy as np
+
+from .cyclo import Cyclotomic, _power_table, cyclo, from_power_basis
 from .errors import GroupMismatchError, NonIntegralCharacterError
+from .linalg import (_INT64_LIMIT, Matrix, _big, _pair_table, conductor_of,
+                     int_array)
 
 
 @dataclass(frozen=True)
@@ -59,24 +78,116 @@ class ClassStructure:
         raise KeyError(f"no power map for k={k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassFunction:
+    """A class function with values in Q(zeta_n): row c of `rows`, an
+    integer array of shape (classes, phi(n)), holds the power-basis
+    coefficients of den times the value on class c, den > 0."""
+
     structure: ClassStructure
-    values: tuple[Cyclotomic, ...]
+    n: int
+    rows: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
-        assert len(self.values) == self.structure.n_classes
+        assert len(self.rows) == self.structure.n_classes
+
+    @functools.cached_property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        """The exact value on each class."""
+        return tuple(from_power_basis(self.n, row, self.den)
+                     for row in self.rows.tolist())
+
+    @functools.cached_property
+    def big(self) -> int:
+        """The largest absolute value of a coefficient in rows."""
+        return _big(self.rows)
+
+    def at_power(self, k: int) -> "ClassFunction":
+        """The class function g -> f(g^k)."""
+        return ClassFunction(self.structure, self.n,
+                             self.rows[list(self.structure.power_map(k))],
+                             self.den)
+
+    def over(self, n: int) -> "ClassFunction":
+        """The same class function on the zeta_n power basis, n a
+        multiple of self.n."""
+        return self if n == self.n else self._substituted(n, 1)
 
     def tensor(self, other: "ClassFunction") -> "ClassFunction":
-        _same_structure(self, other)
-        return ClassFunction(self.structure, tuple(
-            a * b for a, b in zip(self.values, other.values)
-        ))
+        return _product(self, other)
 
     def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.structure, tuple(
-            v.conjugate() for v in self.values
-        ))
+        if self.rows.shape[1] == 1:  # rational values
+            return self
+        return self._substituted(self.n, -1)
+
+    def _substituted(self, n: int, t: int) -> "ClassFunction":
+        """The values under zeta_(self.n) -> zeta_n^(t n / self.n): the
+        rows times `_substitution_table`."""
+        table, big = _substitution_table(self.n, n, t)
+        rows = self.rows
+        if len(table) * self.big * big >= _INT64_LIMIT:
+            rows, table = rows.astype(object), table.astype(object)
+        return ClassFunction(self.structure, n, rows @ table, self.den)
+
+
+@functools.cache
+def _substitution_table(m: int, n: int, t: int):
+    """(table, largest absolute entry), for m | n: the table is
+    (phi(m), phi(n)) int64, read-only, and row k holds zeta_n^(t k n/m)
+    on the power basis.  Rows of coefficients over zeta_m times it are
+    their values under zeta_m -> zeta_n^(t n/m): the same values over
+    zeta_n for t = 1, their complex conjugates for t = -1."""
+    table = _power_table(n)
+    out = np.array([table[t * k * (n // m) % n]
+                    for k in range(len(_power_table(m)[0]))], dtype=np.int64)
+    out.flags.writeable = False
+    return out, _big(out)
+
+
+@functools.cache
+def _multiplication_table(n: int):
+    """(table, largest absolute entry): `linalg._pair_table(n)` as a
+    (phi(n), phi(n)^2) matrix; y @ table, reshaped to (phi, phi), is the
+    matrix of multiplication by y."""
+    table = _pair_table(n)
+    return table.reshape(len(table), -1), _big(table)
+
+
+def _product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
+    """The class function a * b, one product per class: a scaling where
+    one of them is rational (one coefficient per class), and otherwise
+    x @ (y @ pair table) per class over the lcm of the conductors.  On
+    Python ints where a bound does not prove that int64 holds it."""
+    _same_structure(a, b)
+    if a.rows.shape[1] == 1:
+        a, b = b, a
+    if b.rows.shape[1] == 1:
+        n, x, y = a.n, a.rows, b.rows
+        if a.big * b.big >= _INT64_LIMIT:
+            x, y = x.astype(object), y.astype(object)
+        rows = x * y
+    else:
+        n = math.lcm(a.n, b.n)
+        a, b = a.over(n), b.over(n)
+        table, big = _multiplication_table(n)
+        phi = len(table)
+        x, y = a.rows, b.rows
+        if phi * phi * a.big * b.big * big >= _INT64_LIMIT:
+            x, y, table = (v.astype(object) for v in (x, y, table))
+        rows = (x[:, None, :] @ (y @ table).reshape(-1, phi, phi))[:, 0]
+    return ClassFunction(a.structure, n, rows, a.den * b.den)
+
+
+def _combination(*terms):
+    """The rows of the sum of k * f over the (k, f) terms, class
+    functions f on one power basis; on Python ints where a bound does
+    not prove that int64 holds it."""
+    # a factor past int64 must not meet an int64 array, even a zero one
+    if sum(abs(k) * max(1, f.big) for k, f in terms) >= _INT64_LIMIT:
+        return sum(k * f.rows.astype(object) for k, f in terms)
+    return sum(k * f.rows for k, f in terms)
 
 
 def _same_structure(a: ClassFunction, b: ClassFunction):
@@ -87,49 +198,44 @@ def _same_structure(a: ClassFunction, b: ClassFunction):
 
 
 def class_function(structure: ClassStructure, values) -> ClassFunction:
-    return ClassFunction(structure, tuple(cyclo(v) for v in values))
+    row = Matrix([values])
+    n = conductor_of(row.data)
+    array, den = int_array([row], n)
+    return ClassFunction(structure, n, array[0, 0], den)
 
 
 def trivial_character(structure: ClassStructure) -> ClassFunction:
-    return class_function(structure, [1] * structure.n_classes)
+    return ClassFunction(structure, 1,
+                         np.ones((structure.n_classes, 1), dtype=np.int64))
 
 
 def sym_square(chi: ClassFunction) -> ClassFunction:
-    p2 = chi.structure.power_map(2)
-    half = Fraction(1, 2)
-    values = tuple(
-        (chi.values[c] * chi.values[c] + chi.values[p2[c]]) * half
-        for c in range(chi.structure.n_classes)
-    )
-    return ClassFunction(chi.structure, values)
+    d = chi.den
+    rows = _combination((1, _product(chi, chi)), (d, chi.at_power(2)))
+    return ClassFunction(chi.structure, chi.n, rows, 2 * d * d)
 
 
 def sym_cube(chi: ClassFunction) -> ClassFunction:
-    p2 = chi.structure.power_map(2)
-    p3 = chi.structure.power_map(3)
-    sixth = Fraction(1, 6)
-    values = []
-    for c in range(chi.structure.n_classes):
-        v = chi.values[c]
-        values.append(
-            (v * v * v + v * chi.values[p2[c]] * 3 + chi.values[p3[c]] * 2)
-            * sixth
-        )
-    return ClassFunction(chi.structure, tuple(values))
+    d = chi.den
+    rows = _combination((1, _product(_product(chi, chi), chi)),
+                        (3 * d, _product(chi, chi.at_power(2))),
+                        (2 * d * d, chi.at_power(3)))
+    return ClassFunction(chi.structure, chi.n, rows, 6 * d ** 3)
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    _same_structure(a, b)
+    terms = _product(a, b.conjugate())
     st = a.structure
-    acc = cyclo(0)
-    for c in range(st.n_classes):
-        acc = acc + a.values[c] * b.values[c].conjugate() * st.sizes[c]
-    acc = acc * Fraction(1, st.order)
-    if not acc.is_rational():
+    sizes, rows = np.array(st.sizes, dtype=np.int64), terms.rows
+    if st.order * terms.big >= _INT64_LIMIT:
+        sizes, rows = sizes.astype(object), rows.astype(object)
+    acc = (sizes @ rows).tolist()
+    den = terms.den * st.order
+    if any(acc[1:]):
         raise NonIntegralCharacterError(
-            f"inner product is not rational: {acc}"
-        )
-    return acc.as_rational()
+            "inner product is not rational: "
+            f"{from_power_basis(terms.n, acc, den)}")
+    return Fraction(acc[0], den)
 
 
 def multiplicity(a: ClassFunction, b: ClassFunction) -> int:
@@ -144,18 +250,22 @@ def multiplicity(a: ClassFunction, b: ClassFunction) -> int:
 
 def character_of(group) -> ClassFunction:
     """Trace character of a matrix group in its given representation."""
-    return ClassFunction(group.class_structure(), group.class_traces())
+    rows, den = group.class_trace_rows
+    return ClassFunction(group.class_structure(), group.conductor, rows, den)
 
 
 def det_character(group) -> ClassFunction:
     """Determinant of a matrix group in its given representation: on a
-    class whose profile has eigenvalue zeta_n^k with multiplicity m, the
-    product of the eigenvalues, zeta_n^(sum k*m)."""
-    values = tuple(
-        root_of_unity(prof.order, sum(k * m for k, m in prof.mults))
-        for prof in group.class_profiles()
-    )
-    return ClassFunction(group.class_structure(), values)
+    class whose profile has eigenvalue zeta_o^k with multiplicity m, the
+    product of the eigenvalues, zeta_o^e with e = sum k*m, a row of the
+    power table of n, the least common order of these roots."""
+    roots = [(prof.order, sum(k * m for k, m in prof.mults))
+             for prof in group.class_profiles()]
+    n = math.lcm(1, *(o // math.gcd(o, e) for o, e in roots))
+    table = _power_table(n)
+    rows = np.array([table[e * n // o % n] for o, e in roots],
+                    dtype=np.int64)
+    return ClassFunction(group.class_structure(), n, rows)
 
 
 def dim_invariant_cubics(chi: ClassFunction) -> int:

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import (Cyclotomic, _power_table, from_power_basis, power_basis,
-                    root_of_unity)
+from .cyclo import Cyclotomic, _power_table, from_power_basis, root_of_unity
 from .errors import CapExceededError, NonIntegralCharacterError, NotFiniteError
-from .linalg import (Matrix, conductor_of, int_array, root_of_unity_mod,
+from .linalg import (_INT62, _INT64_LIMIT, Matrix, _big, _pair_table,
+                     conductor_of, int_array, reduce_mod_p, root_of_unity_mod,
                      split_primes)
 from .chars import ClassStructure
 
@@ -91,30 +91,20 @@ class EigenProfile:
         return "(" + ", ".join(parts) + ")"
 
 
-def _profile_from_traces(n: int, traces: list[Cyclotomic], dim: int) -> EigenProfile:
+def _profile_from_traces(n: int, residues, p: int, dim: int) -> EigenProfile:
     """mult(zeta_n^k) = (1/n) * sum_j t_j zeta_n^(-jk) for the traces t_j
-    of the powers g^j.  Each multiplicity is an integer in [0, dim], so
-    it is computed mod the first split prime p of lcm(n, conductor):
-    p > dim makes the residue the integer itself."""
-    m = math.lcm(n, conductor_of(traces))
-    p = split_primes(m)[0]
-    w = root_of_unity_mod(m, p)
-    w_powers = [pow(w, e, p) for e in range(len(_power_table(m)[0]))]
-    residues = []
-    for t in traces:
-        num, den = power_basis(t, m)
-        residues.append(sum(c * x for c, x in zip(num, w_powers))
-                        * pow(den, -1, p) % p)
-    zeta = pow(w, m // n, p)
-    inv_n = pow(n, -1, p)
+    of the powers g^j, given as their residues mod a prime p = 1 mod n
+    (int64, in [0, p)), with zeta_n sent to root_of_unity_mod(n, p).
+    Each multiplicity is an integer in [0, dim], so p > dim makes the
+    residue the integer itself.  The sum is one product per
+    multiplicity, each term reduced mod p before the sum."""
+    inverse = pow(root_of_unity_mod(n, p), -1, p)
+    powers = np.array([pow(inverse, e, p) for e in range(n)], dtype=np.int64)
+    exponents = np.outer(np.arange(n), np.arange(n)) % n
+    values = ((powers[exponents] * residues % p).sum(axis=1) % p
+              * pow(n, -1, p) % p).tolist()
     mults = []
-    for k in range(n):
-        step = pow(zeta, -k, p)
-        acc, x = 0, 1
-        for r in residues:
-            acc += r * x
-            x = x * step % p
-        value = acc * inv_n % p
+    for k, value in enumerate(values):
         if value > dim:
             raise NonIntegralCharacterError(
                 f"eigenvalue multiplicity of zeta_{n}^{k} is {value} mod "
@@ -158,6 +148,7 @@ class MatrixGroup:
         self._powers = {}
         self._class_traces = None
         self._class_profiles = None
+        self._residues = {}  # prime -> per class, its trace mod the prime
 
     # ------------------------------------------------------------------
     # construction
@@ -250,15 +241,8 @@ class MatrixGroup:
         every coefficient fits below 2^62, and Python ints (object)
         otherwise."""
         indices = list(indices)
-        dens = self._dens[indices].tolist()
-        den = math.lcm(*dens)
-        scale = np.array([den // x for x in dens], dtype=object)
-        scale = scale.reshape(-1, 1, 1, 1)
-        nums = self._nums[indices]
-        if nums.dtype != object and _big(nums) * _big(scale) < _INT62:
-            return nums * scale.astype(np.int64), den
-        nums = nums.astype(object) * scale
-        return (nums.astype(np.int64) if _big(nums) < _INT62 else nums), den
+        return _over_common_denominator(self._nums[indices],
+                                        self._dens[indices])
 
     @functools.cached_property
     def elements(self) -> tuple[Matrix, ...]:
@@ -273,8 +257,7 @@ class MatrixGroup:
     def diagonal_indices(self) -> list[int]:
         """The indices of the diagonal elements, in index order."""
         off = ~np.eye(self.dim, dtype=bool)
-        return np.flatnonzero(
-            (self._nums[:, off] == 0).all(axis=(1, 2))).tolist()
+        return (self._nums[:, off] == 0).all(axis=(1, 2)).nonzero()[0].tolist()
 
     # ------------------------------------------------------------------
     # index arithmetic
@@ -368,6 +351,10 @@ class MatrixGroup:
     # characters and profiles support
 
     def class_structure(self) -> ClassStructure:
+        return self._class_structure
+
+    @functools.cached_property
+    def _class_structure(self) -> ClassStructure:
         cl = self.classes
         return ClassStructure(
             order=self.order,
@@ -379,18 +366,41 @@ class MatrixGroup:
                 for k in (2, 3, 5)),
         )
 
+    @functools.cached_property
+    def class_trace_rows(self):
+        """(rows, den): row c holds the phi(conductor) power-basis
+        coefficients of den times the trace of class c's representative,
+        the sum of its diagonal rows, den > 0 the least common
+        denominator; int64 when every coefficient fits below 2^62, and
+        Python ints (object) otherwise."""
+        reps = [c.rep_index for c in self.classes]
+        d = range(self.dim)
+        diagonal = self._nums[reps][:, d, d]
+        if (diagonal.dtype != object
+                and _big(diagonal) * self.dim >= _INT64_LIMIT):
+            diagonal = diagonal.astype(object)
+        return _over_common_denominator(diagonal.sum(axis=1),
+                                        self._dens[reps])
+
     def class_traces(self) -> tuple[Cyclotomic, ...]:
-        """The trace of each class representative, exact: the sum of its
-        diagonal rows of power-basis coefficients over its
-        denominator."""
+        """The trace of each class representative, exact: its row of
+        `class_trace_rows` over their denominator."""
         if self._class_traces is None:
-            reps = [c.rep_index for c in self.classes]
-            d = range(self.dim)
-            sums = self._nums[reps][:, d, d].sum(axis=1)
+            rows, den = self.class_trace_rows
             self._class_traces = tuple(
-                from_power_basis(self.conductor, row, den) for row, den in
-                zip(sums.tolist(), self._dens[reps].tolist()))
+                from_power_basis(self.conductor, row, den)
+                for row in rows.tolist())
         return self._class_traces
+
+    def _trace_residues(self, p: int):
+        """Per class, its trace mod p (int64 in [0, p)), zeta_conductor
+        sent to root_of_unity_mod(conductor, p); p = 1 mod conductor."""
+        got = self._residues.get(p)
+        if got is None:
+            rows, den = self.class_trace_rows
+            got = self._residues[p] = (reduce_mod_p(rows, self.conductor, p)
+                                       * pow(den, -1, p) % p)
+        return got
 
     def class_profiles(self) -> tuple[EigenProfile, ...]:
         """Eigenvalue profile of each class representative, in class
@@ -403,10 +413,16 @@ class MatrixGroup:
 
     def eigen_profile_of(self, i: int) -> EigenProfile:
         """Profile of element i using class data: trace(g^j) is the class
-        trace of the j-th power, so no matrix powers are needed."""
-        by_class = self.class_traces()
-        traces = [by_class[self._class_of[j]] for j in self.powers(i)]
-        return _profile_from_traces(len(traces), traces, self.dim)
+        trace of the j-th power, so no matrix powers are needed.  The
+        traces are read mod the first split prime p of lcm(order of g,
+        conductor)."""
+        powers = self.powers(i)
+        n = len(powers)
+        p = split_primes(math.lcm(n, self.conductor))[0]
+        residues = self._trace_residues(p)
+        class_of = self._class_of
+        return _profile_from_traces(
+            n, residues[[class_of[j] for j in powers]], p, self.dim)
 
     # ------------------------------------------------------------------
     # structural predicates
@@ -529,29 +545,6 @@ def _tree(steps, root: int) -> list:
     return parent
 
 
-# an int64 product is formed only when a bound proves that it fits
-_INT64_LIMIT = 1 << 63
-# the bound below which linalg.int_array keeps coefficients in int64
-_INT62 = 1 << 62
-
-
-def _big(array) -> int:
-    return int(np.abs(array).max()) if array.size else 0
-
-
-@functools.cache
-def _pair_table(n: int):
-    """(phi(n), phi(n), phi(n)) int64, read-only: entry (a, b) holds
-    zeta_n^(a + b) on the power basis.  For a coefficient vector y,
-    y @ table is the matrix of multiplication by y (row a holds zeta_n^a
-    y), so the product of x and y is x @ (y @ table)."""
-    table = np.array(_power_table(n), dtype=np.int64)
-    phi = table.shape[1]
-    pairs = table[(np.arange(phi)[:, None] + np.arange(phi)) % n]
-    pairs.flags.writeable = False
-    return pairs
-
-
 class _RightMultiplication:
     """Right multiplication by one generator g on integer arrays.
 
@@ -578,6 +571,20 @@ class _RightMultiplication:
         self.big = int(np.abs(matrix).max())
         self.element = _lowest_terms(np.array([den], dtype=num.dtype),
                                      num.reshape(1, -1))
+
+
+def _over_common_denominator(nums, dens):
+    """(nums', den): the values nums[k] / dens[k] over one denominator,
+    den > 0 the least common one.  int64 when every coefficient fits
+    below 2^62, and Python ints (object) otherwise."""
+    dens = dens.tolist()
+    den = math.lcm(*dens)
+    scale = np.array([den // x for x in dens], dtype=object)
+    scale = scale.reshape((-1,) + (1,) * (nums.ndim - 1))
+    if nums.dtype != object and _big(nums) * _big(scale) < _INT62:
+        return nums * scale.astype(np.int64), den
+    nums = nums.astype(object) * scale
+    return (nums.astype(np.int64) if _big(nums) < _INT62 else nums), den
 
 
 def _lowest_terms(dens, nums):

@@ -21,7 +21,7 @@ The sum runs on integer arrays, read from the group
 array of coefficients on the zeta_n power basis over one common
 denominator, n the group's conductor.  Products in Q(zeta_n) go through
 one cached table of zeta_n^(a + b) on the power basis
-(`groups._pair_table`): an entry times the table is the phi x phi
+(`linalg._pair_table`): an entry times the table is the phi x phi
 matrix of multiplication by that entry, so a product is a matmul and
 comes out reduced mod Phi_n.  For a surviving monomial x_p*x_q*x_r the
 pair products A[p, a] * A[q, b] of every representative are one batched
@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import MappingProxyType
 
 import numpy as np
 
@@ -85,9 +86,11 @@ from .cyclo import (
     parse_polynomial,
 )
 from .errors import ContractViolationError
-from .groups import _big, _orbit, _pair_table
+from .groups import _orbit
 from .linalg import (
     Matrix,
+    _big,
+    _pair_table,
     pivots_mod_p,
     reduce_mod_p,
     rref,
@@ -115,6 +118,12 @@ assert len(MONOMIALS) == 35 and MONOMIALS[0] == (3, 0, 0, 0, 0)
 def _factors(expo) -> tuple:
     """The variable indices of a monomial with multiplicity, ascending."""
     return tuple(i for i, e in enumerate(expo) for _ in range(e))
+
+
+# per monomial, its exponent vector and its factors, as (35, 5) and
+# (35, 3) intp arrays
+_EXPONENTS = np.array(MONOMIALS, dtype=np.intp)
+_FACTORS = np.array([_factors(e) for e in MONOMIALS], dtype=np.intp)
 
 
 def _collapse_order():
@@ -246,11 +255,10 @@ def _substituted(A, den, n, form: CubicForm) -> CubicForm:
     """F(g^-1 x) for A, den the array of g^-1 over zeta_n: the images of
     F's monomials from the kernel, over den^3, combined exactly with F's
     coefficients."""
-    terms = [(c, _factors(e)) for e, c in zip(MONOMIALS, form.coefficients)
-             if c]
-    images = _sum_of_images(A, [f for _, f in terms], n).tolist()
+    terms = [(m, c) for m, c in enumerate(form.coefficients) if c]
+    images = _sum_of_images(A, _FACTORS[[m for m, _ in terms]], n).tolist()
     coeffs = [_ZERO] * 35
-    for (c, _), image in zip(terms, images):
+    for (_, c), image in zip(terms, images):
         for m, value in enumerate(image):
             if any(value):
                 coeffs[m] = coeffs[m] + c * from_power_basis(n, value,
@@ -266,6 +274,19 @@ def fixed_by(group, i: int, forms) -> bool:
     return all(_substituted(A, den, group.conductor, f) == f for f in forms)
 
 
+@functools.cache
+def _root_exponents(c: int) -> MappingProxyType:
+    """Per root of unity of order dividing 2c, its power-basis row over
+    zeta_c mapped to its exponent e as zeta_2c^e.  zeta_c^j = zeta_2c^(2j)
+    is row j of the power table and its negative is zeta_2c^(2j + c):
+    for odd c an entry of order 2c is only the negative of a row."""
+    exponents = {}
+    for j, row in enumerate(_power_table(c)):
+        exponents.setdefault(row, 2 * j)
+        exponents.setdefault(tuple(-v for v in row), 2 * j + c)
+    return MappingProxyType(exponents)  # shared by every caller
+
+
 def _diagonal_of_largest_order(group):
     """The diagonal element h of largest order n (the identity when no
     other element is diagonal) and its exponents: entry i of h is
@@ -273,13 +294,7 @@ def _diagonal_of_largest_order(group):
     h_idx = max(group.diagonal_indices(), key=group.element_order)
     n = group.element_order(h_idx)
     c = group.conductor
-    # zeta_c^j = zeta_2c^(2j) is row j of the power table and its
-    # negative is zeta_2c^(2j + c): for odd c an entry of order 2c is
-    # only the negative of a row
-    exponents = {}
-    for j, row in enumerate(_power_table(c)):
-        exponents.setdefault(row, 2 * j)
-        exponents.setdefault(tuple(-v for v in row), 2 * j + c)
+    exponents = _root_exponents(c)
     array, den = group.arrays([h_idx])
     # entry i is zeta_2c^e of order dividing n, so 2c divides e * n
     return n, h_idx, [
@@ -302,8 +317,7 @@ def _reynolds_array(group):
     h the identity this is the plain sum over every element.
     """
     n, h_idx, exps = _diagonal_of_largest_order(group)
-    surviving = [j for j, expo in enumerate(MONOMIALS)
-                 if sum(a * k for a, k in zip(expo, exps)) % n == 0]
+    surviving = (_EXPONENTS @ exps % n == 0).nonzero()[0]
 
     # left coset representatives of <h>: the coset of i is its orbit
     # under right multiplication by h
@@ -315,8 +329,7 @@ def _reynolds_array(group):
             seen.update(_orbit(i, [by_h.__getitem__]))
 
     arrays, den = group.arrays([group.inverse_index(r) for r in reps])
-    sums = _sum_of_images(arrays, [_factors(MONOMIALS[j]) for j in surviving],
-                          group.conductor)
+    sums = _sum_of_images(arrays, _FACTORS[surviving], group.conductor)
     R = np.zeros((35, 35, sums.shape[-1]), dtype=sums.dtype)
     R[:, surviving] = sums.transpose(1, 0, 2)
     return R, den ** 3 * len(reps)
@@ -521,12 +534,12 @@ def invariant_basis(group) -> InvariantSpace:
             f"averaging operator has trace {_exact(n, [trace, *rest], den)}, "
             "not an integer")
     trace //= den
-    R = R[:, np.flatnonzero(R.any(axis=(0, 2)))]
-    support = np.flatnonzero(R.any(axis=(1, 2)))
+    R = R[:, R.any(axis=(0, 2)).nonzero()[0]]
+    support = R.any(axis=(1, 2)).nonzero()[0]
 
     independent, primes = (), []
     if len(support):
-        factors = [_factors(MONOMIALS[m]) for m in support]
+        factors = _FACTORS[support]
         # each distinct generator once; the identity fixes R anyway
         gens = dict.fromkeys(group.generator_indices)
         gens.pop(group.identity_index, None)

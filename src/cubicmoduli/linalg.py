@@ -15,6 +15,11 @@ commutant dimension is a rank mod a split prime p = 1 mod n near 2^30.
 Reduction mod p can only lower a rank, so the F_p value is an upper
 bound for the exact commutant dimension; the audit certifies it against
 the character inner product <chi, chi>.
+
+The table of zeta_n^(a + b) on the power basis (`_pair_table`), through
+which the closure, the substitution kernel and the character route
+multiply coefficient rows, lives here with the overflow bound they
+share (`_big`).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .cyclo import (
     ONE,
     Cyclotomic,
     _is_prime,
+    _power_table,
     _prime_factors,
     cyclo,
     power_basis,
@@ -45,6 +51,27 @@ RANK_PRIME_CEILING = 1 << 31
 # split primes tried for a certified rank before a shortfall is
 # reported as an inconsistency
 RANK_PRIME_ATTEMPTS = 4
+# an int64 product is formed only when a bound proves that it fits
+_INT64_LIMIT = 1 << 63
+# the bound below which int_array keeps coefficients in int64
+_INT62 = 1 << 62
+
+
+def _big(array) -> int:
+    return int(np.abs(array).max()) if array.size else 0
+
+
+@functools.cache
+def _pair_table(n: int):
+    """(phi(n), phi(n), phi(n)) int64, read-only: entry (a, b) holds
+    zeta_n^(a + b) on the power basis.  For a coefficient vector y,
+    y @ table is the matrix of multiplication by y (row a holds zeta_n^a
+    y), so the product of x and y is x @ (y @ table)."""
+    table = np.array(_power_table(n), dtype=np.int64)
+    phi = table.shape[1]
+    pairs = table[(np.arange(phi)[:, None] + np.arange(phi)) % n]
+    pairs.flags.writeable = False
+    return pairs
 
 
 class Matrix:
@@ -187,7 +214,7 @@ def int_array(mats, n: int):
               for k, (num, vd) in coeffs.items()}
     big = max(abs(x) for num in scaled.values() for x in num)
     array = np.array([[scaled[id(v)] for v in m.data] for m in mats],
-                     dtype=np.int64 if big < 1 << 62 else object)
+                     dtype=np.int64 if big < _INT62 else object)
     return array.reshape(len(mats), mats[0].rows, mats[0].cols, -1), den
 
 
@@ -245,22 +272,27 @@ def reduce_mod_p(array, n: int, p: int):
 def pivots_mod_p(m, p: int) -> tuple:
     """The pivot columns of an int64 matrix with entries in [0, p), p a
     prime below 2^31: left to right, each column that is independent mod
-    p of the columns before it.  Their number is the rank mod p."""
-    m = m[np.any(m, axis=1)]
+    p of the columns before it.  Their number is the rank mod p.  Each
+    pivot updates only the rows below it that are nonzero in its
+    column; every other row is left as it is."""
+    m = m[m.any(axis=1)]
     pivots = []
     for col in range(m.shape[1]):
         rank = len(pivots)
-        nonzero = np.flatnonzero(m[rank:, col])
+        nonzero = m[rank:, col].nonzero()[0]
         if not len(nonzero):
             continue
         pivot = rank + nonzero[0]
         if pivot != rank:
+            # the row at rank is zero in col, so the swap moves no row
+            # that the update below must reach
             m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
-        rest = m[rank + 1:]
-        rest -= rest[:, col, None] * m[rank]
-        rest %= p
         pivots.append(col)
+        if len(nonzero) > 1:
+            rows = rank + nonzero[1:]
+            m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+            # each product is below p^2 < 2^62
+            m[rows] = (m[rows] - m[rows, col][:, None] * m[rank]) % p
         if len(pivots) == len(m):
             break
     return tuple(pivots)

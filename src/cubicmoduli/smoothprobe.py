@@ -92,7 +92,7 @@ DEFAULT_SEED = 0
 # prefixes at a time, in int16 (values below 2 p^2 + p) and int32
 # (below 3 p^3), exact for every p under the bound.  At p = 127, the
 # largest prime below it, one scan of the Fermat cubic takes 3-4 ms
-# and peaks at about 1.6 MiB (tracemalloc, the tables of F_p built in
+# and peaks at about 1.3 MiB (tracemalloc, the tables of F_p built in
 # it): every partial but 3 x4^2 lacks x4, so their c_j leave no
 # candidate prefix but e_3
 MAX_CHART_POINTS = 1 << 28
@@ -261,6 +261,16 @@ def _cubic_tables(p):
     return depress, roots
 
 
+def _flat_index(a, b, p):
+    """a p + b as one intp array: the row of entry (a, b) of a (p, p, 3)
+    table reshaped to (p^2, 3).  numpy would convert a pair of int16
+    index arrays to intp one by one."""
+    flat = a.astype(np.intp)
+    flat *= p
+    flat += b
+    return flat
+
+
 def _add_coordinate(q, m, quad, lin, p):
     """The quadrics q (upper triangular 5 x 5, entries in [0, p)) over
     the points x + c e_m, c = 0, ..., p - 1 in turn for each point x of
@@ -284,15 +294,16 @@ def _add_coordinate(q, m, quad, lin, p):
 
 
 def _plane_tables(q, p):
-    """(len(q), 4, p^2 + p + 2) int16 in [0, p): the quadrics q over
+    """(len(q), 3, p^2 + p + 2) int16 in [0, p): the quadrics q over
     the points x of P^2 in scan order and then e_3, written with
     t = x4 and y = x3 as
 
         A t^2 + (b(x) + beta y) t + c(x) + g(x) y + delta y^2,
 
-    A, beta and delta being q's entries at (4, 4), (3, 4) and (3, 3).
-    Column x holds delta, g(x), c(x) and b(x).  The column of e_3 holds
-    delta, 0, delta and beta: at y = 0 it gives the values at e_3.
+    A, beta and delta being q's entries at (4, 4), (3, 4) and (3, 3),
+    the same at every point.  Column x holds g(x), c(x) and b(x).  The
+    column of e_3 holds 0, delta and beta: at y = 0 it gives the values
+    at e_3.
 
     The tables are grown one coordinate at a time (`_add_coordinate`),
     each e_m after the points it follows, with q's entries at (m, m)
@@ -303,13 +314,12 @@ def _plane_tables(q, p):
     lin = np.concatenate((lin, q[:, 1, 2:, None]), axis=2)
     quad, lin = _add_coordinate(q, 2, quad, lin, p)
     n = quad.shape[1]
-    T = np.empty((len(q), 4, n + 2), dtype=np.int16)
-    T[:, 0] = q[:, 3, 3, None]
-    T[:, 1::2, :n] = lin
-    T[:, 2, :n] = quad
+    T = np.empty((len(q), 3, n + 2), dtype=np.int16)
+    T[:, ::2, :n] = lin
+    T[:, 1, :n] = quad
     # e_2 and e_3; q is upper triangular, so q[:, 3, 2] is 0
-    T[:, 1:, n] = q[:, 2, [3, 2, 4]]
-    T[:, 1:, n + 1] = q[:, 3, 2:]
+    T[:, :, n] = q[:, 2, [3, 2, 4]]
+    T[:, :, n + 1] = q[:, 3, 2:]
     return T
 
 
@@ -317,9 +327,9 @@ def _cubic_roots_in_y(a, b, c, p):
     """(N, 3) int16: the roots y in F_p of y^3 + a y^2 + b y + c, one
     cubic per entry of a, b and c (int16 in [0, p)), padded with -1,
     read off `_cubic_tables` as z - s."""
-    depress, roots = _cubic_tables(p)
-    P, Q, s = depress[a, b].T
-    z = roots[P, (c + Q) % p]
+    depress, roots = (t.reshape(-1, 3) for t in _cubic_tables(p))
+    P, Q, s = depress[_flat_index(a, b, p)].T
+    z = roots[_flat_index(P, (c + Q) % p, p)]
     y = z - s[:, None]
     y %= p
     y[z < 0] = -1
@@ -347,18 +357,22 @@ _PAIRS = [list(itertools.combinations(range(n), 2))
           for n in range(N_VARS + 1)]
 
 
-def _resultants(beta, T, j, k, p):
+def _resultants(beta, delta, T, j, k, p):
     """(len(j), 3, N) in [0, p), or (3, N) for one pair: for each pair
     of rows j, k of the tables T (`_plane_tables`) of quadrics L linear
-    in t = x4, and beta their x3 x4 coefficients, b_j c_k - b_k c_j as a
-    cubic in y over T's N columns, less its y^3 term beta_j delta_k -
-    beta_k delta_j: its coefficients of y^2, y and 1.  In int16 every
-    product stays below p^2 and every sum in (-2 p^2, 2 p^2)."""
+    in t = x4, and beta and delta their x3 x4 and x3^2 coefficients,
+    b_j c_k - b_k c_j as a cubic in y over T's N columns, less its y^3
+    term beta_j delta_k - beta_k delta_j: its coefficients of y^2, y
+    and 1.  In int16 every product stays below p^2 and every sum in
+    (-2 p^2, 2 p^2)."""
     Tj, Tk = T[j], T[k]
-    D = (Tj[..., 3, None, :] * Tk[..., :3, :]
-         - Tk[..., 3, None, :] * Tj[..., :3, :])
-    D[..., :2, :] += (beta[j, None, None] * Tk[..., 1:3, :]
-                      - beta[k, None, None] * Tj[..., 1:3, :])
+    D = np.empty_like(Tj)
+    D[..., 0, :] = (delta[k, None] * Tj[..., 2, :]
+                    - delta[j, None] * Tk[..., 2, :])
+    D[..., 1:, :] = (Tj[..., 2, None, :] * Tk[..., :2, :]
+                     - Tk[..., 2, None, :] * Tj[..., :2, :])
+    D[..., :2, :] += (beta[j, None, None] * Tk[..., :2, :]
+                      - beta[k, None, None] * Tj[..., :2, :])
     return D % p
 
 
@@ -376,31 +390,45 @@ def _prefix_filter(L, T, p):
     y that does not vanish identically there: c_j where b_j = 0 for
     every y, then each pair's D.  A point where all vanish keeps every
     y."""
-    beta = L[:, 3, 4]
-    b_, d_ = beta.tolist(), L[:, 3, 3].tolist()
+    beta, delta = L[:, 3, 4], L[:, 3, 3]
+    b_, d_ = beta.tolist(), delta.tolist()
     for j, k in _PAIRS[len(L)]:
         cube = (b_[j] * d_[k] - b_[k] * d_[j]) % p
         if cube:
-            a, b, c = _resultants(beta, T, j, k, p) * pow(cube, -1, p) % p
+            a, b, c = (_resultants(beta, delta, T, j, k, p)
+                       * pow(cube, -1, p) % p)
             return (_cubic_roots_in_y(a, b, c, p),
                     np.zeros(T.shape[2], dtype=bool))
-    j, k = np.array(_PAIRS[len(L)], dtype=np.intp).reshape(-1, 2).T
+    return _quadratic_roots_in_y(_first_nonvanishing(beta, delta, T, p), p)
+
+
+def _first_nonvanishing(beta, delta, T, p):
+    """(3, N) int16 in [0, p): for each column x of the tables T of
+    `_prefix_filter`, the coefficients of y^2, y and 1 of the first
+    polynomial in y that does not vanish identically there, c_j where
+    b_j = 0 for every y and then each pair's D; zero where all vanish.
+    Its index arrays are freed when it returns, before the roots are
+    read off the tables."""
+    j, k = np.array(_PAIRS[len(T)], dtype=np.intp).reshape(-1, 2).T
     chosen = np.zeros((3, T.shape[2]), dtype=np.int16)
-    fit = (T[:, 3] == 0) & (beta == 0)[:, None] & T[:, :3].any(axis=1)
+    fit = ((T[:, 2] == 0) & (beta == 0)[:, None]
+           & (T[:, :2].any(axis=1) | (delta != 0)[:, None]))
     got = fit.any(axis=0)
     x = got.nonzero()[0]
     # the first row that fits, as an argmin: a bool argmax would page in
     # library code (64 KiB of RSS) that no other step of a scan runs
     if len(x):  # there is no fit without an L
-        chosen[:, x] = T[(~fit).argmin(axis=0)[x], :3, x].T
+        rows = (~fit).argmin(axis=0)[x]
+        chosen[0, x] = delta[rows]
+        chosen[1:, x] = T[rows, :2, x].T
     # the pairs over the points still open, a block of them at a time
     left = (~got).nonzero()[0] if len(j) else x[:0]
     for s in range(0, len(left), SCAN_BLOCK_PREFIXES):
         x = left[s:s + SCAN_BLOCK_PREFIXES]
-        D = _resultants(beta, T[:, :, x], j, k, p)
+        D = _resultants(beta, delta, T[:, :, x], j, k, p)
         chosen[:, x] = D[(~D.any(axis=1)).argmin(axis=0), :,
                          np.arange(len(x))].T
-    return _quadratic_roots_in_y(chosen, p)
+    return chosen
 
 
 def _candidates(roots, every, p):
@@ -500,8 +528,8 @@ def singular_scan(form, prime: int) -> ScanResult:
     for x, y in _candidates(roots, every, p):
         # in int16 B stays below p^2 + p and C below 2 p^2 + p
         Tx = T[:, :, x]
-        B = Tx[:, 3] + q[:, 3, 4, None] * y
-        C = Tx[:, 2] + Tx[:, 1] * y + Tx[:, 0] * square[y]
+        B = Tx[:, 2] + q[:, 3, 4, None] * y
+        C = Tx[:, 1] + Tx[:, 0] * y + q[:, 3, 3, None] * square[y]
         index = _first_candidate(a0, B, C, x * p + y, p)
         if index is not None:
             break

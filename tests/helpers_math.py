@@ -73,6 +73,58 @@ def exact_closure(generators):
             conductor)
 
 
+def gauss_jordan_pivots(m, p):
+    """Reference pivot columns mod p by Gauss-Jordan elimination on
+    Python ints: each pivot row scaled to 1 and its column cleared in
+    every other row, above and below.  The pivots are the columns that
+    are independent mod p of the columns before them."""
+    rows = [[int(v) % p for v in row] for row in np.asarray(m).tolist()]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inverse = pow(rows[r][col], -1, p)
+        rows[r] = [v * inverse % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return tuple(pivots)
+
+
+def exact_sym_square(chi):
+    """Reference sym^2 of a class function on its exact values:
+    (chi(g)^2 + chi(g^2)) / 2 on each class."""
+    v, p2 = chi.values, chi.structure.power_map(2)
+    return tuple((v[c] * v[c] + v[p2[c]]) * Fraction(1, 2)
+                 for c in range(len(v)))
+
+
+def exact_sym_cube(chi):
+    """Reference sym^3 on exact values: (chi(g)^3 + 3 chi(g) chi(g^2) +
+    2 chi(g^3)) / 6 on each class."""
+    v = chi.values
+    p2, p3 = chi.structure.power_map(2), chi.structure.power_map(3)
+    return tuple((v[c] * v[c] * v[c] + v[c] * v[p2[c]] * 3 + v[p3[c]] * 2)
+                 * Fraction(1, 6) for c in range(len(v)))
+
+
+def exact_inner_product(a, b):
+    """Reference <a, b> = (1/|G|) sum_c |c| a(c) conj(b(c)) on exact
+    values, as a Cyclotomic: rational for characters, and not always
+    for other class functions."""
+    st = a.structure
+    acc = cyclo(0)
+    for c in range(st.n_classes):
+        acc = acc + a.values[c] * b.values[c].conjugate() * st.sizes[c]
+    return acc * Fraction(1, st.order)
+
+
 def commutant_of(mats, prime=None):
     """`commutant_dimension` of exact matrices: their `int_array` over
     the conductor of their entries."""

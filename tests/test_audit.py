@@ -13,7 +13,8 @@ from cubicmoduli.audit import (
     lattice_text,
     liftability_check,
 )
-from cubicmoduli.cyclo import root_of_unity
+from cubicmoduli.chars import det_character, dim_special_subvariety
+from cubicmoduli.cyclo import Cyclotomic, root_of_unity
 from cubicmoduli.errors import InconsistencyError, NotProjectivelyFaithfulError
 from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.linalg import RANK_PRIME_ATTEMPTS, Matrix
@@ -278,3 +279,23 @@ def test_negative_moduli_dimension_is_inconsistent(monkeypatch):
     monkeypatch.setattr(audit_module, "dims_dual_route", commutant_too_large)
     with pytest.raises(InconsistencyError, match="negative"):
         audit([])
+
+
+@pytest.mark.parametrize("entry", ["z11-z5-klein", "alt5-sixpoint"])
+def test_audit_dimensions_make_no_exact_products(entry, monkeypatch):
+    # both routes of dim U, the commutant and dim Z run on integer rows
+    g = catalog.load(entry)
+    real = Cyclotomic.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
+    dim_u, comm, chi, _, _ = dims_dual_route(g)
+    dim_z = dim_special_subvariety(chi, det_character(g))
+    assert (dim_u, comm, dim_z) == {"z11-z5-klein": (1, 1, 0),
+                                    "alt5-sixpoint": (2, 1, 1)}[entry]
+    assert calls == []

@@ -1,6 +1,8 @@
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubicmoduli import catalog
@@ -24,7 +26,8 @@ from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.linalg import Matrix
 
 import fixtures as fx
-from helpers_math import commutant_of
+from helpers_math import (commutant_of, exact_inner_product, exact_sym_cube,
+                          exact_sym_square)
 
 
 def test_trivial_group_counts():
@@ -160,3 +163,77 @@ def test_non_character_rejected():
         multiplicity(fake, trivial_character(st))
     # inner products that are rational but fractional still come through
     assert inner_product(fake, trivial_character(st)) == Fraction(1, 4)
+
+
+# ----------------------------------------------------------------------
+# the row arithmetic against the exact per-class formulas
+
+def _assert_inner_product_matches(a, b):
+    exact = exact_inner_product(a, b)
+    if exact.is_rational():
+        assert inner_product(a, b) == exact.as_rational()
+    else:
+        with pytest.raises(NonIntegralCharacterError,
+                           match=re.escape(f"not rational: {exact}")):
+            inner_product(a, b)
+
+
+def _assert_rows_match_exact_formulas(chi, other):
+    """sym^2, sym^3, conjugates, the tensor with other and the inner
+    products that the audit takes, each against the exact formula on
+    the exact values."""
+    one = trivial_character(chi.structure)
+    assert sym_square(chi).values == exact_sym_square(chi)
+    assert sym_cube(chi).values == exact_sym_cube(chi)
+    assert chi.conjugate().values == tuple(v.conjugate() for v in chi.values)
+    twisted = other.tensor(chi)
+    assert twisted.values == tuple(
+        a * b for a, b in zip(other.values, chi.values))
+    assert sym_square(twisted).values == exact_sym_square(twisted)
+    for a, b in [(chi, chi), (sym_cube(chi), one),
+                 (sym_square(twisted), one), (chi, other), (other, chi),
+                 (chi, one)]:
+        _assert_inner_product_matches(a, b)
+
+
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_rows_match_exact_formulas_on_the_catalog(entry):
+    g = catalog.load(entry)
+    _assert_rows_match_exact_formulas(character_of(g), det_character(g))
+
+
+@pytest.fixture(scope="module")
+def psl2_11_lattice_rows():
+    """Every row of the psl2-11 lattice, restricted from the group."""
+    g = catalog.load("psl2-11")
+    return [g.subgroup(rec.generator_indices)
+            for rec in g.subgroups_two_generated()]
+
+
+def test_rows_match_exact_formulas_on_the_psl2_11_lattice(
+        psl2_11_lattice_rows):
+    assert len(psl2_11_lattice_rows) == 16
+    for sub in psl2_11_lattice_rows:
+        _assert_rows_match_exact_formulas(character_of(sub),
+                                          det_character(sub))
+
+
+def test_rows_match_exact_formulas_on_the_abstract_datum():
+    datum = psl2_11_datum()
+    for a, b in itertools.product(["chi1", "chi2", "chi3"], repeat=2):
+        _assert_rows_match_exact_formulas(datum.character(a),
+                                          datum.character(b))
+
+
+def test_rows_past_int64_take_python_ints():
+    datum = psl2_11_datum()
+    alpha = datum.character("chi2").values[6]
+    big = Fraction(3 ** 30, 2 ** 40)
+    chi = class_function(datum.structure,
+                         [big, 1, -1, 0, big * alpha, 1, alpha, -big])
+    assert chi.rows.dtype == np.int64 and chi.den == 2 ** 40
+    # the cube's denominator, 6 * 2^120, and its numerators need more
+    # than 64 bits
+    assert sym_cube(chi).rows.dtype == object
+    _assert_rows_match_exact_formulas(chi, datum.character("chi3"))
+    _assert_rows_match_exact_formulas(datum.character("chi2"), chi)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubicmoduli import audit, catalog, invariants, linalg
 from cubicmoduli.cyclo import _is_prime, cyclo, root_of_unity
 from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.linalg import (
@@ -21,7 +22,8 @@ from cubicmoduli.linalg import (
     rref,
     split_primes,
 )
-from helpers_math import commutant_of, random_cyclo, random_matrix
+from helpers_math import (commutant_of, gauss_jordan_pivots, random_cyclo,
+                          random_matrix)
 
 E = root_of_unity
 
@@ -252,3 +254,60 @@ def test_entries_of_every_kind_construct_equal_objects():
     assert forms[0].coefficients[:6] == tuple(cyclo(v) for v in values)
     with pytest.raises(AssertionError, match="ragged"):
         Matrix([[1, 2], [3]])
+
+
+# ----------------------------------------------------------------------
+# pivots mod p against Gauss-Jordan elimination on Python ints
+
+# a split prime near 2^31, as the rank kernels use, and small ones
+PIVOT_PRIMES = [7, 31, 2147483647]
+
+
+def _seeded_matrices(p):
+    """Seeded matrices mod p of every shape the kernel meets: dense,
+    sparse, rank-deficient, tall, wide, with leading zero columns and
+    with every entry near p - 1."""
+    rng = np.random.default_rng(p)
+    out = []
+    for rows, cols in [(1, 1), (5, 5), (12, 9), (9, 12), (60, 8), (5, 40),
+                       (35, 35)]:
+        dense = rng.integers(0, p, size=(rows, cols))
+        sparse = dense * (rng.random((rows, cols)) < 0.15)
+        k = max(1, min(rows, cols) // 2)
+        # rank at most k, a product made on Python ints: in int64 the
+        # products of residues near 2^31 would overflow
+        deficient = (rng.integers(0, p, size=(rows, k)).astype(object)
+                     @ rng.integers(0, p, size=(k, cols)).astype(object)) % p
+        leading = dense.copy()
+        leading[:, :cols // 2] = 0
+        near = p - 1 - rng.integers(0, min(p, 3), size=(rows, cols))
+        out += [dense, sparse, deficient, leading, near]
+    return [m.astype(np.int64) for m in out]
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_pivots_mod_p_match_gauss_jordan(p):
+    for m in _seeded_matrices(p):
+        given = m.copy()
+        assert pivots_mod_p(m, p) == gauss_jordan_pivots(m, p), m.shape
+        # the input is left as it was
+        assert np.array_equal(m, given)
+
+
+def test_pivots_mod_p_match_gauss_jordan_on_an_audit_pass(monkeypatch):
+    """Every matrix that the audit of the 15 catalog entries hands the
+    pivot kernel, from the invariant dimension and the commutant."""
+    real = linalg.pivots_mod_p
+    seen = []
+
+    def recorded(m, p):
+        seen.append((m.copy(), p))
+        return real(m, p)
+
+    monkeypatch.setattr(linalg, "pivots_mod_p", recorded)
+    monkeypatch.setattr(invariants, "pivots_mod_p", recorded)
+    for entry in catalog.entry_ids():
+        audit.dims_dual_route(catalog.load(entry))
+    assert len(seen) >= 30
+    for m, p in seen:
+        assert real(m.copy(), p) == gauss_jordan_pivots(m, p)
