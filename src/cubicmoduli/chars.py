@@ -13,39 +13,43 @@ the invariants in the cubic forms without ever touching matrices.  That
 gives an independent route to numbers that are also computed directly
 from matrix actions elsewhere.
 
-A class function is held as integer rows (`ClassFunction`): row c holds
-the coefficients of den times its value on class c on the zeta_n power
-basis, over one positive denominator den.  A product of two class
-functions is one product per class through the table of zeta_n^(a + b)
-(`linalg._pair_table`); complex conjugation, and writing a value over a
-larger conductor, are one product with a cached table each.  An inner
-product is sizes @ (a * conj b) over the group order, and a value is
-rational exactly when its coefficients past the first are zero.  The
-rows are int64 while a bound proves that no product or sum overflows,
-and Python ints (object arrays) past it.  Exact values
-(`ClassFunction.values`) are made on first use only.
+A class function holds its exact values (`ClassFunction.values`), and
+`sym_square`, `sym_cube`, `tensor`, `conjugate` and `inner_product` are
+the formulas above, class by class, in exact arithmetic.  The three
+dimensions that the audit checks (`dim_invariant_cubics`,
+`commutant_dimension_from_character`, `dim_special_subvariety`) make no
+exact product: each reduces the values once mod the first split prime p
+of their conductor (`linalg.int_array`, `linalg.reduce_mod_p`), applies
+its formula and (1/|G|) sum_c |c| f(c) to the residues, and reads the
+multiplicity off the residue.  For a character of degree d that
+multiplicity is an integer in [0, C(d+2, 3)], [0, d^2] or
+[0, C(d+1, 2)]; with that bound below p (p > 2^30) the residue is the
+integer itself, and a residue outside the range proves that the input
+is not a character (`NonIntegralCharacterError`).  A bound not below p
+is refused (`BadPrimeError`), and a value with p in its denominator
+moves the reading on to the next split prime.  This is the argument by
+which `groups` reads eigenvalue multiplicities off the class traces.
 
-For a matrix group, the trace character's rows are the class trace sums
-(`MatrixGroup.class_trace_rows`), and the determinant character's are
-rows of the power table read off the eigenvalue profiles of the class
+For a matrix group, the trace character comes from the class traces and
+the determinant character from the eigenvalue profiles of the class
 representatives (`MatrixGroup.class_profiles`, built from those same
-traces): on a class with eigenvalue zeta_o^k of multiplicity m, the
-determinant is zeta_o^(sum k*m), so no matrix determinant is computed.
+traces): the determinant is the product of the eigenvalues, so no
+matrix determinant is computed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .cyclo import Cyclotomic, _power_table, cyclo, from_power_basis
-from .errors import GroupMismatchError, NonIntegralCharacterError
-from .linalg import (_INT64_LIMIT, Matrix, _big, _pair_table, conductor_of,
-                     int_array)
+from .cyclo import Cyclotomic, cyclo, root_of_unity
+from .errors import (BadPrimeError, GroupMismatchError,
+                     NonIntegralCharacterError)
+from .linalg import (Matrix, conductor_of, int_array, reduce_mod_p,
+                     split_primes)
 
 
 @dataclass(frozen=True)
@@ -78,116 +82,24 @@ class ClassStructure:
         raise KeyError(f"no power map for k={k}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassFunction:
-    """A class function with values in Q(zeta_n): row c of `rows`, an
-    integer array of shape (classes, phi(n)), holds the power-basis
-    coefficients of den times the value on class c, den > 0."""
-
     structure: ClassStructure
-    n: int
-    rows: np.ndarray
-    den: int = 1
+    values: tuple[Cyclotomic, ...]
 
     def __post_init__(self):
-        assert len(self.rows) == self.structure.n_classes
-
-    @functools.cached_property
-    def values(self) -> tuple[Cyclotomic, ...]:
-        """The exact value on each class."""
-        return tuple(from_power_basis(self.n, row, self.den)
-                     for row in self.rows.tolist())
-
-    @functools.cached_property
-    def big(self) -> int:
-        """The largest absolute value of a coefficient in rows."""
-        return _big(self.rows)
-
-    def at_power(self, k: int) -> "ClassFunction":
-        """The class function g -> f(g^k)."""
-        return ClassFunction(self.structure, self.n,
-                             self.rows[list(self.structure.power_map(k))],
-                             self.den)
-
-    def over(self, n: int) -> "ClassFunction":
-        """The same class function on the zeta_n power basis, n a
-        multiple of self.n."""
-        return self if n == self.n else self._substituted(n, 1)
+        assert len(self.values) == self.structure.n_classes
 
     def tensor(self, other: "ClassFunction") -> "ClassFunction":
-        return _product(self, other)
+        _same_structure(self, other)
+        return ClassFunction(self.structure, tuple(
+            a * b for a, b in zip(self.values, other.values)
+        ))
 
     def conjugate(self) -> "ClassFunction":
-        if self.rows.shape[1] == 1:  # rational values
-            return self
-        return self._substituted(self.n, -1)
-
-    def _substituted(self, n: int, t: int) -> "ClassFunction":
-        """The values under zeta_(self.n) -> zeta_n^(t n / self.n): the
-        rows times `_substitution_table`."""
-        table, big = _substitution_table(self.n, n, t)
-        rows = self.rows
-        if len(table) * self.big * big >= _INT64_LIMIT:
-            rows, table = rows.astype(object), table.astype(object)
-        return ClassFunction(self.structure, n, rows @ table, self.den)
-
-
-@functools.cache
-def _substitution_table(m: int, n: int, t: int):
-    """(table, largest absolute entry), for m | n: the table is
-    (phi(m), phi(n)) int64, read-only, and row k holds zeta_n^(t k n/m)
-    on the power basis.  Rows of coefficients over zeta_m times it are
-    their values under zeta_m -> zeta_n^(t n/m): the same values over
-    zeta_n for t = 1, their complex conjugates for t = -1."""
-    table = _power_table(n)
-    out = np.array([table[t * k * (n // m) % n]
-                    for k in range(len(_power_table(m)[0]))], dtype=np.int64)
-    out.flags.writeable = False
-    return out, _big(out)
-
-
-@functools.cache
-def _multiplication_table(n: int):
-    """(table, largest absolute entry): `linalg._pair_table(n)` as a
-    (phi(n), phi(n)^2) matrix; y @ table, reshaped to (phi, phi), is the
-    matrix of multiplication by y."""
-    table = _pair_table(n)
-    return table.reshape(len(table), -1), _big(table)
-
-
-def _product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    """The class function a * b, one product per class: a scaling where
-    one of them is rational (one coefficient per class), and otherwise
-    x @ (y @ pair table) per class over the lcm of the conductors.  On
-    Python ints where a bound does not prove that int64 holds it."""
-    _same_structure(a, b)
-    if a.rows.shape[1] == 1:
-        a, b = b, a
-    if b.rows.shape[1] == 1:
-        n, x, y = a.n, a.rows, b.rows
-        if a.big * b.big >= _INT64_LIMIT:
-            x, y = x.astype(object), y.astype(object)
-        rows = x * y
-    else:
-        n = math.lcm(a.n, b.n)
-        a, b = a.over(n), b.over(n)
-        table, big = _multiplication_table(n)
-        phi = len(table)
-        x, y = a.rows, b.rows
-        if phi * phi * a.big * b.big * big >= _INT64_LIMIT:
-            x, y, table = (v.astype(object) for v in (x, y, table))
-        rows = (x[:, None, :] @ (y @ table).reshape(-1, phi, phi))[:, 0]
-    return ClassFunction(a.structure, n, rows, a.den * b.den)
-
-
-def _combination(*terms):
-    """The rows of the sum of k * f over the (k, f) terms, class
-    functions f on one power basis; on Python ints where a bound does
-    not prove that int64 holds it."""
-    # a factor past int64 must not meet an int64 array, even a zero one
-    if sum(abs(k) * max(1, f.big) for k, f in terms) >= _INT64_LIMIT:
-        return sum(k * f.rows.astype(object) for k, f in terms)
-    return sum(k * f.rows for k, f in terms)
+        return ClassFunction(self.structure, tuple(
+            v.conjugate() for v in self.values
+        ))
 
 
 def _same_structure(a: ClassFunction, b: ClassFunction):
@@ -198,44 +110,49 @@ def _same_structure(a: ClassFunction, b: ClassFunction):
 
 
 def class_function(structure: ClassStructure, values) -> ClassFunction:
-    row = Matrix([values])
-    n = conductor_of(row.data)
-    array, den = int_array([row], n)
-    return ClassFunction(structure, n, array[0, 0], den)
+    return ClassFunction(structure, tuple(cyclo(v) for v in values))
 
 
 def trivial_character(structure: ClassStructure) -> ClassFunction:
-    return ClassFunction(structure, 1,
-                         np.ones((structure.n_classes, 1), dtype=np.int64))
+    return class_function(structure, [1] * structure.n_classes)
 
 
 def sym_square(chi: ClassFunction) -> ClassFunction:
-    d = chi.den
-    rows = _combination((1, _product(chi, chi)), (d, chi.at_power(2)))
-    return ClassFunction(chi.structure, chi.n, rows, 2 * d * d)
+    p2 = chi.structure.power_map(2)
+    half = Fraction(1, 2)
+    values = tuple(
+        (chi.values[c] * chi.values[c] + chi.values[p2[c]]) * half
+        for c in range(chi.structure.n_classes)
+    )
+    return ClassFunction(chi.structure, values)
 
 
 def sym_cube(chi: ClassFunction) -> ClassFunction:
-    d = chi.den
-    rows = _combination((1, _product(_product(chi, chi), chi)),
-                        (3 * d, _product(chi, chi.at_power(2))),
-                        (2 * d * d, chi.at_power(3)))
-    return ClassFunction(chi.structure, chi.n, rows, 6 * d ** 3)
+    p2 = chi.structure.power_map(2)
+    p3 = chi.structure.power_map(3)
+    sixth = Fraction(1, 6)
+    values = []
+    for c in range(chi.structure.n_classes):
+        v = chi.values[c]
+        values.append(
+            (v * v * v + v * chi.values[p2[c]] * 3 + chi.values[p3[c]] * 2)
+            * sixth
+        )
+    return ClassFunction(chi.structure, tuple(values))
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    terms = _product(a, b.conjugate())
+    _same_structure(a, b)
     st = a.structure
-    sizes, rows = np.array(st.sizes, dtype=np.int64), terms.rows
-    if st.order * terms.big >= _INT64_LIMIT:
-        sizes, rows = sizes.astype(object), rows.astype(object)
-    acc = (sizes @ rows).tolist()
-    den = terms.den * st.order
-    if any(acc[1:]):
+    acc = cyclo(0)
+    for c in range(st.n_classes):
+        acc = acc + a.values[c] * b.values[c].conjugate() * st.sizes[c]
+    acc = acc * Fraction(1, st.order)
+    if not acc.is_rational():
         raise NonIntegralCharacterError(
-            "inner product is not rational: "
-            f"{from_power_basis(terms.n, acc, den)}")
-    return Fraction(acc[0], den)
+            f"inner product is not rational: {acc}"
+        )
+    return acc.as_rational()
 
 
 def multiplicity(a: ClassFunction, b: ClassFunction) -> int:
@@ -250,43 +167,111 @@ def multiplicity(a: ClassFunction, b: ClassFunction) -> int:
 
 def character_of(group) -> ClassFunction:
     """Trace character of a matrix group in its given representation."""
-    rows, den = group.class_trace_rows
-    return ClassFunction(group.class_structure(), group.conductor, rows, den)
+    return ClassFunction(group.class_structure(), group.class_traces())
 
 
 def det_character(group) -> ClassFunction:
     """Determinant of a matrix group in its given representation: on a
-    class whose profile has eigenvalue zeta_o^k with multiplicity m, the
-    product of the eigenvalues, zeta_o^e with e = sum k*m, a row of the
-    power table of n, the least common order of these roots."""
-    roots = [(prof.order, sum(k * m for k, m in prof.mults))
-             for prof in group.class_profiles()]
-    n = math.lcm(1, *(o // math.gcd(o, e) for o, e in roots))
-    table = _power_table(n)
-    rows = np.array([table[e * n // o % n] for o, e in roots],
-                    dtype=np.int64)
-    return ClassFunction(group.class_structure(), n, rows)
+    class whose profile has eigenvalue zeta_n^k with multiplicity m, the
+    product of the eigenvalues, zeta_n^(sum k*m)."""
+    values = tuple(
+        root_of_unity(prof.order, sum(k * m for k, m in prof.mults))
+        for prof in group.class_profiles()
+    )
+    return ClassFunction(group.class_structure(), values)
+
+
+def _degree(f: ClassFunction) -> int:
+    """f(1), the degree when f is a character: a nonnegative integer."""
+    value = f.values[0]
+    d = value.as_rational() if value.is_rational() else None
+    if d is None or d.denominator != 1 or d < 0:
+        raise NonIntegralCharacterError(
+            f"value {value} at the identity is not the degree of a "
+            "character")
+    return int(d)
+
+
+def _multiplicity_mod_p(fs, formula, divisor: int, bound: int) -> int:
+    """(1/(divisor |G|)) sum_c |c| h(c) mod p, where h = formula(*r) is
+    computed on r[i], the residues of fs[i]'s values: lists of ints in
+    [0, p), zeta_n sent to root_of_unity_mod(n, p), n the values'
+    conductor.  The values are reduced once, and read mod the first
+    split prime p of n that divides neither their denominator nor
+    divisor * |G|.  For characters the result is an integer in
+    [0, bound], so bound < p makes the residue the integer itself; a
+    residue past bound raises NonIntegralCharacterError.  A bound not
+    below p, or no usable split prime, raises BadPrimeError."""
+    st = fs[0].structure
+    values = [v for f in fs for v in f.values]
+    n = conductor_of(values)
+    array, den = int_array([Matrix([values])], n)
+    primes = split_primes(n)
+    for p in primes:
+        if bound >= p:
+            raise BadPrimeError(
+                f"a multiplicity bounded by {bound} cannot be read mod {p}")
+        if den * divisor * st.order % p == 0:
+            continue
+        r = (reduce_mod_p(array[0, 0], n, p) * pow(den, -1, p) % p).tolist()
+        k = st.n_classes
+        h = formula(*(r[i:i + k] for i in range(0, len(r), k)))
+        value = (sum(map(operator.mul, st.sizes, h))
+                 * pow(divisor * st.order, -1, p) % p)
+        if value > bound:
+            raise NonIntegralCharacterError(
+                f"multiplicity is {value} mod {p}, not an integer in "
+                f"[0, {bound}]; the input is not a character")
+        return value
+    raise BadPrimeError(
+        f"each of the split primes {primes} divides a denominator of "
+        "the values or the group order")
+
+
+def _six_sym_cube(st: ClassStructure, x: list) -> list:
+    """6 sym^3 f on integers x, f's residues, class by class."""
+    p2, p3 = st.power_map(2), st.power_map(3)
+    return [v ** 3 + 3 * v * x[p2[c]] + 2 * x[p3[c]]
+            for c, v in enumerate(x)]
+
+
+def _two_sym_square(st: ClassStructure, x: list) -> list:
+    """2 sym^2 f on integers x, f's residues, class by class."""
+    p2 = st.power_map(2)
+    return [v * v + x[p2[c]] for c, v in enumerate(x)]
 
 
 def dim_invariant_cubics(chi: ClassFunction) -> int:
     """Dimension of the degree-3 invariants of the dual action, i.e. the
-    multiplicity of the trivial character in sym^3 of chi."""
-    return multiplicity(sym_cube(chi), trivial_character(chi.structure))
+    multiplicity of the trivial character in sym^3 of chi, an integer in
+    [0, C(d+2, 3)] for d = chi(1), read mod a split prime."""
+    return _multiplicity_mod_p(
+        [chi], functools.partial(_six_sym_cube, chi.structure), 6,
+        math.comb(_degree(chi) + 2, 3))
 
 
 def dim_special_subvariety(chi: ClassFunction,
                            det_chi: ClassFunction) -> int:
     """Dimension of the subspace cutting out the distinguished subvariety
     of the invariant cubics: the trivial multiplicity in
-    sym^2(det tensor chi)."""
-    return multiplicity(sym_square(det_chi.tensor(chi)),
-                        trivial_character(chi.structure))
+    sym^2(det tensor chi), an integer in [0, C(d+1, 2)] for d the degree
+    of det tensor chi, read mod a split prime."""
+    _same_structure(chi, det_chi)
+    d = _degree(det_chi) * _degree(chi)
+    return _multiplicity_mod_p(
+        [det_chi, chi],
+        lambda det, x: _two_sym_square(chi.structure,
+                                       list(map(operator.mul, det, x))),
+        2, math.comb(d + 1, 2))
 
 
 def commutant_dimension_from_character(chi: ClassFunction) -> int:
     """dim of the algebra commuting with the representation, computed as
-    the character norm <chi, chi>."""
-    return multiplicity(chi, chi)
+    the character norm <chi, chi>, an integer in [0, d^2] for d =
+    chi(1), read mod a split prime."""
+    return _multiplicity_mod_p(
+        [chi, chi.conjugate()], lambda x, y: map(operator.mul, x, y), 1,
+        _degree(chi) ** 2)
 
 
 @dataclass(frozen=True)

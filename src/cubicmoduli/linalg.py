@@ -8,18 +8,18 @@ The matrix kernels work on one integer-array form of a list of
 matrices (`int_array`): entry (i, j) of matrix k becomes the integer
 coefficients of its value on the zeta_n power basis, over one common
 denominator.  This module is the package's one map to F_p, for the
-commutant and the smoothness probe alike: `reduce_mod_p` sends zeta_n
-to g^((p-1)/n), g the smallest primitive root mod p, so zeta_m =
-zeta_n^(n/m) has one image whatever n it is written over.  The
-commutant dimension is a rank mod a split prime p = 1 mod n near 2^30.
-Reduction mod p can only lower a rank, so the F_p value is an upper
-bound for the exact commutant dimension; the audit certifies it against
-the character inner product <chi, chi>.
+commutant, the character route's multiplicities and the smoothness
+probe alike: `reduce_mod_p` sends zeta_n to g^((p-1)/n), g the
+smallest primitive root mod p, so zeta_m = zeta_n^(n/m) has one image
+whatever n it is written over.  The commutant dimension is a rank mod
+a split prime p = 1 mod n near 2^30.  Reduction mod p can only lower a
+rank, so the F_p value is an upper bound for the exact commutant
+dimension; the audit certifies it against the character inner product
+<chi, chi>.
 
 The table of zeta_n^(a + b) on the power basis (`_pair_table`), through
-which the closure, the substitution kernel and the character route
-multiply coefficient rows, lives here with the overflow bound they
-share (`_big`).
+which the closure and the substitution kernel multiply coefficient
+rows, lives here with the overflow bound they share (`_big`).
 """
 
 from __future__ import annotations

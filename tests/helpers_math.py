@@ -97,34 +97,6 @@ def gauss_jordan_pivots(m, p):
     return tuple(pivots)
 
 
-def exact_sym_square(chi):
-    """Reference sym^2 of a class function on its exact values:
-    (chi(g)^2 + chi(g^2)) / 2 on each class."""
-    v, p2 = chi.values, chi.structure.power_map(2)
-    return tuple((v[c] * v[c] + v[p2[c]]) * Fraction(1, 2)
-                 for c in range(len(v)))
-
-
-def exact_sym_cube(chi):
-    """Reference sym^3 on exact values: (chi(g)^3 + 3 chi(g) chi(g^2) +
-    2 chi(g^3)) / 6 on each class."""
-    v = chi.values
-    p2, p3 = chi.structure.power_map(2), chi.structure.power_map(3)
-    return tuple((v[c] * v[c] * v[c] + v[c] * v[p2[c]] * 3 + v[p3[c]] * 2)
-                 * Fraction(1, 6) for c in range(len(v)))
-
-
-def exact_inner_product(a, b):
-    """Reference <a, b> = (1/|G|) sum_c |c| a(c) conj(b(c)) on exact
-    values, as a Cyclotomic: rational for characters, and not always
-    for other class functions."""
-    st = a.structure
-    acc = cyclo(0)
-    for c in range(st.n_classes):
-        acc = acc + a.values[c] * b.values[c].conjugate() * st.sizes[c]
-    return acc * Fraction(1, st.order)
-
-
 def commutant_of(mats, prime=None):
     """`commutant_dimension` of exact matrices: their `int_array` over
     the conductor of their entries."""

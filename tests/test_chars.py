@@ -1,5 +1,5 @@
 import itertools
-import re
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 
 from cubicmoduli import catalog
 from cubicmoduli.chars import (
+    _six_sym_cube,
     character_of,
     class_function,
     commutant_dimension_from_character,
@@ -21,13 +22,13 @@ from cubicmoduli.chars import (
     trivial_character,
 )
 from cubicmoduli.cyclo import cyclo
-from cubicmoduli.errors import GroupMismatchError, NonIntegralCharacterError
+from cubicmoduli.errors import (BadPrimeError, GroupMismatchError,
+                                NonIntegralCharacterError)
 from cubicmoduli.groups import MatrixGroup
-from cubicmoduli.linalg import Matrix
+from cubicmoduli.linalg import Matrix, int_array, reduce_mod_p, split_primes
 
 import fixtures as fx
-from helpers_math import (commutant_of, exact_inner_product, exact_sym_cube,
-                          exact_sym_square)
+from helpers_math import commutant_of
 
 
 def test_trivial_group_counts():
@@ -166,40 +167,21 @@ def test_non_character_rejected():
 
 
 # ----------------------------------------------------------------------
-# the row arithmetic against the exact per-class formulas
+# the three dimensions, read mod a split prime, against the exact
+# multiplicities of the per-class formulas
 
-def _assert_inner_product_matches(a, b):
-    exact = exact_inner_product(a, b)
-    if exact.is_rational():
-        assert inner_product(a, b) == exact.as_rational()
-    else:
-        with pytest.raises(NonIntegralCharacterError,
-                           match=re.escape(f"not rational: {exact}")):
-            inner_product(a, b)
-
-
-def _assert_rows_match_exact_formulas(chi, other):
-    """sym^2, sym^3, conjugates, the tensor with other and the inner
-    products that the audit takes, each against the exact formula on
-    the exact values."""
+def _assert_residues_match_exact(chi, det):
     one = trivial_character(chi.structure)
-    assert sym_square(chi).values == exact_sym_square(chi)
-    assert sym_cube(chi).values == exact_sym_cube(chi)
-    assert chi.conjugate().values == tuple(v.conjugate() for v in chi.values)
-    twisted = other.tensor(chi)
-    assert twisted.values == tuple(
-        a * b for a, b in zip(other.values, chi.values))
-    assert sym_square(twisted).values == exact_sym_square(twisted)
-    for a, b in [(chi, chi), (sym_cube(chi), one),
-                 (sym_square(twisted), one), (chi, other), (other, chi),
-                 (chi, one)]:
-        _assert_inner_product_matches(a, b)
+    assert dim_invariant_cubics(chi) == multiplicity(sym_cube(chi), one)
+    assert commutant_dimension_from_character(chi) == multiplicity(chi, chi)
+    assert dim_special_subvariety(chi, det) == multiplicity(
+        sym_square(det.tensor(chi)), one)
 
 
 @pytest.mark.parametrize("entry", catalog.entry_ids())
 def test_rows_match_exact_formulas_on_the_catalog(entry):
     g = catalog.load(entry)
-    _assert_rows_match_exact_formulas(character_of(g), det_character(g))
+    _assert_residues_match_exact(character_of(g), det_character(g))
 
 
 @pytest.fixture(scope="module")
@@ -214,26 +196,89 @@ def test_rows_match_exact_formulas_on_the_psl2_11_lattice(
         psl2_11_lattice_rows):
     assert len(psl2_11_lattice_rows) == 16
     for sub in psl2_11_lattice_rows:
-        _assert_rows_match_exact_formulas(character_of(sub),
-                                          det_character(sub))
+        _assert_residues_match_exact(character_of(sub), det_character(sub))
 
 
 def test_rows_match_exact_formulas_on_the_abstract_datum():
+    # chi2 and chi3 of degree 5 twist chi to degree 25: still a character
     datum = psl2_11_datum()
     for a, b in itertools.product(["chi1", "chi2", "chi3"], repeat=2):
-        _assert_rows_match_exact_formulas(datum.character(a),
-                                          datum.character(b))
+        _assert_residues_match_exact(datum.character(a), datum.character(b))
 
 
 def test_rows_past_int64_take_python_ints():
+    # the exact cube of a value over 2^40 is over 6 * 2^120, past int64,
+    # so reduce_mod_p reads it on Python ints; its residues are those of
+    # the cube formula on the values' residues
     datum = psl2_11_datum()
+    st = datum.structure
     alpha = datum.character("chi2").values[6]
     big = Fraction(3 ** 30, 2 ** 40)
-    chi = class_function(datum.structure,
-                         [big, 1, -1, 0, big * alpha, 1, alpha, -big])
-    assert chi.rows.dtype == np.int64 and chi.den == 2 ** 40
-    # the cube's denominator, 6 * 2^120, and its numerators need more
-    # than 64 bits
-    assert sym_cube(chi).rows.dtype == object
-    _assert_rows_match_exact_formulas(chi, datum.character("chi3"))
-    _assert_rows_match_exact_formulas(datum.character("chi2"), chi)
+    chi = class_function(st, [big, 1, -1, 0, big * alpha, 1, alpha, -big])
+    p = split_primes(11)[0]
+
+    def residues(values):
+        array, den = int_array([Matrix([values])], 11)
+        return array.dtype, reduce_mod_p(array[0, 0], 11, p) * pow(
+            den, -1, p) % p
+
+    dtype, x = residues(chi.values)
+    cube_dtype, cube = residues(sym_cube(chi).values)
+    assert (dtype, cube_dtype) == (np.int64, object)
+    assert (cube * 6 % p).tolist() == [v % p for v in _six_sym_cube(
+        st, x.tolist())]
+    # chi(1) is no degree, so no dimension reads it
+    for read in (dim_invariant_cubics, commutant_dimension_from_character,
+                 lambda f: dim_special_subvariety(f, datum.character("chi2")),
+                 lambda f: dim_special_subvariety(datum.character("chi2"), f)):
+        with pytest.raises(NonIntegralCharacterError, match="identity"):
+            read(chi)
+
+
+def _three_dimensions(chi, det):
+    return [lambda: dim_invariant_cubics(chi),
+            lambda: commutant_dimension_from_character(chi),
+            lambda: dim_special_subvariety(chi, det)]
+
+
+@pytest.mark.parametrize("kind, match", [
+    ("half", "identity"), ("E(3) chi", "identity"),
+    ("no integral multiplicity", "not an integer in"),
+])
+def test_non_characters_rejected_by_the_three_dimensions(kind, match):
+    g = catalog.load("c2-sign")
+    chi, st = character_of(g), g.class_structure()
+    w = cyclo("E(3)")
+    fake = {"half": [Fraction(1, 2), 0],
+            "E(3) chi": [w * v for v in chi.values],
+            # norm 25/2, sym^3 multiplicity 35/2, sym^2 multiplicity 35/4
+            "no integral multiplicity": [5, 0]}[kind]
+    for read in _three_dimensions(class_function(st, fake), det_character(g)):
+        with pytest.raises(NonIntegralCharacterError, match=match):
+            read()
+
+
+def test_a_denominator_divisible_by_the_prime_moves_on():
+    st = catalog.load("c2-sign").class_structure()
+    one = trivial_character(st)
+    primes = split_primes(1)
+    fake = class_function(st, [5, Fraction(1, primes[0])])
+    for read in _three_dimensions(fake, one):
+        with pytest.raises(NonIntegralCharacterError,
+                           match=f"mod {primes[1]},"):
+            read()
+    # past the last split prime there is no prime to read it at
+    fake = class_function(st, [5, Fraction(1, math.prod(primes))])
+    for read in _three_dimensions(fake, one):
+        with pytest.raises(BadPrimeError, match="divides a denominator"):
+            read()
+
+
+def test_a_bound_not_below_the_prime_is_refused():
+    # 2^16 times the trivial character: a character whose multiplicities
+    # may reach d^2 = 2^32 and C(d+1, 2) > 2^31, past every split prime
+    st = catalog.load("c2-sign").class_structure()
+    big = class_function(st, [1 << 16, 1 << 16])
+    for read in _three_dimensions(big, trivial_character(st)):
+        with pytest.raises(BadPrimeError, match="cannot be read mod"):
+            read()
