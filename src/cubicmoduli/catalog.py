@@ -7,7 +7,14 @@ load() regenerates the group (a closure on integer arrays, see
 `groups`) and re-checks the whole contract every time: order, class
 traces, and the fixed form under each generator, whose inverse comes
 from the group's tables.  A corrupted fixture fails loudly instead of
-feeding silently wrong numbers into reports.
+feeding silently wrong numbers into reports.  The stored conductor and
+order are JSON integers; a bool, float or string there is a ParseError,
+not coerced.
+
+A load forms no exact product when the entry strings are sums of
+integers and powers E(n)^k: each E(n)^k parses to one row of the power
+table, the closure and the fixed-form check (`invariants.fixed_by`) run
+on integer rows, and the class traces are made exact from theirs.
 
 The environment variable CUBICMODULI_CATALOG may name a directory of
 extra entry files; entries there shadow built-in ones with the same
@@ -74,6 +81,14 @@ def _resolve(name: str) -> Path:
     )
 
 
+def _integer(value, what: str) -> int:
+    """value itself when it is a JSON integer; bool, float and string
+    are refused, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def load_entry(name: str) -> CatalogEntry:
     """Parse one entry file; no group generation happens here."""
     path = _resolve(name)
@@ -113,10 +128,10 @@ def load_entry(name: str) -> CatalogEntry:
         entry = CatalogEntry(
             id=str(raw["id"]),
             description=str(raw["description"]),
-            conductor=int(raw["conductor"]),
+            conductor=_integer(raw["conductor"], "conductor"),
             generators=tuple(gens),
             notes=notes,
-            order=int(contract["order"]),
+            order=_integer(contract["order"], "contract order"),
             character=tuple(str(v) for v in contract["character"]),
             fixed_form=CubicForm.parse(fixed) if fixed else None,
             path=str(path),

@@ -468,18 +468,16 @@ class Cyclotomic:
 
     def __str__(self):
         if self._n == 1:
-            return str(Fraction(self._num[0], self._den))
+            return _ratio(self._num[0], self._den)
         parts = []
         for i, v in enumerate(self._num):
             if not v:
                 continue
-            c = Fraction(v, self._den)
-            if i == 0:
-                body = str(abs(c))
-            else:
+            body = _ratio(abs(v), self._den)
+            if i:
                 power = f"E({self._n})" if i == 1 else f"E({self._n})^{i}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            parts.append(("-" if c < 0 else "+", body))
+                body = power if body == "1" else f"{body}*{power}"
+            parts.append(("-" if v < 0 else "+", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in parts[1:]:
@@ -488,6 +486,12 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({str(self)!r})"
+
+
+def _ratio(a: int, b: int) -> str:
+    """str(Fraction(a, b)) for b > 0, without building the Fraction."""
+    g = math.gcd(a, b)
+    return str(a // g) if b == g else f"{a // g}/{b // g}"
 
 
 def _coerce(value):
@@ -665,6 +669,8 @@ class _Parser:
         if self.peek() == "-":
             self.take()
             return _negate(self.nested(self.factor))
+        if self.peek() == "E":
+            return self.root_power()
         base = self.atom()
         if self.peek() != "^":
             return base
@@ -692,6 +698,27 @@ class _Parser:
             out = _poly_mul(out, base)
         return out
 
+    def root_power(self) -> dict:
+        """E(n) and its power, if any: E(n)^k is one row of the power
+        table, without a product."""
+        self.take("E")
+        self.take("(")
+        n = self.integer()
+        self.take(")")
+        if not 1 <= n <= MAX_CONDUCTOR:
+            raise ValueError(f"E({n}): n must be in [1, {MAX_CONDUCTOR}]")
+        k = 1
+        if self.peek() == "^":
+            self.take()
+            negative = self.peek() == "-"
+            if negative:
+                self.take()
+            k = -self.integer() if negative else self.integer()
+            if abs(k) > MAX_CONDUCTOR:
+                raise ValueError(
+                    f"power {k} of a number; |k| at most {MAX_CONDUCTOR}")
+        return {(): root_of_unity(n, k)}
+
     def atom(self) -> dict:
         tok = self.take()
         if tok == "(":
@@ -700,13 +727,6 @@ class _Parser:
             return value
         if tok.isdigit():
             return _collect([((), Fraction(int(tok)))])
-        if tok == "E":
-            self.take("(")
-            n = self.integer()
-            self.take(")")
-            if not 1 <= n <= MAX_CONDUCTOR:
-                raise ValueError(f"E({n}): n must be in [1, {MAX_CONDUCTOR}]")
-            return {(): root_of_unity(n)}
         if tok[0] == "x":
             return {((int(tok[1:]), 1),): Fraction(1)}
         raise ValueError(f"unexpected token {tok!r}")

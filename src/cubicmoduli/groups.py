@@ -3,30 +3,42 @@
 Groups are built by breadth-first closure from generators, on integer
 arrays.  With n the conductor of the generators' entries (which is also
 the group's), an element is a positive denominator and an integer array
-of the power-basis coefficients of its entries over Q(zeta_n), in
-lowest terms, so the pair is a canonical dict key.  Right
-multiplication by a generator is one integer matrix, and each BFS level
-multiplies its whole frontier by it in one product.  The products run
-on int64 while a bound proves they cannot overflow, and on Python ints
-(object arrays) past it; an element's key does not depend on which of
-the two holds it.  The group keeps these arrays, in canonical
-order, as its only element representation: `arrays` hands any index set
-to the invariant kernels in the form of `linalg.int_array`, and class
-traces, scalar and diagonal elements are read off them in one numpy
-pass each.  Exact matrices (`elements`) are built on first use only,
-one exact value per distinct entry.
+of the power-basis coefficients of its entries over Q(zeta_n), in lowest
+terms, so the pair is a canonical dict key.  Right multiplication by the
+generators is one stack of integer matrices, one per generator, and each
+BFS level multiplies its whole frontier by all of them in one product,
+generator-major.  The products run on int64 while a bound proves they
+cannot overflow, and on Python ints (object arrays) past it; an
+element's key does not depend on which of the two holds it.  The closure
+is the one pass over the generators: each generator's order is the
+length of its row's cycle through the identity, read off after the
+closure (a singular generator's row never comes back to the identity,
+and is NotFiniteError like an order above ORDER_BOUND).  The exact walk
+over a generator's powers runs only when the closure cannot show the
+orders itself, when it gets deeper than ORDER_BOUND levels or reaches
+the cap, so that an element of infinite order still fails fast, and
+with NotFiniteError before CapExceededError.
+The group keeps these arrays, in canonical order, as its only element
+representation: `arrays` hands any index set to the invariant kernels in
+the form of `linalg.int_array`, and class traces, scalar and diagonal
+elements are read off them in one numpy pass each.  Exact matrices
+(`elements`) are built on first use only, one exact value per distinct
+entry.
 
 A group is its closure tables: the generators' indices and one
 right-multiplication row per generator; the BFS tree is read off the
 rows.  Every group operation is an integer lookup on them: e_i * e_j
 pushes e_i through e_j's BFS word, and e_j's whole row composes the
 generator rows along it, so no order^2 table is kept (psl2-11's closure
-retains about 1.5 MiB).  Powers are cached per element and give orders
-and inverses; one orbit walk gives classes, subgroup orbits and
-subgroups.  A subgroup is restricted from its parent (`subgroup`), with
-the parent's conductor: its entries lie in Q(zeta_conductor), not
-always the least such field.  Eigenvalue profiles come from the class
-traces, each multiplicity a small integer computed mod a split prime.
+retains about 1.5 MiB).  Left multiplication by g is one pass down the
+BFS tree, parents first (g e_x = (g e_parent(x)) s for x = parent(x) s),
+which gives the conjugation rows that the classes walk.  Powers are
+cached per element and give orders and inverses; one orbit walk gives
+classes, subgroup orbits and subgroups.  A subgroup is restricted from
+its parent (`subgroup`), with the parent's conductor: its entries lie in
+Q(zeta_conductor), not always the least such field.  Eigenvalue profiles
+come from the class traces, each multiplicity a small integer computed
+mod a split prime.
 
 Elements get a canonical order (lexicographic on the printed entries),
 which makes every derived report reproducible across runs and generator
@@ -41,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import Cyclotomic, _power_table, from_power_basis, root_of_unity
+from .cyclo import Cyclotomic, from_power_basis, root_of_unity
 from .errors import CapExceededError, NonIntegralCharacterError, NotFiniteError
 from .linalg import (_INT62, _INT64_LIMIT, Matrix, _big, _pair_table,
                      conductor_of, int_array, reduce_mod_p, root_of_unity_mod,
@@ -140,7 +152,9 @@ class MatrixGroup:
         self._nums = nums  # per element: its (d, d, phi) numerators
         self.generator_indices: tuple[int, ...] = generator_indices
         self._steps = steps  # per-generator right-multiplication rows
-        self._parent = _tree(steps, identity_index)
+        # BFS tree: per element (parent, generator), and the elements
+        # parents first
+        self._parent, self._queue = _tree(steps, identity_index)
         self.identity_index = identity_index
         self.conductor = conductor  # every entry lies in Q(zeta_conductor)
         self.order = len(dens)
@@ -162,53 +176,16 @@ class MatrixGroup:
         # every product of the generators lies in Q(zeta_n), and the
         # generators are elements, so n is also the group's conductor
         n = conductor_of(v for g in gens for v in g.data)
-        steps = [_RightMultiplication(g, n) for g in gens]
-        identity = _identity(d, len(_power_table(n)[0]))
-        for step in steps:
-            _check_order(step, identity)  # raises NotFiniteError when unbounded
-
-        blocks = [identity]  # (dens, nums) of the elements, in index order
-        index = {_keys(*identity)[0]: 0}
-        rmul_gen = [[] for _ in gens]  # per generator: index of e_i * g
-        level = 0
-        while level < len(blocks):
-            # the frontier: the elements the last level found
-            dens = np.concatenate([b[0] for b in blocks[level:]])
-            nums = np.concatenate([b[1] for b in blocks[level:]])
-            level = len(blocks)
-            for step, row in zip(steps, rmul_gen):
-                pdens, pnums = _times(dens, nums, step)
-                fresh = []
-                for x, key in enumerate(_keys(pdens, pnums)):
-                    y = index.get(key)
-                    if y is None:
-                        y = len(index)
-                        if y >= cap:
-                            raise CapExceededError(
-                                f"closure exceeded cap {cap}; raise the cap if intended"
-                            )
-                        index[key] = y
-                        fresh.append(x)
-                    row.append(y)
-                if fresh:
-                    blocks.append((pdens[fresh], pnums[fresh]))
-
-        order = len(index)
-        dens = np.concatenate([b[0] for b in blocks])
-        nums = np.concatenate([b[1] for b in blocks])
-        values, codes = _distinct_entries(dens, nums, d, n)
-        texts = [str(v) for v in values]
-        sort_keys = [[texts[c] for c in row] for row in codes]
-        # canonical order: lexicographic on printed entries
-        new_to_old = np.array(sorted(range(order), key=lambda i: sort_keys[i]),
-                              dtype=np.intp)
+        dens, nums, rmul = _closure(gens, n, cap)
+        order = len(dens)
+        new_to_old = _canonical_order(dens, nums, d, n)
         old_to_new = np.empty(order, dtype=np.intp)
         old_to_new[new_to_old] = np.arange(order)
         return cls(
             dens=dens[new_to_old],
             nums=nums[new_to_old].reshape(order, d, d, -1),
-            generator_indices=tuple(int(old_to_new[row[0]]) for row in rmul_gen),
-            steps=[old_to_new[r][new_to_old].tolist() for r in rmul_gen],
+            generator_indices=tuple(old_to_new[rmul[:, 0]].tolist()),
+            steps=old_to_new[rmul][:, new_to_old].tolist(),
             identity_index=int(old_to_new[0]),
             conductor=n,
         )
@@ -250,9 +227,10 @@ class MatrixGroup:
         first use."""
         values, codes = _distinct_entries(self._dens, self._nums, self.dim,
                                           self.conductor)
+        entries = list(map(values.__getitem__, codes))
         d = self.dim
-        return tuple(Matrix([[values[c] for c in row[i:i + d]]
-                             for i in range(0, d * d, d)]) for row in codes)
+        return tuple(Matrix([entries[i:i + d] for i in range(e, e + d * d, d)])
+                     for e in range(0, len(entries), d * d))
 
     def diagonal_indices(self) -> list[int]:
         """The indices of the diagonal elements, in index order."""
@@ -342,10 +320,20 @@ class MatrixGroup:
 
     @functools.cached_property
     def _conjugation_rows(self) -> list[list[int]]:
-        """Per generator g, the row mapping x to the index of g x g^-1."""
-        return [[by_ginv[self.mult(g, x)] for x in range(self.order)]
-                for g, by_ginv in ((g, self.row(self.inverse_index(g)))
-                                   for g in self.generator_indices)]
+        """Per generator g, the row mapping x to the index of g x g^-1.
+        g x is read down the BFS tree, parents first: with x = parent(x)
+        times a generator s, g x = (g parent(x)) s is one lookup in s's
+        row.  Then g^-1's row multiplies on the right."""
+        rows = []
+        for g in self.generator_indices:
+            left = [0] * self.order
+            left[self.identity_index] = g
+            for x in self._queue[1:]:
+                p, gi = self._parent[x]
+                left[x] = self._steps[gi][left[p]]
+            by_ginv = self.row(self.inverse_index(g))
+            rows.append([by_ginv[y] for y in left])
+        return rows
 
     # ------------------------------------------------------------------
     # characters and profiles support
@@ -516,6 +504,77 @@ class MatrixGroup:
         return (len(members), abelian, tuple(sorted(orders.items())))
 
 
+def _closure(gens, n: int, cap: int):
+    """(dens, nums, rmul): the elements that the matrices gens generate,
+    breadth first from the identity (index 0), each a denominator and a
+    numerator row on the zeta_n power basis, and per generator g the
+    row rmul[g] of the index of e_i * g.  Raises CapExceededError past
+    cap elements, and NotFiniteError for a generator of order above
+    ORDER_BOUND."""
+    d = gens[0].rows
+    step = _RightMultiplication(gens, n)
+    identity = _identity(d, step.matrix.shape[-1] // d)
+
+    def check_orders():
+        # the exact power walk, only where the closure cannot read the
+        # orders: raises NotFiniteError when one is unbounded
+        for g in gens:
+            _check_order(_RightMultiplication([g], n), identity)
+
+    blocks = [identity]  # (dens, nums) of the elements, in index order
+    index = {_keys(*identity)[0]: 0}
+    found = []  # per level: the index of e_x * g, generator-major
+    # each block is one BFS level, the frontier of the next
+    for depth, (dens, nums) in enumerate(blocks):
+        # words longer than the bound: a generator of order above it, or
+        # of infinite order, would show only here, so the exact walk
+        # decides
+        if depth == ORDER_BOUND + 1:
+            check_orders()
+        pdens, pnums = _times(dens, nums, step)
+        new = len(index)
+        ys, fresh = [], []
+        for x, key in enumerate(_keys(pdens, pnums)):
+            y = index.setdefault(key, new)
+            if y == new:
+                new += 1
+                fresh.append(x)
+            ys.append(y)
+        if new > cap:
+            check_orders()  # NotFiniteError wins over the cap
+            raise CapExceededError(
+                f"closure exceeded cap {cap}; raise the cap if intended")
+        found.append(np.array(ys, dtype=np.intp).reshape(len(gens), -1))
+        if fresh:
+            blocks.append((pdens[fresh], pnums[fresh]))
+
+    rmul = np.concatenate(found, axis=1)
+    for row in rmul.tolist():
+        # the generator's order is the length of its row's cycle through
+        # the identity; a singular generator's row never returns to it
+        k, x = 1, row[0]
+        while x and k <= ORDER_BOUND:
+            k, x = k + 1, row[x]
+        if x or k > ORDER_BOUND:
+            raise _unbounded()
+    return (np.concatenate([b[0] for b in blocks]),
+            np.concatenate([b[1] for b in blocks]), rmul)
+
+
+def _canonical_order(dens, nums, d: int, n: int):
+    """The indices of the elements in canonical order: lexicographic on
+    their printed entries, row-major, which is lexicographic on each
+    entry's rank among the distinct printed texts."""
+    values, codes = _distinct_entries(dens, nums, d, n)
+    texts = [str(v) for v in values]
+    rank = {t: r for r, t in enumerate(sorted(set(texts)))}
+    ranks = list(map(rank.__getitem__, texts))
+    ranked = list(map(ranks.__getitem__, codes))
+    sort_keys = [ranked[i:i + d * d] for i in range(0, len(ranked), d * d)]
+    return np.array(sorted(range(len(dens)), key=sort_keys.__getitem__),
+                    dtype=np.intp)
+
+
 def _orbit(start, steps) -> list:
     """Everything reached from start by repeatedly applying the maps in
     steps, breadth first."""
@@ -530,9 +589,11 @@ def _orbit(start, steps) -> list:
     return orbit
 
 
-def _tree(steps, root: int) -> list:
-    """Per element, (parent index, generator index) in the BFS tree of
-    the rows in steps from root, (-1, -1) at root: shortest words."""
+def _tree(steps, root: int):
+    """(parent, queue): per element, (parent index, generator index) in
+    the BFS tree of the rows in steps from root, (-1, -1) at root, which
+    gives shortest words; and the elements in BFS order, parents
+    first."""
     parent = [None] * len(steps[0])
     parent[root] = (-1, -1)
     queue = [root]
@@ -542,35 +603,43 @@ def _tree(steps, root: int) -> list:
             if parent[y] is None:
                 parent[y] = (x, gi)
                 queue.append(y)
-    return parent
+    return parent, queue
 
 
 class _RightMultiplication:
-    """Right multiplication by one generator g on integer arrays.
+    """Right multiplication by every generator at once on integer arrays.
 
     An element X is a positive denominator and a numerator row holding
     the phi(n) power-basis coefficients of each entry, row-major.  With
-    g = num / den, X * g has numerator X_num @ matrix (rows reshaped to
-    d x d*phi) and denominator X_den * den: row (k, a), column (j, c) of
-    matrix is coefficient c of zeta_n^a * num[k, j]."""
+    generator g = num / den, X * g has numerator X_num @ matrix[g] (rows
+    reshaped to d x d*phi) and denominator X_den * den: row (k, a),
+    column (j, c) of matrix[g] is coefficient c of zeta_n^a * num[k, j].
+    `element` holds the generators themselves, as elements, and `big`
+    and `den` bound the matrices' coefficients and the denominators."""
 
-    __slots__ = ("den", "matrix", "big", "element")
+    __slots__ = ("dens", "matrix", "big", "den", "element")
 
-    def __init__(self, g: Matrix, n: int):
-        array, den = int_array([g], n)
-        num = array[0]
-        d, _, phi = num.shape
+    def __init__(self, gens, n: int):
+        array, den = int_array(gens, n)
+        count, d, _, phi = array.shape
+        if array.dtype != object and den >= _INT64_LIMIT:
+            array = array.astype(object)
+        # each generator in lowest terms, over its own denominator
+        dens, nums = _lowest_terms(np.full(count, den, dtype=array.dtype),
+                                   array.reshape(count, -1))
         # coefficient c of zeta^(a + b)
         shift = _pair_table(n)
-        if (phi * int(np.abs(num).max()) * _big(shift)
-                >= _INT64_LIMIT or den >= _INT64_LIMIT):
-            num, shift = num.astype(object), shift.astype(object)
-        matrix = np.einsum("kjb,abc->kajc", num, shift).reshape(d * phi, -1)
-        self.den = den
-        self.matrix = matrix
-        self.big = int(np.abs(matrix).max())
-        self.element = _lowest_terms(np.array([den], dtype=num.dtype),
-                                     num.reshape(1, -1))
+        if (phi * _big(nums) * _big(shift) >= _INT64_LIMIT
+                or _big(dens) >= _INT64_LIMIT):
+            dens, nums = dens.astype(object), nums.astype(object)
+            shift = shift.astype(object)
+        self.dens = dens
+        self.matrix = np.einsum("gkjb,abc->gkajc",
+                                nums.reshape(count, d, d, phi),
+                                shift).reshape(count, d * phi, d * phi)
+        self.big = _big(self.matrix)
+        self.den = _big(dens)
+        self.element = dens, nums
 
 
 def _over_common_denominator(nums, dens):
@@ -588,24 +657,36 @@ def _over_common_denominator(nums, dens):
 
 
 def _lowest_terms(dens, nums):
-    """Each numerator row and its denominator divided by their gcd."""
+    """Each numerator row and its denominator divided by their gcd; nums
+    is divided in place.  A row over denominator 1, or with gcd 1, is in
+    lowest terms already: the divisions, the costly part, are skipped
+    when every row is."""
+    if (dens == 1).all():
+        return dens, nums
     g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
-    return dens // g, nums // g[:, None]
+    if (g == 1).all():
+        return dens, nums
+    np.floor_divide(nums, g[:, None], out=nums)
+    return dens // g, nums
 
 
 def _times(dens, nums, step: _RightMultiplication):
-    """The products X * g of the elements X = nums[i] / dens[i] with the
-    generator of step, in lowest terms.  The product runs on int64 when
-    a bound proves that no coefficient and no denominator can overflow,
-    and on Python ints (object arrays) otherwise."""
-    width = step.matrix.shape[0]
+    """The products X * g of the elements X = nums[i] / dens[i] with each
+    generator g of step, in lowest terms, generator-major: every
+    element times the first generator, then times the second, and so
+    on.  The product runs on int64 when a bound proves that no
+    coefficient and no denominator can overflow, and on Python ints
+    (object arrays) otherwise."""
+    count, width, _ = step.matrix.shape
     if nums.dtype != object and (
             step.matrix.dtype == object
             or int(np.abs(nums).max()) * step.big * width >= _INT64_LIMIT
             or int(dens.max()) * step.den >= _INT64_LIMIT):
         dens, nums = dens.astype(object), nums.astype(object)
-    out = (nums.reshape(-1, width) @ step.matrix).reshape(len(nums), -1)
-    return _lowest_terms(dens * step.den, out)
+    # one matmul per generator, stacked: (count, len(nums) * d, width)
+    out = np.matmul(nums.reshape(-1, width), step.matrix)
+    return _lowest_terms((step.dens[:, None] * dens).reshape(-1),
+                         out.reshape(count * len(nums), -1))
 
 
 def _identity(d: int, phi: int):
@@ -620,9 +701,16 @@ def _keys(dens, nums) -> list:
     is keyed by its int64 bytes whatever the dtype of its array, so the
     int64 and Python-int blocks of one closure share keys."""
     if nums.dtype != object:
-        return [(den, row.tobytes()) for den, row in zip(dens.tolist(), nums)]
+        return list(zip(dens.tolist(), _row_bytes(nums)))
     return [_object_key(den, row)
             for den, row in zip(dens.tolist(), nums.tolist())]
+
+
+def _row_bytes(array) -> list:
+    """Each row of a 2-D int64 array as its bytes, in one pass."""
+    array = np.ascontiguousarray(array)
+    as_bytes = np.dtype((np.void, array.itemsize * array.shape[1]))
+    return array.view(as_bytes).ravel().tolist()
 
 
 def _object_key(den: int, row: list):
@@ -632,29 +720,49 @@ def _object_key(den: int, row: list):
         return den, tuple(row)
 
 
+def _unbounded() -> NotFiniteError:
+    return NotFiniteError(f"element order exceeds bound {ORDER_BOUND}; "
+                          "not a finite group element")
+
+
 def _check_order(step: _RightMultiplication, identity):
     """Raise NotFiniteError unless some power g^k, k <= ORDER_BOUND, of
-    the generator of step is the identity."""
+    the one generator of step is the identity."""
     power = step.element
     k = 1
     while not (power[0][0] == 1 and np.array_equal(power[1], identity[1])):
         power = _times(*power, step)
         k += 1
         if k > ORDER_BOUND:
-            raise NotFiniteError(f"element order exceeds bound {ORDER_BOUND}; "
-                                 "not a finite group element")
+            raise _unbounded()
 
 
 def _distinct_entries(dens, nums, d: int, n: int):
     """(values, codes): each distinct entry of the elements once, as an
-    exact value, and per element the indices into values of its d*d
-    entries, row-major."""
-    distinct = {}
-    codes = []
-    for den, num in zip(dens.tolist(), nums):
-        codes.append([distinct.setdefault((den, tuple(entry)), len(distinct))
-                      for entry in num.reshape(d * d, -1).tolist()])
-    return [from_power_basis(n, num, den) for den, num in distinct], codes
+    exact value, and per entry of each element in turn, row-major, its
+    index into values.  An entry is keyed by its element's denominator
+    and its coefficients, as the bytes of one int64 row or, on Python
+    ints, as a tuple, so that the per-entry work runs in C
+    (`dict.fromkeys`, `map`)."""
+    w = d * d
+    phi = nums[0].size // w
+    distinct, codes = {}, []
+    # 64 elements at a time, so that few keys are held at once (psl2-11
+    # has 16,500 entries)
+    for start in range(0, len(dens), 64):
+        entries = np.concatenate(
+            [np.repeat(dens[start:start + 64], w)[:, None],
+             nums[start:start + 64].reshape(-1, phi)], axis=1)
+        keys = (list(map(tuple, entries.tolist())) if entries.dtype == object
+                else _row_bytes(entries))
+        for key in dict.fromkeys(keys):
+            distinct.setdefault(key, len(distinct))
+        codes += map(distinct.__getitem__, keys)
+    rows = list(distinct)
+    if entries.dtype != object:
+        rows = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(
+            len(rows), -1).tolist()
+    return [from_power_basis(n, row[1:], row[0]) for row in rows], codes
 
 
 _LABELS = {

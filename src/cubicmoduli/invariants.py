@@ -33,8 +33,9 @@ temporary below 128 KiB, whatever the number of representatives.  int64
 is used when a bound on the sums, computed from the input, proves it
 cannot overflow; otherwise the same code runs on Python ints.  This
 kernel, `_sum_of_images`, is the package's only substitution:
-`fixed_by` runs it on the array of one g^-1 and makes exact values from
-its output.
+`fixed_by` runs it on the array of one g^-1 and combines its output
+with the form's coefficients on integer rows, through a table of roots
+of unity like the pair table.
 
 Forms are read by the package's one expression parser
 (`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -91,6 +93,8 @@ from .linalg import (
     Matrix,
     _big,
     _pair_table,
+    conductor_of,
+    int_array,
     pivots_mod_p,
     reduce_mod_p,
     rref,
@@ -251,27 +255,44 @@ class CubicForm:
 # ----------------------------------------------------------------------
 # group action
 
-def _substituted(A, den, n, form: CubicForm) -> CubicForm:
-    """F(g^-1 x) for A, den the array of g^-1 over zeta_n: the images of
-    F's monomials from the kernel, over den^3, combined exactly with F's
-    coefficients."""
-    terms = [(m, c) for m, c in enumerate(form.coefficients) if c]
-    images = _sum_of_images(A, _FACTORS[[m for m, _ in terms]], n).tolist()
-    coeffs = [_ZERO] * 35
-    for (_, c), image in zip(terms, images):
-        for m, value in enumerate(image):
-            if any(value):
-                coeffs[m] = coeffs[m] + c * from_power_basis(n, value,
-                                                             den ** 3)
-    return CubicForm(coeffs)
-
-
 def fixed_by(group, i: int, forms) -> bool:
     """Whether F(g^-1 x) == F for every form F, g the element of index i
     of group; g^-1 is read from the group's arrays, not computed by an
-    exact matrix inverse."""
+    exact matrix inverse.  The test runs on integer rows: the kernel's
+    images of F's monomials, over den^3 on the zeta_n power basis, are
+    combined with F's coefficients, on the power basis of the least
+    field Q(zeta_f) that holds both, through the table of
+    zeta_f^(a f/n + b), and compared with den^3 times F's coefficients."""
     A, den = group.arrays([group.inverse_index(i)])
-    return all(_substituted(A, den, group.conductor, f) == f for f in forms)
+    n = group.conductor
+    for form in forms:
+        terms = [m for m, c in enumerate(form.coefficients) if c]
+        if not terms:
+            continue
+        values = [form.coefficients[m] for m in terms]
+        field = math.lcm(n, conductor_of(values))
+        C = int_array([Matrix([values])], field)[0][0, 0]
+        R = np.zeros((35, 1, C.shape[-1]), dtype=C.dtype)
+        R[terms, 0] = C
+        # the images of F's monomials are the columns of S_g there, over
+        # den^3
+        S = _sum_of_images(A, _FACTORS[terms], n)
+        if not _fixes(S.transpose(1, 0, 2), den ** 3, R, terms, n, field):
+            return False
+    return True
+
+
+def _shifted_table(n: int, field: int):
+    """(phi(n), phi(field), phi(field)) integers, n dividing field:
+    entry (a, b) holds zeta_field^(a field/n + b), which is zeta_n^a
+    times zeta_field^b, on the power basis; the pair table of n when
+    field = n."""
+    if field == n:
+        return _pair_table(n)
+    powers = np.array(_power_table(field), dtype=np.int64)
+    exponents = (np.arange(len(_power_table(n)[0]))[:, None] * (field // n)
+                 + np.arange(powers.shape[1]))
+    return powers[exponents % field]
 
 
 @functools.cache
@@ -400,24 +421,27 @@ def _sum_of_images(arrays, factors, n):
     return out
 
 
-def _fixes(S, s_den, R, support, n) -> bool:
-    """Whether S R = s_den * R on the zeta_n power basis.  R is an
-    integer array of shape (35, c, phi) whose rows vanish off the
-    indices in support, and S, of shape (35, len(support), phi), holds
-    the columns of a substitution matrix at those indices."""
-    phi = S.shape[-1]
-    table = _pair_table(n).reshape(phi, phi * phi)
-    rows = R[support]
-    # a coefficient of a multiplication matrix of R is a sum of phi
+def _fixes(S, s_den, R, support, n, field=None) -> bool:
+    """Whether S R = s_den * R.  R is an integer array of shape (35, c,
+    phi(field)) on the zeta_field power basis, field a multiple of n (n
+    when not given), whose rows vanish off the indices in support, and
+    S, of shape (35, len(support), phi(n)) on the zeta_n power basis,
+    holds the columns of a substitution matrix at those indices."""
+    phi, phi_r = S.shape[-1], R.shape[-1]
+    # entry (b, a) of the table: zeta_field^b * zeta_n^a
+    table = _shifted_table(n, field or n).transpose(1, 0, 2).reshape(
+        phi_r, phi * phi_r)
+    # a coefficient of a multiplication matrix of R is a sum of phi_r
     # products, and one of S R a sum of len(support) * phi products of
     # a coefficient of S with one of those
-    bound = max(len(support) * phi ** 2 * _big(S) * _big(R) * _big(table),
-                s_den * _big(R))
+    bound = max(len(support) * phi * phi_r * _big(S) * _big(R)
+                * _big(table), s_den * _big(R))
     if bound >= 1 << 63:
-        S, rows, table = (a.astype(object) for a in (S, rows, table))
+        S, R, table = (a.astype(object) for a in (S, R, table))
+    rows = R[support]
     # M[j, a, c, o]: coefficient o of zeta_n^a * R[j, c]
-    M = (rows.reshape(-1, phi) @ table).reshape(
-        len(support), -1, phi, phi).transpose(0, 2, 1, 3)
+    M = (rows.reshape(-1, phi_r) @ table).reshape(
+        len(support), -1, phi, phi_r).transpose(0, 2, 1, 3)
     out = S.reshape(35, -1) @ M.reshape(len(support) * phi, -1)
     return np.array_equal(out.reshape(R.shape), s_den * R)
 

@@ -12,8 +12,8 @@ from cubicmoduli.invariants import (
     N_VARS,
     _exact,
     _factors,
+    CubicForm,
     _reynolds_array,
-    _substituted,
     _sum_of_images,
 )
 from cubicmoduli.linalg import (Matrix, commutant_dimension, conductor_of,
@@ -185,10 +185,27 @@ def _inverse_array(g):
     return (*int_array([inv], n), n)
 
 
+def substituted(A, den, n, form):
+    """F(g^-1 x), exact, for A, den the `int_array` of g^-1 over zeta_n:
+    the images of F's monomials from the package's kernel
+    (`_sum_of_images`), over den^3, combined with F's coefficients in
+    exact arithmetic."""
+    terms = [(m, c) for m, c in enumerate(form.coefficients) if c]
+    images = _sum_of_images(A, [_factors(MONOMIALS[m]) for m, _ in terms],
+                            n).tolist()
+    coeffs = [cyclo(0)] * len(MONOMIALS)
+    for (_, c), image in zip(terms, images):
+        for m, value in enumerate(image):
+            if any(value):
+                coeffs[m] = coeffs[m] + c * from_power_basis(n, value,
+                                                             den ** 3)
+    return CubicForm(coeffs)
+
+
 def act(g, form):
-    """The substituted form F(g^-1 x): the package's kernel
-    (`invariants._substituted`) on the array of the exact inverse of g."""
-    return _substituted(*_inverse_array(g), form)
+    """The substituted form F(g^-1 x): `substituted` on the array of the
+    exact inverse of g."""
+    return substituted(*_inverse_array(g), form)
 
 
 def substitution_matrix(g):

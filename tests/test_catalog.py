@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cubicmoduli import catalog
+from cubicmoduli.cyclo import Cyclotomic
 from cubicmoduli.errors import ContractViolationError, ParseError
 
 EXPECTED_IDS = [
@@ -218,3 +219,20 @@ def test_klein_forms_fixed():
         assert entry.fixed_form == klein
         for g in entry.generators:
             assert act(g, klein) == klein
+
+
+@pytest.mark.parametrize("entry", [e for e in EXPECTED_IDS if e != "psl2-11"])
+def test_load_makes_no_exact_products(entry, monkeypatch):
+    # parsing, the closure and the contract run on integer rows: E(n)^k
+    # is one power-table row and the fixed form is checked as integers
+    real = Cyclotomic.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
+    catalog.load(entry)
+    assert calls == []

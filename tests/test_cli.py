@@ -101,6 +101,17 @@ def test_bad_file_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _with(doc, keys, value):
+    """A copy of the entry document with doc[keys[0]][keys[1]]... set to
+    value."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize("content, message", [
     (lambda doc: json.dumps(doc).replace(
         '"E(3)"', '"' + "(" * 3000 + "E(3)" + ")" * 3000 + '"', 1).encode(),
@@ -109,7 +120,21 @@ def test_bad_file_exit_1(tmp_path, capsys):
         '"E(3)"', '"' + "-" * 3000 + "E(3)" + '"', 1).encode(),
      "nest more than 100 deep"),
     (lambda doc: b"\xff\xfe" + json.dumps(doc).encode(), "not UTF-8"),
-], ids=["deep-parentheses", "deep-signs", "not-utf-8"])
+    # the contract's integers are JSON integers, not coerced from a
+    # float, a bool or a string
+    *((lambda doc, keys=keys, value=value: json.dumps(
+        _with(doc, keys, value)).encode(), "must be an integer")
+      for keys, value in [(("conductor",), 3.0), (("conductor",), 1.9),
+                          (("conductor",), "3"), (("conductor",), True),
+                          (("contract", "order"), 3.0),
+                          (("contract", "order"), "3"),
+                          (("contract", "order"), True)]),
+    # a singular generator closes to a finite set with no identity power
+    (lambda doc: json.dumps(_with(doc, ("generators", 0, 0, 0), "0")).encode(),
+     "element order exceeds bound 1000"),
+], ids=["deep-parentheses", "deep-signs", "not-utf-8", "conductor-float",
+        "conductor-fraction", "conductor-string", "conductor-bool",
+        "order-float", "order-string", "order-bool", "singular-generator"])
 def test_malformed_entry_file_is_one_line_exit_1(tmp_path, content, message):
     import os
     import subprocess

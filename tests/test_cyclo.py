@@ -269,12 +269,57 @@ def test_nesting_depth_is_bounded(nest, sign):
     (parse_cyclo, "2^-121"),
     (parse_cyclo, "2^10000000000"),
     (parse_cyclo, "0^10000000000"),
+    (parse_cyclo, "E(3)^121"),
+    (parse_cyclo, "E(3)^-121"),
+    (parse_cyclo, "E(120)^10000000000"),
 ])
 def test_powers_are_bounded_before_they_are_formed(parse, text):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="power"):
         parse(text)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n", [*range(1, 14), 60, 120])
+def test_root_powers_parse_to_the_power(n):
+    # E(n)^k is read as one row of the power table; the exact power is
+    # the oracle, for n = 2 mod 4 too, and |k| past MAX_CONDUCTOR keeps
+    # its message
+    root = E(n)
+    for k in range(-n, 2 * n + 1):
+        if abs(k) <= MAX_CONDUCTOR:
+            assert parse_cyclo(f"E({n})^{k}") == root ** k
+        else:
+            with pytest.raises(ValueError) as exc:
+                parse_cyclo(f"E({n})^{k}")
+            assert str(exc.value) == (f"power {k} of a number; |k| at most "
+                                      f"{MAX_CONDUCTOR}")
+
+
+def _fraction_str(x):
+    """The printed form of x spelled with Fraction coefficients: the
+    reference for Cyclotomic.__str__, which builds no Fraction."""
+    n, num, den = x.conductor, x._num, x._den
+    if n == 1:
+        return str(Fraction(num[0], den))
+    parts = []
+    for i, v in enumerate(num):
+        if v:
+            c = abs(Fraction(v, den))
+            power = f"E({n})" if i == 1 else f"E({n})^{i}"
+            body = str(c) if i == 0 else power if c == 1 else f"{c}*{power}"
+            parts.append(("-" if v < 0 else "+", body))
+    sign, text = parts[0]
+    text = ("-" if sign == "-" else "") + text
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def test_str_matches_fraction_printing():
+    rng = random.Random(17)
+    for _ in range(300):
+        x = random_value(rng, conductors=(1, 3, 4, 5, 7, 8, 9, 11, 12, 15))
+        x = x * Fraction(rng.randrange(-9, 10), rng.randrange(1, 40))
+        assert str(x) == _fraction_str(x)
 
 
 def test_print_parse_round_trip():

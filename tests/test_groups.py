@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicmoduli import catalog
+from cubicmoduli import catalog, groups
 from cubicmoduli.audit import check_criterion
 from cubicmoduli.cyclo import cyclo, root_of_unity
 from cubicmoduli.errors import CapExceededError, NotFiniteError
@@ -76,6 +76,93 @@ def test_cap_enforced():
         MatrixGroup.generate([fx.ALT5_A, fx.ALT5_B], cap=59)
 
 
+def _walks(monkeypatch):
+    """Calls of the exact power walk, one generator each, from now on."""
+    calls = []
+    real = groups._check_order
+
+    def spy(step, identity):
+        calls.append(step)
+        return real(step, identity)
+
+    monkeypatch.setattr(groups, "_check_order", spy)
+    return calls
+
+
+def test_order_bound_exits(monkeypatch):
+    message = r"^element order exceeds bound {}; not a finite group element$"
+    walks = _walks(monkeypatch)
+    # a closure within the bound reads its generators' orders off its
+    # rows, with no power walk
+    assert MatrixGroup.generate([fx.ALT5_A, fx.ALT5_B]).order == 60
+    assert walks == []
+    # Alt(4) closes four levels deep, past bound 3, so the exact walk
+    # runs; its generators have orders 3 and 2, and it closes
+    monkeypatch.setattr(groups, "ORDER_BOUND", 3)
+    assert MatrixGroup.generate([fx.ALT4_A, fx.ALT4_B]).order == 12
+    assert len(walks) == 2
+    # C5 closes four levels deep: its order 5 is read off the closure
+    monkeypatch.setattr(groups, "ORDER_BOUND", 4)
+    with pytest.raises(NotFiniteError, match=message.format(4)):
+        MatrixGroup.generate([fx.C5_REGULAR])
+    assert len(walks) == 2
+    with pytest.raises(NotFiniteError, match=message.format(4)):
+        MatrixGroup.generate([fx.ALT5_A, fx.ALT5_B])
+    monkeypatch.setattr(groups, "ORDER_BOUND", 5)
+    assert MatrixGroup.generate([fx.C5_REGULAR]).order == 5
+
+
+def test_unbounded_order_wins_over_the_cap(monkeypatch):
+    # the closure of the powers of 2 reaches the cap long before the
+    # order bound: the walk at the cap still reports infinite order
+    walks = _walks(monkeypatch)
+    with pytest.raises(NotFiniteError):
+        MatrixGroup.generate([Matrix.scalar(5, cyclo(2))], cap=30)
+    assert len(walks) == 1
+    # and past the bound the walk stops the closure before the cap
+    monkeypatch.setattr(groups, "ORDER_BOUND", 20)
+    with pytest.raises(NotFiniteError, match="exceeds bound 20"):
+        MatrixGroup.generate([Matrix.scalar(5, cyclo(2))])
+    assert len(walks) == 2
+
+
+
+def test_singular_generator_rejected():
+    # a singular matrix closes to a finite set, but no power of it is the
+    # identity: its row never comes back to the identity
+    message = (r"^element order exceeds bound 1000; "
+               r"not a finite group element$")
+    nilpotent = Matrix([[1 if j == i + 1 else 0 for j in range(5)]
+                        for i in range(5)])
+    for gens in ([Matrix.scalar(5, cyclo(0))],
+                 [Matrix([[1 if i == j < 4 else 0 for j in range(5)]
+                          for i in range(5)])],
+                 [nilpotent],
+                 [fx.KLEIN_P, nilpotent]):
+        with pytest.raises(NotFiniteError, match=message):
+            MatrixGroup.generate(gens)
+
+def _assert_conjugation_rows(g):
+    # the rows read down the BFS tree against the word-walk products
+    for gi, row in zip(g.generator_indices, g._conjugation_rows):
+        by_ginv = g.row(g.inverse_index(gi))
+        assert row == [by_ginv[g.mult(gi, x)] for x in range(g.order)]
+
+
+@pytest.mark.parametrize("name", catalog.entry_ids())
+def test_conjugation_rows_match_products(name):
+    _assert_conjugation_rows(_entry_group(name))
+
+
+def test_conjugation_rows_of_lattice_rows_and_fermat():
+    g = _entry_group("psl2-11")
+    records = g.subgroups_two_generated()
+    assert len(records) == 16
+    for rec in records:
+        _assert_conjugation_rows(g.subgroup(rec.generator_indices))
+    _assert_conjugation_rows(MatrixGroup.generate(fx.FERMAT_GENS))
+
+
 @pytest.mark.parametrize("name", catalog.entry_ids())
 def test_closure_matches_exact_products(name):
     g = _entry_group(name)
@@ -105,7 +192,7 @@ def test_closure_past_the_int64_bound(scale):
     # side, and an element must get one key in either; scale 10^12:
     # not even the generators fit, so it runs on Python ints throughout
     gens = fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], 1, scale, 1, 1, 1)
-    step = _RightMultiplication(gens[1], 1)
+    step = _RightMultiplication([gens[1]], 1)
     assert (step.matrix.dtype == object) == (scale > 10 ** 6)
     _, nums = _times(*step.element, step)
     assert nums.dtype == object

@@ -26,6 +26,7 @@ from helpers_math import (
     exact_reynolds,
     exact_substitution,
     random_cyclo,
+    substituted,
     substitution_matrix,
 )
 
@@ -129,6 +130,84 @@ def test_substitution_kernel_matches_exact_substitution(gens):
             image = _applied(S, f)
             assert act(g, f) == image
             assert invariants.fixed_by(group, i, [f]) == (image == f)
+
+
+def _fixed_by_against_exact(group, form, indices):
+    # the integer test against the exact combination of the kernel's
+    # images, under the elements of the given indices; returns how many
+    # of them fix form
+    got = [invariants.fixed_by(group, i, [form]) for i in indices]
+    want = [substituted(*group.arrays([group.inverse_index(i)]),
+                        group.conductor, form) == form for i in indices]
+    assert got == want
+    return sum(got)
+
+
+@pytest.mark.parametrize("entry", [
+    e for e in catalog.entry_ids() if catalog.load_entry(e).fixed_form])
+def test_fixed_by_matches_exact_substitution(entry):
+    group = catalog.load(entry)
+    form = catalog.load_entry(entry).fixed_form
+    # every element fixes the contract's form; the exact oracle checks
+    # all of them up to order 55, and of psl2-11's 660 (2.5 s for all)
+    # the identity, the generators and 30 others
+    everything = range(group.order)
+    assert all(invariants.fixed_by(group, i, [form]) for i in everything)
+    indices = (everything if group.order <= 55 else sorted(
+        {group.identity_index, *group.generator_indices,
+         *random.Random(5).sample(everything, 30)}))
+    assert _fixed_by_against_exact(group, form, indices) == len(indices)
+    # E(3) times the form is fixed too, compared over Q(zeta_lcm)
+    scaled = form.scale(root_of_unity(3))
+    assert _fixed_by_against_exact(group, scaled, indices) == len(indices)
+    # the form changed at one coefficient: the identity fixes it, and
+    # some element does not
+    for change in (1, root_of_unity(3)):
+        coeffs = list(form.coefficients)
+        coeffs[0] = coeffs[0] + change
+        fixing = _fixed_by_against_exact(group, CubicForm(coeffs), indices)
+        assert 0 < fixing < len(indices)
+
+
+def test_fixed_by_on_invariants_outside_the_field():
+    # alt4-klein's invariants have coefficients in Q(zeta_3); combined
+    # with powers of E(7) they are read in Q(zeta_21), where the images'
+    # roots of unity zeta_3^a must become zeta_21^(7a)
+    group = catalog.load("alt4-klein")
+    basis = invariant_basis(group).basis
+    assert len(basis) == 5
+    form = CubicForm.zero()
+    for k, b in enumerate(basis):
+        form = form + b.scale(root_of_unity(7, k))
+    everything = range(group.order)
+    assert _fixed_by_against_exact(group, form, everything) == group.order
+    changed = form + CubicForm.parse("E(7)*x0*x1*x2")
+    assert 0 < _fixed_by_against_exact(group, changed, everything) < 12
+
+
+@pytest.mark.parametrize("scale", [(1, 2, 4, 1, 1), (1, 10 ** 12, 1, 1, 1)],
+                         ids=["rational", "past-int64"])
+def test_fixed_by_on_a_rational_conjugate(scale):
+    # g' = t g t^-1 fixes F(t^-1 x) when g fixes F
+    group = MatrixGroup.generate(fx.conjugated([fx.KLEIN_D, fx.KLEIN_P],
+                                               *scale))
+    form = act(fx.diag(*scale), CubicForm.parse(KLEIN))
+    assert form != CubicForm.parse(KLEIN)
+    everything = range(group.order)
+    assert _fixed_by_against_exact(group, form, everything) == 55
+    changed = form + CubicForm.parse("x0^3")
+    assert 0 < _fixed_by_against_exact(group, changed, everything) < 55
+
+
+def test_fixes_compares_past_int64():
+    # S R = s_den R with s_den * R past int64 while R itself fits: the
+    # comparison must not wrap around in int64
+    R = np.zeros((35, 1, 1), dtype=np.int64)
+    R[0, 0, 0] = 4
+    S = np.zeros((35, 1, 1), dtype=np.int64)
+    S[0, 0, 0] = 1 << 62
+    assert invariants._fixes(S, 1 << 62, R, [0], 1)
+    assert not invariants._fixes(S, (1 << 62) + 1, R, [0], 1)
 
 
 def test_trivial_group_has_everything():
