@@ -16,9 +16,10 @@ descends to it, one prime of the conductor at a time, down to Q.
 
 The package's one exact elimination lives here too: `rref` does
 Gauss-Jordan elimination on rows of Fractions or Cyclotomics with
-deterministic first-nonzero pivoting, and inverts a pivot entry once per
-pivot row, so exact divisions stay rare.  The subfield descent tables
-and `linalg.rref` both call it.
+deterministic first-nonzero pivoting, over each row's nonzero entries
+only, and inverts a pivot entry once per pivot row (not at all when it
+is 1), so exact divisions stay rare.  The subfield descent tables and
+`linalg.rref` both call it.
 
 Text format: E(n) denotes zeta_n, E(n)^k its k-th power, and a value is a
 sum of terms with rational literals, e.g. "-1/2*E(11)^3 + 2".  str() and
@@ -93,24 +94,42 @@ def rref(rows: list[list], width: int | None = None):
     default; the descent tables pivot on the subfield columns only).
     Returns (rank, rows, pivot_columns), the rows reduced in place, the
     pivot rows first.  Each pivot is the first row with a nonzero entry
-    in its column, so the result is deterministic for a given input."""
+    in its column, so the result is deterministic for a given input.
+
+    Each row is also kept as a map from column to its nonzero entry,
+    and the elimination runs over those entries only: a pivot row is
+    scaled on its nonzero entries, and subtracted from another row on
+    them, so zero entries are neither tested again nor normalized.  The
+    row lists, copies of the given ones, receive every value the
+    elimination computes, zeros that cancel included."""
+    rows[:] = [list(row) for row in rows]
+    nonzero = [{c: v for c, v in enumerate(row) if v} for row in rows]
     pivots = []
     rank = 0
     for col in range(len(rows[0]) if width is None else width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+        pivot = next((r for r in range(rank, len(rows)) if col in nonzero[r]),
                      None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        # zero entries are left as they are: the values are canonical,
-        # so v * inv and a - f * 0 would only normalize them again
-        rows[rank] = [v * inv if v else v for v in rows[rank]]
+        nonzero[rank], nonzero[pivot] = nonzero[pivot], nonzero[rank]
+        row, entries = rows[rank], nonzero[rank]
+        if entries[col] != 1:  # a pivot of 1 leaves its row as it is
+            inv = 1 / entries[col]
+            for c, v in entries.items():
+                row[c] = entries[c] = v * inv
+        entries = tuple(entries.items())
         for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b if b else a
-                           for a, b in zip(rows[r], rows[rank])]
+            f = nonzero[r].get(col) if r != rank else None
+            if f is None:
+                continue
+            target, other = rows[r], nonzero[r]
+            for c, b in entries:
+                target[c] = v = target[c] - f * b
+                if v:
+                    other[c] = v
+                else:
+                    del other[c]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -132,16 +151,8 @@ class _Descent:
 
     def __init__(self, n: int, m: int):
         self.m = m
-        table = _power_table(n)
-        phi_n = len(table[0])
-        phi_m = len(_power_table(m)[0])
-        step = n // m
-        cols = [table[(j * step) % n] for j in range(phi_m)]
-        aug = [
-            [Fraction(cols[j][i]) for j in range(phi_m)]
-            + [Fraction(1 if k == i else 0) for k in range(phi_n)]
-            for i in range(phi_n)
-        ]
+        aug, phi_m = _descent_system(n, m)
+        phi_n = len(aug)
         rank, aug, _ = rref(aug, phi_m)
         assert rank == phi_m, "subfield basis must be independent"
 
@@ -165,6 +176,21 @@ class _Descent:
             for row, den in self.pivot
         ]
         return out, lcm
+
+
+def _descent_system(n: int, m: int):
+    """([E | I], phi(m)): the Fraction rows that `_Descent` reduces on
+    their first phi(m) columns, E's columns being the zeta_m basis
+    powers over the zeta_n basis."""
+    table = _power_table(n)
+    phi_n = len(table[0])
+    phi_m = len(_power_table(m)[0])
+    cols = [table[(j * (n // m)) % n] for j in range(phi_m)]
+    return [
+        [Fraction(cols[j][i]) for j in range(phi_m)]
+        + [Fraction(1 if k == i else 0) for k in range(phi_n)]
+        for i in range(phi_n)
+    ], phi_m
 
 
 @functools.cache
@@ -454,7 +480,7 @@ class Cyclotomic:
         return hash((self._n, self._num, self._den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._n != 1 or self._num[0] != 0
 
     def __complex__(self):
         tau = 2.0 * math.pi / self._n

@@ -12,7 +12,10 @@ operator, the average of all substitution matrices, built as one sum:
 the sum is folded through the cosets of the diagonal element h of
 largest order, whose own average kills every monomial of nonzero
 h-weight, so only the surviving monomials are expanded, once per coset
-representative.  When the identity is the only diagonal element the
+representative.  On the surviving monomials the coset <h> itself is
+the identity, so its term is added as a diagonal and only the other
+representatives go through the kernel: a group that is <h> makes no
+kernel call at all.  When the identity is the only diagonal element the
 fold is the plain sum.
 
 The sum runs on integer arrays, read from the group
@@ -68,7 +71,10 @@ bound as above.
 The canonical echelon basis is built by exact row reduction on first
 use only (`InvariantSpace.basis`: `invariants`, `selftest` and library
 callers): of dimension-many spanning forms that are independent mod p,
-whose reduced echelon form is that of the whole space.
+whose reduced echelon form is that of the whole space.  Exact values
+are made only for their nonzero coefficients, the reduction runs on the
+columns of the monomial support, and `cyclo.rref` eliminates over each
+row's nonzero entries only.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .cyclo import (
+    ONE,
     Cyclotomic,
     _power_table,
     cyclo,
@@ -148,6 +155,7 @@ def _collapse_order():
 _BY_MONOMIAL, _MONOMIAL_STARTS = _collapse_order()
 
 _ZERO = cyclo(0)
+_MINUS_ONE = -ONE
 
 
 def monomial_str(expo) -> str:
@@ -223,16 +231,14 @@ class CubicForm:
         return hash(self._coeffs)
 
     def __str__(self):
-        if not self:
-            return "0"
         parts = []
         for e, c in zip(MONOMIALS, self._coeffs):
             if not c:
                 continue
             mono = monomial_str(e)
-            if c == 1:
+            if c == ONE:
                 term = mono
-            elif c == -1:
+            elif c == _MINUS_ONE:
                 term = f"-{mono}"
             else:
                 cs = str(c)
@@ -240,6 +246,8 @@ class CubicForm:
                     cs = f"({cs})"
                 term = f"{cs}*{mono}"
             parts.append(term)
+        if not parts:
+            return "0"
         out = parts[0]
         for term in parts[1:]:
             if term.startswith("-"):
@@ -336,24 +344,42 @@ def _reynolds_array(group):
     Since S_(r h^k) = S_r S_h^k, the group average on a surviving column
     is the average of S_r over the coset representatives r alone.  With
     h the identity this is the plain sum over every element.
+
+    The representative of <h> itself is a power of h, which fixes the
+    surviving monomials: its term is den^3 on their diagonal, added
+    without the kernel, which sums over the other representatives only.
     """
     n, h_idx, exps = _diagonal_of_largest_order(group)
     surviving = (_EXPONENTS @ exps % n == 0).nonzero()[0]
 
     # left coset representatives of <h>: the coset of i is its orbit
-    # under right multiplication by h
+    # under right multiplication by h; each coset's representative is
+    # its smallest index, so the one of <h> need not be the identity
     by_h = group.row(h_idx)
     reps, seen = [], set()
     for i in range(group.order):
         if i not in seen:
             reps.append(i)
             seen.update(_orbit(i, [by_h.__getitem__]))
+    in_h = set(group.powers(h_idx))
 
-    arrays, den = group.arrays([group.inverse_index(r) for r in reps])
-    sums = _sum_of_images(arrays, _FACTORS[surviving], group.conductor)
+    # a power of h, in lowest terms, has denominator 1 (its entries are
+    # roots of unity), so the other representatives' common denominator
+    # is that of all of them
+    arrays, den = group.arrays([group.inverse_index(r) for r in reps
+                                if r not in in_h])
+    identity = den ** 3
+    if len(arrays):
+        sums = _sum_of_images(arrays, _FACTORS[surviving], group.conductor)
+    else:
+        sums = np.zeros((len(surviving), 35, arrays.shape[-1]),
+                        dtype=np.int64)
+    if sums.dtype != object and _big(sums) + identity >= 1 << 63:
+        sums = sums.astype(object)
     R = np.zeros((35, 35, sums.shape[-1]), dtype=sums.dtype)
     R[:, surviving] = sums.transpose(1, 0, 2)
-    return R, den ** 3 * len(reps)
+    R[surviving, surviving, 0] += identity
+    return R, identity * len(reps)
 
 
 def _exact(n, coeffs: list, den) -> Cyclotomic:
@@ -456,10 +482,12 @@ class InvariantSpace:
     reduces them mod p as they are (`smoothprobe.reduce_columns`).
     `spanning`, the same images as exact forms, with denominators
     dividing the group order times the entry denominators, is built on
-    first use only.  `basis`, the canonical echelon basis of the space,
-    is built by exact row reduction on first use.  Its pivot divisions
-    can bring huge numerators, which make a reduction mod p degenerate
-    for unlucky primes, so only printing and membership tests use it.
+    first use only, exact values for the nonzero coefficients alone.
+    `basis`, the canonical echelon basis of the space, is built by exact
+    row reduction of the independent forms on the support's columns, on
+    first use.  Its pivot divisions can bring huge numerators, which make
+    a reduction mod p degenerate for unlucky primes, so only printing and
+    membership tests use it.
     `rank_primes` are the split primes at which `dimension` was read,
     in order."""
 
@@ -471,15 +499,23 @@ class InvariantSpace:
         self._support = tuple(sorted(support, reverse=True))
         self.rank_primes = tuple(rank_primes)
 
-    def _forms(self, indices) -> tuple:
-        """The columns of the given indices as exact forms."""
+    def _coefficients(self, indices) -> list:
+        """The columns of the given indices as lists of 35 exact
+        coefficients; only the nonzero ones are built, the others are
+        one shared zero."""
         array, den, n = self.columns
-        return tuple(CubicForm([_exact(n, coeffs, den) for coeffs in form])
-                     for form in array[list(indices)].tolist())
+        array = array[list(indices)]
+        out = [[_ZERO] * 35 for _ in range(len(array))]
+        ks, ms = array.any(axis=2).nonzero()
+        for k, m, num in zip(ks.tolist(), ms.tolist(),
+                             array[ks, ms].tolist()):
+            out[k][m] = from_power_basis(n, num, den)
+        return out
 
     @functools.cached_property
     def spanning(self) -> tuple:
-        return self._forms(range(len(self.columns[0])))
+        return tuple(map(CubicForm,
+                         self._coefficients(range(len(self.columns[0])))))
 
     @property
     def dimension(self) -> int:
@@ -489,16 +525,25 @@ class InvariantSpace:
     def basis(self) -> tuple:
         """Row reduction of the independent spanning forms, which span
         the space, so their reduced echelon form is its canonical
-        basis."""
+        basis.  The forms vanish off the monomial support, so only the
+        support's columns are reduced, in the same order."""
         if not self._independent:
             return ()
+        support = [MONOMIAL_INDEX[e] for e in self._support]
         rank_, reduced, _ = rref(Matrix(
-            [f.coefficients for f in self._forms(self._independent)]))
+            [[coeffs[m] for m in support]
+             for coeffs in self._coefficients(self._independent)]))
         if rank_ != self.dimension:
             raise ContractViolationError(
                 f"invariant space has dimension {self.dimension} but its "
                 f"independent forms have rank {rank_}")
-        return tuple(CubicForm(reduced.row(i)) for i in range(rank_))
+        basis = []
+        for i in range(rank_):
+            coeffs = [_ZERO] * 35
+            for m, v in zip(support, reduced.row(i)):
+                coeffs[m] = v
+            basis.append(CubicForm(coeffs))
+        return tuple(basis)
 
     def contains(self, form: CubicForm) -> bool:
         """Whether form lies in the space: each row of the echelon basis

@@ -97,6 +97,33 @@ def gauss_jordan_pivots(m, p):
     return tuple(pivots)
 
 
+def dense_rref(rows, width=None):
+    """Reference for `cyclo.rref`, the same interface and pivot rule:
+    Gauss-Jordan elimination on dense rows of Fractions or Cyclotomics,
+    each pivot the first row with a nonzero entry in its column, every
+    entry of every row tested and combined."""
+    pivots = []
+    rank = 0
+    for col in range(len(rows[0]) if width is None else width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv if v else v for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b if b else a
+                           for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank, rows, tuple(pivots)
+
+
 def commutant_of(mats, prime=None):
     """`commutant_dimension` of exact matrices: their `int_array` over
     the conductor of their entries."""

@@ -1,10 +1,17 @@
 """Command line behaviour: formats, exit codes, error paths."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from cubicmoduli import catalog
 from cubicmoduli.cli import main
+
+# `invariants <e>` for every catalog entry, byte for byte: the printed
+# echelon bases are part of the contract
+INVARIANTS_OUTPUT = json.loads(
+    (Path(__file__).parent / "invariants_output.json").read_text())
 
 
 def test_catalog_list(capsys):
@@ -13,6 +20,16 @@ def test_catalog_list(capsys):
     assert "alt4-klein" in out
     assert "psl2-11" in out
     assert "order  660" in out
+
+
+def test_invariants_output_fixture_covers_the_catalog():
+    assert sorted(INVARIANTS_OUTPUT) == sorted(catalog.entry_ids())
+
+
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_invariants_output_is_unchanged(capsys, entry):
+    assert main(["invariants", entry]) == 0
+    assert capsys.readouterr().out == INVARIANTS_OUTPUT[entry]
 
 
 def test_audit_text(capsys):

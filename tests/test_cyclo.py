@@ -12,14 +12,19 @@ import pytest
 from cubicmoduli.cyclo import (
     MAX_CONDUCTOR,
     Cyclotomic,
+    _descent_system,
     _power_table,
+    _prime_factors,
     cyclo,
     cyclotomic_polynomial,
     from_power_basis,
     parse_cyclo,
     root_of_unity,
+    rref,
 )
 from cubicmoduli.invariants import CubicForm
+
+from helpers_math import dense_rref
 
 E = root_of_unity
 
@@ -336,3 +341,48 @@ def test_rational_interop():
     assert cyclo(5).as_rational() == 5
     with pytest.raises(ValueError):
         E(3).as_rational()
+
+
+def _sparse_rows(rng, n_rows, n_cols, zeros, entry):
+    """Rows with about the share zeros of their entries 0, one row of
+    zeros, and one row a combination of two others (a rank deficit)."""
+    rows = [[entry() if rng.random() >= zeros else entry() * 0
+             for _ in range(n_cols)] for _ in range(n_rows)]
+    rows[rng.randrange(n_rows)] = [entry() * 0 for _ in range(n_cols)]
+    a, b = rng.sample(range(n_rows), 2)
+    f, g = entry(), entry()
+    rows.append([f * x + g * y for x, y in zip(rows[a], rows[b])])
+    rng.shuffle(rows)
+    return rows
+
+
+def _rref_cases():
+    rng = random.Random(24)
+    entries = {
+        "fraction": lambda: Fraction(rng.randrange(-5, 6),
+                                     rng.randrange(1, 4)),
+        "cyclotomic": lambda: random_value(rng, conductors=(1, 3, 4, 12)),
+    }
+    for kind, entry in entries.items():
+        for zeros in (0.0, 0.3, 0.6, 0.9):
+            for _ in range(6):
+                n_rows, n_cols = rng.randrange(2, 8), rng.randrange(1, 10)
+                rows = _sparse_rows(rng, n_rows, n_cols, zeros, entry)
+                for width in (None, rng.randrange(n_cols + 1)):
+                    yield f"{kind}-{zeros}", rows, width
+    for n in (3, 5, 11, 12, 60, 120):
+        for p in _prime_factors(n):
+            aug, phi_m = _descent_system(n, n // p)
+            yield f"descent-{n}-{n // p}", aug, phi_m
+
+
+def test_rref_matches_dense_oracle():
+    # the elimination over each row's nonzero entries against dense
+    # Gauss-Jordan with the same pivot rule: the same rank, pivots and
+    # rows, and the rows list reduced in place
+    for name, rows, width in _rref_cases():
+        rows_in = [list(row) for row in rows]
+        rank, reduced, pivots = rref(rows_in, width)
+        assert reduced is rows_in, name
+        assert (rank, reduced, pivots) == dense_rref(
+            [list(row) for row in rows], width), name

@@ -23,6 +23,7 @@ from cubicmoduli.linalg import Matrix, int_array, rref, split_primes
 import fixtures as fx
 from helpers_math import (
     act,
+    dense_rref,
     exact_reynolds,
     exact_substitution,
     random_cyclo,
@@ -400,8 +401,8 @@ def _assert_matches_transpose_echelon_basis(g, space):
     operator: the same basis, the same values read off it, and R's
     nonzero columns as the spanning forms."""
     R = exact_reynolds(g)
-    rank_, reduced, _ = rref(R.transpose())
-    basis = tuple(CubicForm(reduced.row(i)) for i in range(rank_))
+    rank_, reduced, _ = dense_rref([list(R.column(j)) for j in range(35)])
+    basis = tuple(CubicForm(reduced[i]) for i in range(rank_))
     assert space.basis == basis
     assert _read_off_space(space) == _read_off_echelon_basis(basis)
     columns = [CubicForm(R.column(j)) for j in range(35)]
@@ -446,6 +447,17 @@ def test_psl2_11_rows_match_their_echelon_bases(psl2_11_rows):
         assert space.dimension == dim_invariant_cubics(character_of(sub))
 
 
+def _kernel_calls(group, space) -> int:
+    """The substitution sums invariant_basis makes: the Reynolds sum
+    only when a coset besides <h> exists (<h> itself is the identity on
+    the surviving monomials), and one check per distinct non-identity
+    generator when the space is not zero."""
+    h_order = invariants._diagonal_of_largest_order(group)[0]
+    gens = set(group.generator_indices) - {group.identity_index}
+    return ((group.order > h_order)
+            + (len(gens) if space.monomial_support() else 0))
+
+
 def _assert_int64_kernel_matches_python_ints(monkeypatch, groups):
     """Every substitution sum that invariant_basis makes on the groups,
     the Reynolds sum and the generator checks, runs on int64 and equals
@@ -459,9 +471,10 @@ def _assert_int64_kernel_matches_python_ints(monkeypatch, groups):
         return out
 
     monkeypatch.setattr(invariants, "_sum_of_images", recorded)
+    expected = 0
     for g in groups:
-        invariant_basis(g)
-    assert calls
+        expected += _kernel_calls(g, invariant_basis(g))
+    assert len(calls) == expected
     for arrays, factors, n, out in calls:
         assert out.dtype == np.int64
         assert np.array_equal(out, real(arrays.astype(object), factors, n))
@@ -499,8 +512,14 @@ def test_reynolds_sum_memory_is_bounded(gens, limit):
     assert peak < limit
 
 
-def test_perturbed_reynolds_sums_are_caught(monkeypatch):
-    g = MatrixGroup.generate([fx.KLEIN_D, fx.KLEIN_P])
+@pytest.mark.parametrize("load", [
+    lambda: MatrixGroup.generate([fx.KLEIN_D, fx.KLEIN_P]),
+    # G = <h>: R is the fold's identity term alone, with no Reynolds
+    # kernel call
+    lambda: catalog.load("c5-regular"),
+], ids=["klein", "c5-regular"])
+def test_perturbed_reynolds_sums_are_caught(monkeypatch, load):
+    g = load()
     real = invariants._reynolds_array
 
     def perturbed(group):
