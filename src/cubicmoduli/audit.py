@@ -16,9 +16,10 @@ split prime is tried; a deficit is an inconsistency between the routes.
 The moduli dimension formula dim U - dim C is only meaningful when the
 family contains a smooth member, so dim_moduli is withheld (None), not
 reported as a number, unless non-emptiness is certified.  Emptiness
-itself is certified in exactly two ways: an eigenvalue-profile
-obstruction on elements of order 2, 4 or 5, or a variable missing from
-the whole family (every member is then a cone).  Non-emptiness is
+itself is certified in three ways: an eigenvalue-profile obstruction on
+elements of order 2, 4 or 5 (a liftability violation), no invariant
+cubics at all, or a variable missing from the whole family (every
+member is then a cone).  Non-emptiness is
 certified in two ways, and never refuted by them.  A family spanned by
 monomials whose torus strata pass `torus_strata_certified` has a smooth
 general member: a proof, from the monomials alone, with no prime and no

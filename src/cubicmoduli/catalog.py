@@ -124,6 +124,9 @@ def load_entry(name: str) -> CatalogEntry:
         if len(notes) != len(gens):
             raise ValueError("one note per generator required")
         contract = raw["contract"]
+        if not isinstance(contract, dict):
+            raise ValueError("contract must be a JSON object, not "
+                             f"{type(contract).__name__}")
         fixed = contract.get("fixed_form")
         entry = CatalogEntry(
             id=str(raw["id"]),

@@ -18,8 +18,9 @@ A class function holds its exact values (`ClassFunction.values`), and
 the formulas above, class by class, in exact arithmetic.  The three
 dimensions that the audit checks (`dim_invariant_cubics`,
 `commutant_dimension_from_character`, `dim_special_subvariety`) make no
-exact product: each reduces the values once mod the first split prime p
-of their conductor (`linalg.int_array`, `linalg.reduce_mod_p`), applies
+exact product: each puts the values on integer rows (`linalg.int_array`)
+and reduces them once mod the first split prime p of their conductor
+(`linalg.reduce_mod_p`), applies
 its formula and (1/|G|) sum_c |c| f(c) to the residues, and reads the
 multiplicity off the residue.  For a character of degree d that
 multiplicity is an integer in [0, C(d+2, 3)], [0, d^2] or
@@ -48,8 +49,7 @@ from fractions import Fraction
 from .cyclo import Cyclotomic, cyclo, root_of_unity
 from .errors import (BadPrimeError, GroupMismatchError,
                      NonIntegralCharacterError)
-from .linalg import (Matrix, conductor_of, int_array, reduce_mod_p,
-                     split_primes)
+from .linalg import conductor_of, int_array, reduce_mod_p, split_primes
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def _multiplicity_mod_p(fs, formula, divisor: int, bound: int) -> int:
     st = fs[0].structure
     values = [v for f in fs for v in f.values]
     n = conductor_of(values)
-    array, den = int_array([Matrix([values])], n)
+    array, den = int_array(values, n)
     primes = split_primes(n)
     for p in primes:
         if bound >= p:
@@ -213,7 +213,7 @@ def _multiplicity_mod_p(fs, formula, divisor: int, bound: int) -> int:
                 f"a multiplicity bounded by {bound} cannot be read mod {p}")
         if den * divisor * st.order % p == 0:
             continue
-        r = (reduce_mod_p(array[0, 0], n, p) * pow(den, -1, p) % p).tolist()
+        r = (reduce_mod_p(array, n, p) * pow(den, -1, p) % p).tolist()
         k = st.n_classes
         h = formula(*(r[i:i + k] for i in range(0, len(r), k)))
         value = (sum(map(operator.mul, st.sizes, h))

@@ -700,21 +700,7 @@ class _Parser:
         base = self.atom()
         if self.peek() != "^":
             return base
-        self.take()
-        negative = self.peek() == "-"
-        if negative:
-            self.take()
-        k = -self.integer() if negative else self.integer()
-        # bounded before any product is formed: a cubic needs no power
-        # above 3 of a polynomial, and a power of a number above
-        # MAX_CONDUCTOR only grows the number
-        if any(base):
-            if k > 3:
-                raise ValueError(
-                    f"power {k} of a polynomial; at most 3 is allowed")
-        elif abs(k) > MAX_CONDUCTOR:
-            raise ValueError(
-                f"power {k} of a number; |k| at most {MAX_CONDUCTOR}")
+        k, negative = self.exponent(polynomial=any(base))
         if negative:
             return {(): _nonzero(base, "a negative power's base") ** k}
         if () in base and len(base) == 1:
@@ -733,17 +719,26 @@ class _Parser:
         self.take(")")
         if not 1 <= n <= MAX_CONDUCTOR:
             raise ValueError(f"E({n}): n must be in [1, {MAX_CONDUCTOR}]")
-        k = 1
-        if self.peek() == "^":
-            self.take()
-            negative = self.peek() == "-"
-            if negative:
-                self.take()
-            k = -self.integer() if negative else self.integer()
-            if abs(k) > MAX_CONDUCTOR:
-                raise ValueError(
-                    f"power {k} of a number; |k| at most {MAX_CONDUCTOR}")
+        k = self.exponent()[0] if self.peek() == "^" else 1
         return {(): root_of_unity(n, k)}
+
+    def exponent(self, polynomial: bool = False) -> tuple[int, bool]:
+        """'^' ['-'] integer: (k, whether '-' was read), bounded before
+        any product is formed: a cubic needs no power above 3 of a
+        polynomial, and |k| above MAX_CONDUCTOR only grows a number."""
+        self.take("^")
+        negative = self.peek() == "-"
+        if negative:
+            self.take()
+        k = -self.integer() if negative else self.integer()
+        if polynomial:
+            if k > 3:
+                raise ValueError(
+                    f"power {k} of a polynomial; at most 3 is allowed")
+        elif abs(k) > MAX_CONDUCTOR:
+            raise ValueError(
+                f"power {k} of a number; |k| at most {MAX_CONDUCTOR}")
+        return k, negative
 
     def atom(self) -> dict:
         tok = self.take()

@@ -8,7 +8,7 @@ terms, so the pair is a canonical dict key.  Right multiplication by the
 generators is one stack of integer matrices, one per generator, and each
 BFS level multiplies its whole frontier by all of them in one product,
 generator-major.  The products run on int64 while a bound proves they
-cannot overflow, and on Python ints (object arrays) past it; an
+cannot overflow, and on Python ints past it (`linalg._widen`); an
 element's key does not depend on which of the two holds it.  The closure
 is the one pass over the generators: each generator's order is the
 length of its row's cycle through the identity, read off after the
@@ -20,10 +20,12 @@ the cap, so that an element of infinite order still fails fast, and
 with NotFiniteError before CapExceededError.
 The group keeps these arrays, in canonical order, as its only element
 representation: `arrays` hands any index set to the invariant kernels in
-the form of `linalg.int_array`, and class traces, scalar and diagonal
-elements are read off them in one numpy pass each.  Exact matrices
-(`elements`) are built on first use only, one exact value per distinct
-entry.
+the form of `linalg.int_array`, over one denominator
+(`linalg.over_common_denominator`), and class traces, scalar and
+diagonal elements are read off them in one numpy pass each.  Exact
+values are made by `linalg.exact_values` alone, for the class traces and
+for the exact matrices (`elements`), which are built on first use only,
+one exact value per distinct entry.
 
 A group is its closure tables: the generators' indices and one
 right-multiplication row per generator; the BFS tree is read off the
@@ -53,11 +55,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import Cyclotomic, from_power_basis, root_of_unity
+from .cyclo import Cyclotomic, root_of_unity
 from .errors import CapExceededError, NonIntegralCharacterError, NotFiniteError
-from .linalg import (_INT62, _INT64_LIMIT, Matrix, _big, _pair_table,
-                     conductor_of, int_array, reduce_mod_p, root_of_unity_mod,
-                     split_primes)
+from .linalg import (Matrix, _big, _pair_table, _row_bytes, _widen,
+                     conductor_of, exact_values, int_array,
+                     over_common_denominator, reduce_mod_p,
+                     root_of_unity_mod, split_primes)
 from .chars import ClassStructure
 
 DEFAULT_CAP = 20000
@@ -214,21 +217,20 @@ class MatrixGroup:
         """(array, den) for the elements of the given indices, as
         `linalg.int_array` gives them: array[k, i, j] holds the phi(n)
         power-basis coefficients of den times entry (i, j) of the k-th,
-        den > 0 the least common denominator.  The dtype is int64 when
-        every coefficient fits below 2^62, and Python ints (object)
-        otherwise."""
+        over `linalg.over_common_denominator`."""
         indices = list(indices)
-        return _over_common_denominator(self._nums[indices],
-                                        self._dens[indices])
+        return over_common_denominator(self._nums[indices],
+                                       self._dens[indices].tolist())
 
     @functools.cached_property
     def elements(self) -> tuple[Matrix, ...]:
         """Every element as an exact matrix, in index order; built on
         first use."""
-        values, codes = _distinct_entries(self._dens, self._nums, self.dim,
-                                          self.conductor)
-        entries = list(map(values.__getitem__, codes))
         d = self.dim
+        values, codes = exact_values(
+            np.repeat(self._dens, d * d),
+            self._nums.reshape(-1, self._nums.shape[-1]), self.conductor)
+        entries = list(map(values.__getitem__, codes))
         return tuple(Matrix([entries[i:i + d] for i in range(e, e + d * d, d)])
                      for e in range(0, len(entries), d * d))
 
@@ -358,26 +360,22 @@ class MatrixGroup:
     def class_trace_rows(self):
         """(rows, den): row c holds the phi(conductor) power-basis
         coefficients of den times the trace of class c's representative,
-        the sum of its diagonal rows, den > 0 the least common
-        denominator; int64 when every coefficient fits below 2^62, and
-        Python ints (object) otherwise."""
+        the sum of its diagonal rows, over
+        `linalg.over_common_denominator`."""
         reps = [c.rep_index for c in self.classes]
         d = range(self.dim)
         diagonal = self._nums[reps][:, d, d]
-        if (diagonal.dtype != object
-                and _big(diagonal) * self.dim >= _INT64_LIMIT):
-            diagonal = diagonal.astype(object)
-        return _over_common_denominator(diagonal.sum(axis=1),
-                                        self._dens[reps])
+        diagonal, = _widen(_big(diagonal) * self.dim, diagonal)
+        return over_common_denominator(diagonal.sum(axis=1),
+                                       self._dens[reps].tolist())
 
     def class_traces(self) -> tuple[Cyclotomic, ...]:
         """The trace of each class representative, exact: its row of
         `class_trace_rows` over their denominator."""
         if self._class_traces is None:
             rows, den = self.class_trace_rows
-            self._class_traces = tuple(
-                from_power_basis(self.conductor, row, den)
-                for row in rows.tolist())
+            values, codes = exact_values(den, rows, self.conductor)
+            self._class_traces = tuple(map(values.__getitem__, codes))
         return self._class_traces
 
     def _trace_residues(self, p: int):
@@ -565,7 +563,8 @@ def _canonical_order(dens, nums, d: int, n: int):
     """The indices of the elements in canonical order: lexicographic on
     their printed entries, row-major, which is lexicographic on each
     entry's rank among the distinct printed texts."""
-    values, codes = _distinct_entries(dens, nums, d, n)
+    values, codes = exact_values(np.repeat(dens, d * d),
+                                 nums.reshape(len(dens) * d * d, -1), n)
     texts = [str(v) for v in values]
     rank = {t: r for r, t in enumerate(sorted(set(texts)))}
     ranks = list(map(rank.__getitem__, texts))
@@ -620,19 +619,17 @@ class _RightMultiplication:
     __slots__ = ("dens", "matrix", "big", "den", "element")
 
     def __init__(self, gens, n: int):
-        array, den = int_array(gens, n)
+        array, den = int_array(
+            [[g.row(i) for i in range(g.rows)] for g in gens], n)
         count, d, _, phi = array.shape
-        if array.dtype != object and den >= _INT64_LIMIT:
-            array = array.astype(object)
+        array, = _widen(den, array)
         # each generator in lowest terms, over its own denominator
         dens, nums = _lowest_terms(np.full(count, den, dtype=array.dtype),
                                    array.reshape(count, -1))
         # coefficient c of zeta^(a + b)
         shift = _pair_table(n)
-        if (phi * _big(nums) * _big(shift) >= _INT64_LIMIT
-                or _big(dens) >= _INT64_LIMIT):
-            dens, nums = dens.astype(object), nums.astype(object)
-            shift = shift.astype(object)
+        dens, nums, shift = _widen(
+            max(phi * _big(nums) * _big(shift), _big(dens)), dens, nums, shift)
         self.dens = dens
         self.matrix = np.einsum("gkjb,abc->gkajc",
                                 nums.reshape(count, d, d, phi),
@@ -640,20 +637,6 @@ class _RightMultiplication:
         self.big = _big(self.matrix)
         self.den = _big(dens)
         self.element = dens, nums
-
-
-def _over_common_denominator(nums, dens):
-    """(nums', den): the values nums[k] / dens[k] over one denominator,
-    den > 0 the least common one.  int64 when every coefficient fits
-    below 2^62, and Python ints (object) otherwise."""
-    dens = dens.tolist()
-    den = math.lcm(*dens)
-    scale = np.array([den // x for x in dens], dtype=object)
-    scale = scale.reshape((-1,) + (1,) * (nums.ndim - 1))
-    if nums.dtype != object and _big(nums) * _big(scale) < _INT62:
-        return nums * scale.astype(np.int64), den
-    nums = nums.astype(object) * scale
-    return (nums.astype(np.int64) if _big(nums) < _INT62 else nums), den
 
 
 def _lowest_terms(dens, nums):
@@ -674,15 +657,11 @@ def _times(dens, nums, step: _RightMultiplication):
     """The products X * g of the elements X = nums[i] / dens[i] with each
     generator g of step, in lowest terms, generator-major: every
     element times the first generator, then times the second, and so
-    on.  The product runs on int64 when a bound proves that no
-    coefficient and no denominator can overflow, and on Python ints
-    (object arrays) otherwise."""
+    on, under a bound on every coefficient and denominator
+    (`linalg._widen`)."""
     count, width, _ = step.matrix.shape
-    if nums.dtype != object and (
-            step.matrix.dtype == object
-            or int(np.abs(nums).max()) * step.big * width >= _INT64_LIMIT
-            or int(dens.max()) * step.den >= _INT64_LIMIT):
-        dens, nums = dens.astype(object), nums.astype(object)
+    dens, nums = _widen(max(_big(nums) * step.big * width,
+                            int(dens.max()) * step.den), dens, nums)
     # one matmul per generator, stacked: (count, len(nums) * d, width)
     out = np.matmul(nums.reshape(-1, width), step.matrix)
     return _lowest_terms((step.dens[:, None] * dens).reshape(-1),
@@ -704,13 +683,6 @@ def _keys(dens, nums) -> list:
         return list(zip(dens.tolist(), _row_bytes(nums)))
     return [_object_key(den, row)
             for den, row in zip(dens.tolist(), nums.tolist())]
-
-
-def _row_bytes(array) -> list:
-    """Each row of a 2-D int64 array as its bytes, in one pass."""
-    array = np.ascontiguousarray(array)
-    as_bytes = np.dtype((np.void, array.itemsize * array.shape[1]))
-    return array.view(as_bytes).ravel().tolist()
 
 
 def _object_key(den: int, row: list):
@@ -735,34 +707,6 @@ def _check_order(step: _RightMultiplication, identity):
         k += 1
         if k > ORDER_BOUND:
             raise _unbounded()
-
-
-def _distinct_entries(dens, nums, d: int, n: int):
-    """(values, codes): each distinct entry of the elements once, as an
-    exact value, and per entry of each element in turn, row-major, its
-    index into values.  An entry is keyed by its element's denominator
-    and its coefficients, as the bytes of one int64 row or, on Python
-    ints, as a tuple, so that the per-entry work runs in C
-    (`dict.fromkeys`, `map`)."""
-    w = d * d
-    phi = nums[0].size // w
-    distinct, codes = {}, []
-    # 64 elements at a time, so that few keys are held at once (psl2-11
-    # has 16,500 entries)
-    for start in range(0, len(dens), 64):
-        entries = np.concatenate(
-            [np.repeat(dens[start:start + 64], w)[:, None],
-             nums[start:start + 64].reshape(-1, phi)], axis=1)
-        keys = (list(map(tuple, entries.tolist())) if entries.dtype == object
-                else _row_bytes(entries))
-        for key in dict.fromkeys(keys):
-            distinct.setdefault(key, len(distinct))
-        codes += map(distinct.__getitem__, keys)
-    rows = list(distinct)
-    if entries.dtype != object:
-        rows = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(
-            len(rows), -1).tolist()
-    return [from_power_basis(n, row[1:], row[0]) for row in rows], codes
 
 
 _LABELS = {

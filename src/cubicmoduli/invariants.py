@@ -34,11 +34,12 @@ coefficient).  The 125 products x_a*x_b*x_c are then collapsed onto the
 35 monomials.  Blocks of monomials and of representatives keep every
 temporary below 128 KiB, whatever the number of representatives.  int64
 is used when a bound on the sums, computed from the input, proves it
-cannot overflow; otherwise the same code runs on Python ints.  This
-kernel, `_sum_of_images`, is the package's only substitution:
-`fixed_by` runs it on the array of one g^-1 and combines its output
-with the form's coefficients on integer rows, through a table of roots
-of unity like the pair table.
+cannot overflow; otherwise `linalg._widen` runs the same code on Python
+ints.  This kernel, `_sum_of_images`, is the package's only
+substitution: `fixed_by` runs it on the array of one g^-1 and combines
+its output with the form's coefficients, put on integer rows by
+`linalg.int_array`, through a table of roots of unity like the pair
+table.
 
 Forms are read by the package's one expression parser
 (`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
@@ -48,9 +49,9 @@ The space is read off the integer array R of that operator, and
 nothing exact is built that no output prints.  R's nonzero columns span
 U^G; the space keeps them as integers (`InvariantSpace.columns`), which
 the smoothness probe reduces mod p as they are, and makes them exact
-forms on first use only (`spanning`).  Its nonzero rows are the
-monomial support, exact on integers, which `missing_variables` and
-`split_variable` read.  Its rank mod the first split prime p = 1 mod
+forms on first use only (`spanning`, by `linalg.exact_values`).  Its
+nonzero rows are the monomial support, exact on integers, which
+`missing_variables` and `split_variable` read.  Its rank mod the first split prime p = 1 mod
 n near 2^30 is the dimension, certified by the exact trace of R, which
 is an integer because R is a projection.  Reduction mod p can only
 lower a rank, so a shortfall moves on to the next split prime and an
@@ -65,8 +66,7 @@ the set of surviving columns, the coset representatives and the
 summation.  The kernel itself is pinned against exact substitution in
 the tests, and the dimension against the character count (the audit
 does that); with both, the columns of R are all of U^G.  The product
-S_g R runs on integer arrays mod Phi_n, in int64 under an overflow
-bound as above.
+S_g R runs on integer arrays mod Phi_n, under an overflow bound too.
 
 The canonical echelon basis is built by exact row reduction on first
 use only (`InvariantSpace.basis`: `invariants`, `selftest` and library
@@ -86,21 +86,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cyclo import (
-    ONE,
-    Cyclotomic,
-    _power_table,
-    cyclo,
-    from_power_basis,
-    parse_polynomial,
-)
+from .cyclo import ONE, Cyclotomic, _power_table, cyclo, parse_polynomial
 from .errors import ContractViolationError
 from .groups import _orbit
 from .linalg import (
     Matrix,
     _big,
     _pair_table,
+    _widen,
     conductor_of,
+    exact_values,
     int_array,
     pivots_mod_p,
     reduce_mod_p,
@@ -279,7 +274,7 @@ def fixed_by(group, i: int, forms) -> bool:
             continue
         values = [form.coefficients[m] for m in terms]
         field = math.lcm(n, conductor_of(values))
-        C = int_array([Matrix([values])], field)[0][0, 0]
+        C = int_array(values, field)[0]
         R = np.zeros((35, 1, C.shape[-1]), dtype=C.dtype)
         R[terms, 0] = C
         # the images of F's monomials are the columns of S_g there, over
@@ -374,18 +369,11 @@ def _reynolds_array(group):
     else:
         sums = np.zeros((len(surviving), 35, arrays.shape[-1]),
                         dtype=np.int64)
-    if sums.dtype != object and _big(sums) + identity >= 1 << 63:
-        sums = sums.astype(object)
+    sums, = _widen(_big(sums) + identity, sums)
     R = np.zeros((35, 35, sums.shape[-1]), dtype=sums.dtype)
     R[:, surviving] = sums.transpose(1, 0, 2)
     R[surviving, surviving, 0] += identity
     return R, identity * len(reps)
-
-
-def _exact(n, coeffs: list, den) -> Cyclotomic:
-    """The value of integer coefficients on the zeta_n power basis over
-    den."""
-    return from_power_basis(n, coeffs, den) if any(coeffs) else _ZERO
 
 
 def _sum_of_images(arrays, factors, n):
@@ -409,10 +397,8 @@ def _sum_of_images(arrays, factors, n):
     # phi * big * t, a pair product by phi^2 * big^2 * t and a triple
     # product by phi^4 * big^3 * t^2; len(arrays) of them add up at each
     # product x_a*x_b*x_c, and 6 products share a monomial
-    bound = (6 * len(arrays) * phi ** 4 * _big(arrays) ** 3
-             * _big(table) ** 2)
-    if bound >= 1 << 63:
-        arrays, table = arrays.astype(object), table.astype(object)
+    arrays, table = _widen(6 * len(arrays) * phi ** 4 * _big(arrays) ** 3
+                           * _big(table) ** 2, arrays, table)
     # blocks of sb monomials and kb representatives keep every
     # temporary at 2^14 values at most, 128 KiB, below glibc's mmap
     # threshold, so its pages come from the heap again instead of being
@@ -460,10 +446,8 @@ def _fixes(S, s_den, R, support, n, field=None) -> bool:
     # a coefficient of a multiplication matrix of R is a sum of phi_r
     # products, and one of S R a sum of len(support) * phi products of
     # a coefficient of S with one of those
-    bound = max(len(support) * phi * phi_r * _big(S) * _big(R)
-                * _big(table), s_den * _big(R))
-    if bound >= 1 << 63:
-        S, R, table = (a.astype(object) for a in (S, R, table))
+    S, R, table = _widen(max(len(support) * phi * phi_r * _big(S) * _big(R)
+                             * _big(table), s_den * _big(R)), S, R, table)
     rows = R[support]
     # M[j, a, c, o]: coefficient o of zeta_n^a * R[j, c]
     M = (rows.reshape(-1, phi_r) @ table).reshape(
@@ -507,9 +491,9 @@ class InvariantSpace:
         array = array[list(indices)]
         out = [[_ZERO] * 35 for _ in range(len(array))]
         ks, ms = array.any(axis=2).nonzero()
-        for k, m, num in zip(ks.tolist(), ms.tolist(),
-                             array[ks, ms].tolist()):
-            out[k][m] = from_power_basis(n, num, den)
+        values, codes = exact_values(den, array[ks, ms], n)
+        for k, m, code in zip(ks.tolist(), ms.tolist(), codes):
+            out[k][m] = values[code]
         return out
 
     @functools.cached_property
@@ -597,11 +581,12 @@ def invariant_basis(group) -> InvariantSpace:
     n = group.conductor
     diagonal = np.arange(35)
     # an integer: a multiple of den times 1 on the power basis
-    trace, *rest = R[diagonal, diagonal].sum(axis=0).tolist()
+    trace_row = R[diagonal, diagonal].sum(axis=0)
+    trace, *rest = trace_row.tolist()
     if any(rest) or trace % den:
         raise ContractViolationError(
-            f"averaging operator has trace {_exact(n, [trace, *rest], den)}, "
-            "not an integer")
+            "averaging operator has trace "
+            f"{exact_values(den, trace_row[None], n)[0][0]}, not an integer")
     trace //= den
     R = R[:, R.any(axis=(0, 2)).nonzero()[0]]
     support = R.any(axis=(1, 2)).nonzero()[0]

@@ -4,10 +4,15 @@ Sized for this project: matrices up to 35x35 (the space of cubic
 monomials in five variables) and commutant systems on 5x5 unknowns.
 Exact row reduction of a Matrix is `cyclo.rref` on its rows.
 
-The matrix kernels work on one integer-array form of a list of
-matrices (`int_array`): entry (i, j) of matrix k becomes the integer
-coefficients of its value on the zeta_n power basis, over one common
-denominator.  This module is the package's one map to F_p, for the
+This module is the package's one boundary between exact values and
+integer rows.  `int_array` puts exact values, nested to any shape, on
+the zeta_n power basis over one common denominator
+(`over_common_denominator`, which also serves a group's own rows), and
+`exact_values` makes integer rows exact again, once per distinct row.
+Rows are int64 while every coefficient is below 2^62, and Python ints
+(object) past it.  Each kernel that multiplies them states a bound on
+what it computes, and `_widen` moves its arrays to Python ints when the
+bound reaches 2^63.  It is also the package's one map to F_p, for the
 commutant, the character route's multiplicities and the smoothness
 probe alike: `reduce_mod_p` sends zeta_n to g^((p-1)/n), g the
 smallest primitive root mod p, so zeta_m = zeta_n^(n/m) has one image
@@ -19,7 +24,7 @@ dimension; the audit certifies it against the character inner product
 
 The table of zeta_n^(a + b) on the power basis (`_pair_table`), through
 which the closure and the substitution kernel multiply coefficient
-rows, lives here with the overflow bound they share (`_big`).
+rows, lives here too.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .cyclo import (
     _power_table,
     _prime_factors,
     cyclo,
+    from_power_basis,
     power_basis,
     rref as _rref,
 )
@@ -196,26 +202,90 @@ def rref(m: Matrix):
     return rank, Matrix(rows), pivots
 
 
-def int_array(mats, n: int):
-    """(array, den): the matrices on the zeta_n power basis, n a multiple
-    of every entry's conductor.  array[k, i, j] holds the phi(n) integer
-    coefficients of den * mats[k][i, j]; den > 0 is the least common
-    denominator.  The dtype is int64 when every coefficient fits below
-    2^62, and Python ints (object) otherwise."""
+def int_array(values, n: int):
+    """(array, den): exact values, nested lists or tuples of any shape,
+    on the zeta_n power basis, n a multiple of every value's conductor.
+    array[..., :] holds the phi(n) integer coefficients of den times the
+    value at [...]; den > 0 is the least common denominator, and the
+    dtype is `over_common_denominator`'s."""
+    shape, flat = [], [values]
+    while isinstance(flat[0], (list, tuple)):
+        shape.append(len(flat[0]))
+        assert set(map(len, flat)) == {shape[-1]}, "ragged values"
+        flat = list(itertools.chain.from_iterable(flat))
     # keyed by identity: equal values held as one object (the zeros,
     # shared entries) convert once, without hashing a Cyclotomic
-    coeffs = {}
-    for m in mats:
-        for v in m.data:
-            if id(v) not in coeffs:
-                coeffs[id(v)] = power_basis(v, n)
-    den = math.lcm(*(vd for _, vd in coeffs.values()))
-    scaled = {k: num if vd == den else [x * (den // vd) for x in num]
-              for k, (num, vd) in coeffs.items()}
-    big = max(abs(x) for num in scaled.values() for x in num)
-    array = np.array([[scaled[id(v)] for v in m.data] for m in mats],
-                     dtype=np.int64 if big < _INT62 else object)
-    return array.reshape(len(mats), mats[0].rows, mats[0].cols, -1), den
+    ids = list(map(id, flat))
+    basis = {key: power_basis(v, n) for key, v in dict(zip(ids, flat)).items()}
+    # int64 where every coefficient fits it, -2^63 left out, which np.abs
+    # cannot negate; over_common_denominator applies the 2^62 rule
+    big = max(map(abs, itertools.chain.from_iterable(
+        num for num, _ in basis.values())))
+    nums, dens = zip(*map(basis.__getitem__, ids))
+    array, den = over_common_denominator(
+        np.array(nums, dtype=np.int64 if big < _INT64_LIMIT else object), dens)
+    return array.reshape(*shape, -1), den
+
+
+def over_common_denominator(nums, dens):
+    """(array, den): the integer arrays nums[k] over the denominators
+    dens[k] as one array over one denominator, den > 0 the least common
+    one.  The dtype is int64 when every coefficient of the result is
+    below 2^62, and Python ints (object) otherwise."""
+    den = math.lcm(*dens)
+    scale = [den // x for x in dens]
+    big = max(scale, default=1)
+    shape = (-1,) + (1,) * (nums.ndim - 1)
+    if nums.dtype != object and _big(nums) * big < _INT62:
+        if big == 1:  # every one over den already
+            return nums, den
+        return nums * np.array(scale, dtype=np.int64).reshape(shape), den
+    nums = nums.astype(object) * np.array(scale, dtype=object).reshape(shape)
+    return (nums.astype(np.int64) if _big(nums) < _INT62 else nums), den
+
+
+def exact_values(dens, rows, n: int):
+    """(values, codes): the rows of a 2-D integer array on the zeta_n
+    power basis, over dens (one int for all rows, or one per row), as
+    exact values: each distinct (den, row) once, in order of first
+    appearance, and per row its index into values.  The keys, bytes of
+    an int64 row or tuples of Python ints, are made 2048 rows at a time,
+    so the per-row work runs in C and few keys are held at once."""
+    if isinstance(dens, int):
+        dens = np.full(len(rows), dens,
+                       dtype=np.int64 if dens < _INT64_LIMIT else object)
+    as_bytes = dens.dtype != object and rows.dtype != object
+    distinct, codes = {}, []
+    for start in range(0, len(rows), 2048):
+        pairs = np.concatenate([dens[start:start + 2048, None],
+                                rows[start:start + 2048]], axis=1)
+        keys = (_row_bytes(pairs) if as_bytes
+                else list(map(tuple, pairs.tolist())))
+        for key in dict.fromkeys(keys):
+            distinct.setdefault(key, len(distinct))
+        codes += map(distinct.__getitem__, keys)
+    pairs = list(distinct)
+    if as_bytes and pairs:
+        pairs = np.frombuffer(b"".join(pairs), dtype=np.int64).reshape(
+            len(pairs), -1).tolist()
+    return [from_power_basis(n, pair[1:], pair[0]) for pair in pairs], codes
+
+
+def _row_bytes(array) -> list:
+    """Each row of a 2-D int64 array as its bytes, in one pass."""
+    array = np.ascontiguousarray(array)
+    as_bytes = np.dtype((np.void, array.itemsize * array.shape[1]))
+    return array.view(as_bytes).ravel().tolist()
+
+
+def _widen(bound: int, *arrays):
+    """The arrays as they are when bound, the bound a kernel states on
+    every value it computes from them, is below 2^63, so that int64
+    cannot overflow; otherwise on Python ints (object)."""
+    if bound < _INT64_LIMIT:
+        return arrays
+    return tuple(a if a.dtype == object else a.astype(object)
+                 for a in arrays)
 
 
 def conductor_of(values) -> int:

@@ -8,9 +8,10 @@ power basis over a common denominator, the form in which an
 without building an exact form.  Each form drops its own denominator:
 a rescale changes neither the zero locus nor smoothness, and p in a
 denominator then cannot stop the reduction.  Exact values are made for
-the distinct nonzero entries alone (a catalog family has a handful),
-and they give the forms' conductor and their residues.  `reduce_forms`
-puts exact forms into that array form and reduces them the same way.
+the distinct nonzero entries alone (`linalg.exact_values`; a catalog
+family has a handful): they give the forms' conductor, and on its power
+basis (`linalg.int_array`) their residues.  `reduce_forms` puts exact
+forms into that array form (`linalg.int_array`) and reduces them alike.
 
 The projective points of P^4(F_p) are walked chart by chart: chart k
 holds the points whose first nonzero coordinate is x_k, scaled to 1.
@@ -28,10 +29,10 @@ partial is a quadric, A t^2 + B t + C with A its x4^2 coefficient, B
 linear and C quadratic in the prefix.  A partial P_0 with A_0 != 0 goes
 first where there is one, and each other P_j is replaced by
 L_j = A_0 P_j - A_j P_0, which has no t^2 term; P_0 and the L_j have
-the zeros of the partials.  With no such P_0 the L_j are the partials.  Their parts in x0, x1, x2 are evaluated
-once over the p^2 + p + 1 points x of P^2, growing them one coordinate
-at a time as above.  Over x, L_j = b_j t + c_j with b_j linear and c_j
-quadratic in y.
+the zeros of the partials.  With no such P_0 the L_j are the partials.
+Their parts in x0, x1, x2 are evaluated once over the p^2 + p + 1
+points x of P^2, growing them one coordinate at a time as above.  Over
+x, L_j = b_j t + c_j with b_j linear and c_j quadratic in y.
 
 Two L_j with a common root t make D = b_j c_k - b_k c_j vanish, a cubic
 in y whose y^3 coefficient does not depend on x.  Where some pair has
@@ -76,10 +77,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import _is_prime, from_power_basis, power_basis
+from .cyclo import _is_prime
 from .errors import BadPrimeError
 from .invariants import MONOMIALS, N_VARS, CubicForm
-from .linalg import (Matrix, conductor_of, int_array, primes_one_mod,
+from .linalg import (conductor_of, exact_values, int_array, primes_one_mod,
                      reduce_mod_p)
 
 DEFAULT_PRIME_FLOOR = 7
@@ -136,19 +137,16 @@ def reduce_columns(array, den: int, n: int, prime: int | None = None):
     share = np.gcd.reduce(array, axis=(1, 2), initial=den)
     array = array // share[:, None, None]
     nonzero = array.any(axis=-1)
-    distinct = {}
-    at = [distinct.setdefault(tuple(v), len(distinct))
-          for v in array[nonzero].tolist()]
-    values = [from_power_basis(n, v) for v in distinct]
+    values, at = exact_values(1, array[nonzero], n)
     conductor = conductor_of(values)
     if prime is None:
         prime = choose_prime(conductor)
     _check_prime(prime)
     rows = np.zeros(nonzero.shape, dtype=np.int64)
     if values:
-        # algebraic integers: integer coefficients on any power basis
-        nums = np.array([power_basis(v, conductor)[0] for v in values],
-                        dtype=object)
+        # algebraic integers: integer coefficients, over 1, on any power
+        # basis
+        nums, _ = int_array(values, conductor)
         rows[nonzero] = reduce_mod_p(nums, conductor, prime)[at]
     if not rows.any(axis=1).all():
         raise BadPrimeError(f"form vanishes identically mod {prime}")
@@ -164,9 +162,8 @@ def reduce_forms(forms, p: int):
     exact = [i for i, f in enumerate(forms) if isinstance(f, CubicForm)]
     if exact:
         n = conductor_of(c for i in exact for c in forms[i].coefficients)
-        array, den = int_array(
-            [Matrix([forms[i].coefficients for i in exact])], n)
-        rows[exact] = reduce_columns(array[0], den, n, p)[1]
+        array, den = int_array([forms[i].coefficients for i in exact], n)
+        rows[exact] = reduce_columns(array, den, n, p)[1]
     else:
         _check_prime(p)
     for i, form in enumerate(forms):

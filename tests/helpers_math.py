@@ -10,14 +10,13 @@ from cubicmoduli.cyclo import cyclo, from_power_basis, root_of_unity
 from cubicmoduli.invariants import (
     MONOMIALS,
     N_VARS,
-    _exact,
     _factors,
     CubicForm,
     _reynolds_array,
     _sum_of_images,
 )
 from cubicmoduli.linalg import (Matrix, commutant_dimension, conductor_of,
-                                int_array, pivots_mod_p)
+                                exact_values, int_array, pivots_mod_p)
 from cubicmoduli.smoothprobe import ScanResult
 
 
@@ -28,6 +27,12 @@ def random_cyclo(rng, conductors=(1, 3, 4, 5, 8, 9, 12)):
         coeff = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
         value = value + cyclo(coeff) * root_of_unity(n, rng.randrange(n))
     return value
+
+
+def matrix_rows(m):
+    """The entries of a Matrix as its rows, the nested values that
+    `int_array` takes."""
+    return [m.row(i) for i in range(m.rows)]
 
 
 def random_matrix(rng, rows, cols, conductors=(1, 3, 4)):
@@ -128,7 +133,8 @@ def commutant_of(mats, prime=None):
     """`commutant_dimension` of exact matrices: their `int_array` over
     the conductor of their entries."""
     n = conductor_of(v for m in mats for v in m.data)
-    return commutant_dimension(int_array(mats, n)[0], n, prime)
+    return commutant_dimension(int_array(list(map(matrix_rows, mats)), n)[0],
+                               n, prime)
 
 
 def exact_profile(n, traces, dim):
@@ -209,7 +215,7 @@ def _inverse_array(g):
     over zeta_n, n the conductor of its entries."""
     inv = g.inverse()
     n = conductor_of(inv.data)
-    return (*int_array([inv], n), n)
+    return (*int_array([matrix_rows(inv)], n), n)
 
 
 def substituted(A, den, n, form):
@@ -241,8 +247,10 @@ def substitution_matrix(g):
     array of the exact inverse of g, made exact."""
     A, den, n = _inverse_array(g)
     images = _sum_of_images(A, [_factors(e) for e in MONOMIALS], n)
-    return Matrix([[_exact(n, value, den ** 3) for value in row]
-                   for row in images.transpose(1, 0, 2).tolist()])
+    values, codes = exact_values(den ** 3, images.transpose(1, 0, 2)
+                                 .reshape(35 * 35, -1), n)
+    entries = list(map(values.__getitem__, codes))
+    return Matrix([entries[i:i + 35] for i in range(0, len(entries), 35)])
 
 
 def brute_force_scan(coeffs, p):

@@ -218,8 +218,8 @@ def test_rows_past_int64_take_python_ints():
     p = split_primes(11)[0]
 
     def residues(values):
-        array, den = int_array([Matrix([values])], 11)
-        return array.dtype, reduce_mod_p(array[0, 0], 11, p) * pow(
+        array, den = int_array(values, 11)
+        return array.dtype, reduce_mod_p(array, 11, p) * pow(
             den, -1, p) % p
 
     dtype, x = residues(chi.values)

@@ -149,9 +149,14 @@ def _with(doc, keys, value):
     # a singular generator closes to a finite set with no identity power
     (lambda doc: json.dumps(_with(doc, ("generators", 0, 0, 0), "0")).encode(),
      "element order exceeds bound 1000"),
+    # the contract is a JSON object, not a list or a string
+    *((lambda doc, value=value: json.dumps(
+        _with(doc, ("contract",), value)).encode(), "malformed entry")
+      for value in (["x"], "x")),
 ], ids=["deep-parentheses", "deep-signs", "not-utf-8", "conductor-float",
         "conductor-fraction", "conductor-string", "conductor-bool",
-        "order-float", "order-string", "order-bool", "singular-generator"])
+        "order-float", "order-string", "order-bool", "singular-generator",
+        "contract-list", "contract-string"])
 def test_malformed_entry_file_is_one_line_exit_1(tmp_path, content, message):
     import os
     import subprocess

@@ -26,6 +26,7 @@ from helpers_math import (
     dense_rref,
     exact_reynolds,
     exact_substitution,
+    matrix_rows,
     random_cyclo,
     substituted,
     substitution_matrix,
@@ -277,14 +278,15 @@ def test_reynolds_operator_is_the_group_average(gens):
 ])
 def test_large_entries_take_the_python_int_path(scale, den, dtype):
     g = MatrixGroup.generate(fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], *scale))
-    arrays, got_den = int_array(g.elements, g.conductor)
+    arrays, got_den = int_array(list(map(matrix_rows, g.elements)),
+                                g.conductor)
     assert got_den == den and arrays.dtype == dtype
     # the group's own arrays are int_array's, for any index set
     for indices in (range(g.order),
                     [g.inverse_index(i) for i in range(0, g.order, 3)]):
         got, got_den = g.arrays(indices)
-        want, want_den = int_array([g.elements[i] for i in indices],
-                                   g.conductor)
+        want, want_den = int_array(
+            [matrix_rows(g.elements[i]) for i in indices], g.conductor)
         assert got_den == want_den and got.dtype == want.dtype
         assert np.array_equal(got, want)
     if max(scale) >= 10 ** 6:

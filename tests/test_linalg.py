@@ -1,20 +1,27 @@
-"""Exact row reduction and commutant dimensions mod p."""
+"""Exact row reduction, commutant dimensions mod p, and the boundary
+between exact values and integer rows."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cubicmoduli import audit, catalog, invariants, linalg
-from cubicmoduli.cyclo import _is_prime, cyclo, root_of_unity
+from cubicmoduli.cyclo import _is_prime, cyclo, from_power_basis, root_of_unity
 from cubicmoduli.errors import BadPrimeError
 from cubicmoduli.linalg import (
     RANK_PRIME_ATTEMPTS,
     RANK_PRIME_CEILING,
     RANK_PRIME_FLOOR,
     Matrix,
+    _widen,
+    conductor_of,
+    exact_values,
+    int_array,
     pivots_mod_p,
     primes_one_mod,
     rank_mod_p,
@@ -311,3 +318,105 @@ def test_pivots_mod_p_match_gauss_jordan_on_an_audit_pass(monkeypatch):
     assert len(seen) >= 30
     for m, p in seen:
         assert real(m.copy(), p) == gauss_jordan_pivots(m, p)
+
+
+# ----------------------------------------------------------------------
+# the boundary between exact values and integer rows
+
+
+def _values_back(values, n):
+    """exact_values of int_array(values, n), arranged in values' shape,
+    with the array's dtype."""
+    array, den = int_array(values, n)
+    shape = array.shape[:-1]
+    got, codes = exact_values(den, array.reshape(-1, array.shape[-1]), n)
+    flat = [got[c] for c in codes]
+    for size in reversed(shape[1:]):
+        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return flat, array.dtype
+
+
+def test_exact_values_of_int_array_give_the_values_back():
+    # each matrix over one conductor in 1..12, scaled so that its array
+    # stays in int64 (scale 1, denominators 2^40) or needs Python ints
+    # (numerators 3^40 and 5^30)
+    rng = random.Random(17)
+    scales = [1, Fraction(1, 2 ** 40), 3 ** 40, Fraction(5 ** 30, 7 ** 20)]
+    dtypes = {}
+    for _ in range(60):
+        c, scale = rng.randrange(1, 13), rng.choice(scales)
+        rows, cols = rng.randrange(1, 4), rng.randrange(1, 5)
+        values = [[random_cyclo(rng, [c]) * scale for _ in range(cols)]
+                  for _ in range(rows)]
+        n = conductor_of(v for row in values for v in row)
+        got, dtype = _values_back(values, n)
+        assert got == values
+        dtypes.setdefault(scale, set()).add(dtype)
+        # a flat sequence and a stack of them, over a multiple of n
+        assert _values_back(values[0], 2 * n)[0] == values[0]
+        assert _values_back([values, values], n)[0] == [values, values]
+    assert dtypes == {1: {np.dtype(np.int64)},
+                      Fraction(1, 2 ** 40): {np.dtype(np.int64)},
+                      3 ** 40: {np.dtype(object)},
+                      Fraction(5 ** 30, 7 ** 20): {np.dtype(object)}}
+
+
+def test_int_array_stores_int64_exactly_below_2_62():
+    edge = 1 << 62
+    for big, dtype in [(edge - 1, np.int64), (edge, object),
+                       (-(edge - 1), np.int64), (-edge, object),
+                       # fits int64, but np.abs would wrap it
+                       (-(1 << 63), object)]:
+        array, den = int_array([cyclo(1), cyclo(big)], 1)
+        assert (array.dtype, den) == (dtype, 1)
+        assert array[:, 0].tolist() == [1, big]
+    # scaled to the common denominator 2: 2 * (2^61 - 1) stays below the
+    # edge, 2 * 2^61 is on it
+    for big, dtype in [((1 << 61) - 1, np.int64), (1 << 61, object)]:
+        array, den = int_array([cyclo(Fraction(1, 2)), cyclo(big)], 1)
+        assert (array.dtype, den) == (dtype, 2)
+        assert array[:, 0].tolist() == [1, 2 * big]
+
+
+def test_exact_values_key_repeats_once_across_chunks():
+    # 5000 rows of 7 distinct (den, row) pairs span three chunks of 2048;
+    # the same rows on Python ints are keyed by tuples, and agree
+    rng = np.random.default_rng(3)
+    pairs = rng.integers(-3, 4, size=(7, 3))
+    pick = rng.integers(0, 7, size=5000)
+    dens = np.array([1, 2, 3, 1, 2, 3, 5])[pick]
+    got, codes = exact_values(dens, pairs[pick], 4)
+    want = [from_power_basis(4, row, den)
+            for den, row in zip(dens.tolist(), pairs[pick].tolist())]
+    assert [got[c] for c in codes] == want
+    assert len(got) == len(set(got))
+    assert exact_values(dens.astype(object), pairs[pick].astype(object),
+                        4) == (got, codes)
+    # one denominator for every row, past int64
+    big = 1 << 70
+    got, codes = exact_values(big, pairs[pick], 4)
+    assert [got[c] for c in codes] == [from_power_basis(4, row, big)
+                                       for row in pairs[pick].tolist()]
+
+
+def test_widen_keeps_int64_below_2_63():
+    a, b = np.arange(3), np.arange(3).astype(object)
+    kept = _widen((1 << 63) - 1, a, b)
+    assert kept[0] is a and kept[1] is b
+    widened = _widen(1 << 63, a, b)
+    assert [x.dtype for x in widened] == [object, object]
+    assert widened[1] is b and widened[0].tolist() == a.tolist()
+
+
+def test_the_overflow_rule_lives_in_linalg_alone():
+    """Only linalg decides when int64 suffices: no other module of the
+    package promotes an array to Python ints or spells the 2^62 and 2^63
+    bounds itself."""
+    src = Path(linalg.__file__).parent
+    pattern = re.compile(r"\.astype\(object\)|1\s*<<\s*6[23]\b")
+    offending = [f"{path.name}:{k}: {line.strip()}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name != "linalg.py"
+                 for k, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert not offending, offending

@@ -491,9 +491,9 @@ def test_probe_reads_columns_as_the_exact_forms(spaces):
         # forms, over their own conductor, as reduce_forms reads them
         forms = space.spanning
         n = math.lcm(1, *map(form_conductor, forms))
-        array, den = int_array([Matrix([f.coefficients for f in forms])], n)
+        array, den = int_array([f.coefficients for f in forms], n)
         twin = copy.copy(space)
-        twin.columns = (array[0], den, n)
+        twin.columns = (array, den, n)
         twins.append((space, twin))
     got = probe_all(space for space, _ in twins)
     assert probe_all(twin for _, twin in twins) == got
