@@ -7,9 +7,13 @@ load() regenerates the group (a closure on integer arrays, see
 `groups`) and re-checks the whole contract every time: order, class
 traces, and the fixed form under each generator, whose inverse comes
 from the group's tables.  A corrupted fixture fails loudly instead of
-feeding silently wrong numbers into reports.  The stored conductor and
-order are JSON integers; a bool, float or string there is a ParseError,
-not coerced.
+feeding silently wrong numbers into reports.  The loader takes the JSON
+types as they are and coerces none: the generators, each generator and
+each of its rows are arrays, each entry a string; the stored conductor
+and order are integers (not a bool, float or string); the character is
+an array of strings; the fixed form is a non-empty string, or absent or
+null for none.  Anything else is a ParseError.  An entry holds each
+generator as a tuple of rows of exact values.
 
 A load forms no exact product when the entry strings are sums of
 integers and powers E(n)^k: each E(n)^k parses to one row of the power
@@ -30,7 +34,6 @@ from .cyclo import parse_cyclo
 from .errors import ContractViolationError, ParseError
 from .groups import MatrixGroup
 from .invariants import CubicForm, fixed_by
-from .linalg import Matrix
 
 ENV_VAR = "CUBICMODULI_CATALOG"
 _BUILTIN = Path(__file__).parent / "data" / "catalog"
@@ -99,7 +102,13 @@ def load_entry(name: str) -> CatalogEntry:
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from None
     try:
-        if not raw["generators"]:
+        generators = raw["generators"]
+        if not (isinstance(generators, list)
+                and all(isinstance(rows, list)
+                        and all(isinstance(r, list) for r in rows)
+                        for rows in generators)):
+            raise ValueError("generators and their rows must be JSON arrays")
+        if not generators:
             raise ValueError("at least one generator required")
         # a file repeats a few entry strings many times: each distinct
         # one is parsed once
@@ -113,10 +122,10 @@ def load_entry(name: str) -> CatalogEntry:
             return parsed[text]
 
         gens = []
-        for rows in raw["generators"]:
+        for rows in generators:
             if len(rows) != 5 or any(len(r) != 5 for r in rows):
                 raise ValueError("generators must be 5x5")
-            gens.append(Matrix([[value(v) for v in r] for r in rows]))
+            gens.append(tuple(tuple(map(value, r)) for r in rows))
         if not (isinstance(raw["notes"], list)
                 and all(isinstance(s, str) and s for s in raw["notes"])):
             raise ValueError("notes must be a list of non-empty strings")
@@ -127,7 +136,14 @@ def load_entry(name: str) -> CatalogEntry:
         if not isinstance(contract, dict):
             raise ValueError("contract must be a JSON object, not "
                              f"{type(contract).__name__}")
+        character = contract["character"]
+        if not (isinstance(character, list)
+                and all(isinstance(v, str) for v in character)):
+            raise ValueError("contract character must be a list of strings")
         fixed = contract.get("fixed_form")
+        if not (fixed is None or isinstance(fixed, str) and fixed):
+            raise ValueError("fixed_form must be a non-empty string or "
+                             f"null, not {fixed!r}")
         entry = CatalogEntry(
             id=str(raw["id"]),
             description=str(raw["description"]),
@@ -135,8 +151,8 @@ def load_entry(name: str) -> CatalogEntry:
             generators=tuple(gens),
             notes=notes,
             order=_integer(contract["order"], "contract order"),
-            character=tuple(str(v) for v in contract["character"]),
-            fixed_form=CubicForm.parse(fixed) if fixed else None,
+            character=tuple(character),
+            fixed_form=None if fixed is None else CubicForm.parse(fixed),
             path=str(path),
         )
     except (KeyError, TypeError, ValueError) as e:
@@ -146,7 +162,7 @@ def load_entry(name: str) -> CatalogEntry:
 
 def validate(entry: CatalogEntry) -> MatrixGroup:
     """Generate the group and check every stored expectation."""
-    group = MatrixGroup.generate(list(entry.generators))
+    group = MatrixGroup.generate(entry.generators)
     if group.conductor != entry.conductor:
         raise ContractViolationError(
             f"{entry.id}: stored conductor {entry.conductor}, entries "

@@ -18,14 +18,14 @@ over a generator's powers runs only when the closure cannot show the
 orders itself, when it gets deeper than ORDER_BOUND levels or reaches
 the cap, so that an element of infinite order still fails fast, and
 with NotFiniteError before CapExceededError.
-The group keeps these arrays, in canonical order, as its only element
+Generators come in as square sequences of rows of values, and the
+group keeps these arrays, in canonical order, as its only element
 representation: `arrays` hands any index set to the invariant kernels in
 the form of `linalg.int_array`, over one denominator
 (`linalg.over_common_denominator`), and class traces, scalar and
 diagonal elements are read off them in one numpy pass each.  Exact
-values are made by `linalg.exact_values` alone, for the class traces and
-for the exact matrices (`elements`), which are built on first use only,
-one exact value per distinct entry.
+values are made by `linalg.exact_values` alone, for the class traces
+and the canonical order, one exact value per distinct entry.
 
 A group is its closure tables: the generators' indices and one
 right-multiplication row per generator; the BFS tree is read off the
@@ -55,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import Cyclotomic, root_of_unity
+from .cyclo import Cyclotomic, cyclo, root_of_unity
 from .errors import CapExceededError, NonIntegralCharacterError, NotFiniteError
-from .linalg import (Matrix, _big, _pair_table, _row_bytes, _widen,
+from .linalg import (_big, _pair_table, _row_bytes, _widen,
                      conductor_of, exact_values, int_array,
                      over_common_denominator, reduce_mod_p,
                      root_of_unity_mod, split_primes)
@@ -172,13 +172,18 @@ class MatrixGroup:
 
     @classmethod
     def generate(cls, generators, cap: int = DEFAULT_CAP) -> "MatrixGroup":
-        gens = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
-        assert gens, "need at least one generator"
-        d = gens[0].rows
-        assert all(g.rows == g.cols == d for g in gens), "generators must be square"
+        """The group that the generators generate, each a square
+        sequence of rows of values that `cyclo.cyclo` accepts."""
+        gens = [[list(map(cyclo, row)) for row in g] for g in generators]
+        if not gens:
+            raise ValueError("need at least one generator")
+        d = len(gens[0])
+        if not d or any(len(g) != d or any(len(row) != d for row in g)
+                        for g in gens):
+            raise ValueError("generators must be square")
         # every product of the generators lies in Q(zeta_n), and the
         # generators are elements, so n is also the group's conductor
-        n = conductor_of(v for g in gens for v in g.data)
+        n = conductor_of(v for g in gens for row in g for v in row)
         dens, nums, rmul = _closure(gens, n, cap)
         order = len(dens)
         new_to_old = _canonical_order(dens, nums, d, n)
@@ -221,18 +226,6 @@ class MatrixGroup:
         indices = list(indices)
         return over_common_denominator(self._nums[indices],
                                        self._dens[indices].tolist())
-
-    @functools.cached_property
-    def elements(self) -> tuple[Matrix, ...]:
-        """Every element as an exact matrix, in index order; built on
-        first use."""
-        d = self.dim
-        values, codes = exact_values(
-            np.repeat(self._dens, d * d),
-            self._nums.reshape(-1, self._nums.shape[-1]), self.conductor)
-        entries = list(map(values.__getitem__, codes))
-        return tuple(Matrix([entries[i:i + d] for i in range(e, e + d * d, d)])
-                     for e in range(0, len(entries), d * d))
 
     def diagonal_indices(self) -> list[int]:
         """The indices of the diagonal elements, in index order."""
@@ -503,13 +496,13 @@ class MatrixGroup:
 
 
 def _closure(gens, n: int, cap: int):
-    """(dens, nums, rmul): the elements that the matrices gens generate,
-    breadth first from the identity (index 0), each a denominator and a
-    numerator row on the zeta_n power basis, and per generator g the
-    row rmul[g] of the index of e_i * g.  Raises CapExceededError past
+    """(dens, nums, rmul): the elements that gens (each a list of rows
+    of exact values) generate, breadth first from the identity (index
+    0), each a denominator and a numerator row on the zeta_n power
+    basis, and per generator g the row rmul[g] of the index of e_i * g.  Raises CapExceededError past
     cap elements, and NotFiniteError for a generator of order above
     ORDER_BOUND."""
-    d = gens[0].rows
+    d = len(gens[0])
     step = _RightMultiplication(gens, n)
     identity = _identity(d, step.matrix.shape[-1] // d)
 
@@ -619,8 +612,7 @@ class _RightMultiplication:
     __slots__ = ("dens", "matrix", "big", "den", "element")
 
     def __init__(self, gens, n: int):
-        array, den = int_array(
-            [[g.row(i) for i in range(g.rows)] for g in gens], n)
+        array, den = int_array(gens, n)
         count, d, _, phi = array.shape
         array, = _widen(den, array)
         # each generator in lowest terms, over its own denominator

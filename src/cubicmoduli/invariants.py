@@ -90,7 +90,6 @@ from .cyclo import ONE, Cyclotomic, _power_table, cyclo, parse_polynomial
 from .errors import ContractViolationError
 from .groups import _orbit
 from .linalg import (
-    Matrix,
     _big,
     _pair_table,
     _widen,
@@ -514,9 +513,9 @@ class InvariantSpace:
         if not self._independent:
             return ()
         support = [MONOMIAL_INDEX[e] for e in self._support]
-        rank_, reduced, _ = rref(Matrix(
+        rank_, reduced, _ = rref(
             [[coeffs[m] for m in support]
-             for coeffs in self._coefficients(self._independent)]))
+             for coeffs in self._coefficients(self._independent)])
         if rank_ != self.dimension:
             raise ContractViolationError(
                 f"invariant space has dimension {self.dimension} but its "
@@ -524,7 +523,7 @@ class InvariantSpace:
         basis = []
         for i in range(rank_):
             coeffs = [_ZERO] * 35
-            for m, v in zip(support, reduced.row(i)):
+            for m, v in zip(support, reduced[i]):
                 coeffs[m] = v
             basis.append(CubicForm(coeffs))
         return tuple(basis)

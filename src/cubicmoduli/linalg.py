@@ -2,7 +2,7 @@
 
 Sized for this project: matrices up to 35x35 (the space of cubic
 monomials in five variables) and commutant systems on 5x5 unknowns.
-Exact row reduction of a Matrix is `cyclo.rref` on its rows.
+Exact row reduction (`rref`) is `cyclo.rref` on lists of rows.
 
 This module is the package's one boundary between exact values and
 integer rows.  `int_array` puts exact values, nested to any shape, on
@@ -36,13 +36,9 @@ import math
 import numpy as np
 
 from .cyclo import (
-    ZERO,
-    ONE,
-    Cyclotomic,
     _is_prime,
     _power_table,
     _prime_factors,
-    cyclo,
     from_power_basis,
     power_basis,
     rref as _rref,
@@ -80,126 +76,12 @@ def _pair_table(n: int):
     return pairs
 
 
-class Matrix:
-    """Immutable matrix with Cyclotomic entries, row-major."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows_of_entries):
-        data = []
-        widths = []
-        for row in rows_of_entries:
-            entries = [v if isinstance(v, Cyclotomic) else cyclo(v)
-                       for v in row]
-            data += entries
-            widths.append(len(entries))
-        assert widths, "matrix needs at least one row"
-        assert widths.count(widths[0]) == len(widths), "ragged rows"
-        object.__setattr__(self, "rows", len(widths))
-        object.__setattr__(self, "cols", widths[0])
-        object.__setattr__(self, "data", tuple(data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def scalar(n: int, value) -> "Matrix":
-        v = cyclo(value)
-        return Matrix([[v if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(values) -> "Matrix":
-        vals = [cyclo(v) for v in values]
-        n = len(vals)
-        return Matrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, key) -> Cyclotomic:
-        i, j = key
-        return self.data[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Cyclotomic, ...]:
-        return self.data[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[Cyclotomic, ...]:
-        return self.data[j::self.cols]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            assert self.cols == other.rows, "shape mismatch"
-            out = []
-            for i in range(self.rows):
-                lhs = self.row(i)
-                row = []
-                for j in range(other.cols):
-                    acc = ZERO
-                    for k, a in enumerate(lhs):
-                        if a:
-                            b = other.data[k * other.cols + j]
-                            if b:
-                                acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
-        v = cyclo(other)
-        return Matrix([[x * v for x in self.row(i)] for i in range(self.rows)])
-
-    def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix([
-            [a + b for a, b in zip(self.row(i), other.row(i))]
-            for i in range(self.rows)
-        ])
-
-    def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix([
-            [a - b for a, b in zip(self.row(i), other.row(i))]
-            for i in range(self.rows)
-        ])
-
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)])
-
-    def trace(self) -> Cyclotomic:
-        assert self.rows == self.cols
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
-
-    def inverse(self) -> "Matrix":
-        assert self.rows == self.cols
-        n = self.rows
-        aug = Matrix([
-            list(self.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-            for i in range(n)
-        ])
-        rank, red, pivots = rref(aug)
-        if pivots[:n] != tuple(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix([red.row(i)[n:] for i in range(n)])
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form by `cyclo.rref`: (rank, reduced_matrix,
-    pivot_columns), deterministic for a given input."""
-    rank, rows, pivots = _rref([list(m.row(i)) for i in range(m.rows)])
-    return rank, Matrix(rows), pivots
+def rref(rows):
+    """Reduced row echelon form of rows of exact values by `cyclo.rref`:
+    (rank, reduced rows as lists, pivot_columns), the pivot rows first,
+    deterministic for a given input.  The given rows are left as they
+    are."""
+    return _rref(list(rows))
 
 
 def int_array(values, n: int):

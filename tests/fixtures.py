@@ -9,7 +9,8 @@ inverse in the dual action.
 from fractions import Fraction
 
 from cubicmoduli.cyclo import cyclo, root_of_unity
-from cubicmoduli.linalg import Matrix
+
+from helpers_math import Matrix
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from cubicmoduli.cyclo import cyclo, from_power_basis, root_of_unity
+from cubicmoduli.cyclo import (ONE, ZERO, Cyclotomic, cyclo,
+                               from_power_basis, root_of_unity)
 from cubicmoduli.invariants import (
     MONOMIALS,
     N_VARS,
@@ -15,9 +16,141 @@ from cubicmoduli.invariants import (
     _reynolds_array,
     _sum_of_images,
 )
-from cubicmoduli.linalg import (Matrix, commutant_dimension, conductor_of,
-                                exact_values, int_array, pivots_mod_p)
+from cubicmoduli.linalg import (commutant_dimension, conductor_of,
+                                exact_values, int_array, pivots_mod_p, rref)
 from cubicmoduli.smoothprobe import ScanResult
+
+
+class Matrix:
+    """Immutable matrix with Cyclotomic entries, row-major: the exact
+    oracle that the package's integer rows are checked against.
+    Iterating over it gives its rows, so `MatrixGroup.generate` takes a
+    Matrix as it is."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows_of_entries):
+        data = []
+        widths = []
+        for row in rows_of_entries:
+            entries = [v if isinstance(v, Cyclotomic) else cyclo(v)
+                       for v in row]
+            data += entries
+            widths.append(len(entries))
+        assert widths, "matrix needs at least one row"
+        assert widths.count(widths[0]) == len(widths), "ragged rows"
+        object.__setattr__(self, "rows", len(widths))
+        object.__setattr__(self, "cols", widths[0])
+        object.__setattr__(self, "data", tuple(data))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    @staticmethod
+    def identity(n: int) -> "Matrix":
+        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def scalar(n: int, value) -> "Matrix":
+        v = cyclo(value)
+        return Matrix([[v if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def diagonal(values) -> "Matrix":
+        vals = [cyclo(v) for v in values]
+        n = len(vals)
+        return Matrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    def __getitem__(self, key) -> Cyclotomic:
+        i, j = key
+        return self.data[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.data[i * self.cols:(i + 1) * self.cols]
+
+    def __iter__(self):
+        return map(self.row, range(self.rows))
+
+    def column(self, j: int) -> tuple:
+        return self.data[j::self.cols]
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.data))
+
+    def __mul__(self, other):
+        if isinstance(other, Matrix):
+            assert self.cols == other.rows, "shape mismatch"
+            out = []
+            for i in range(self.rows):
+                lhs = self.row(i)
+                row = []
+                for j in range(other.cols):
+                    acc = ZERO
+                    for k, a in enumerate(lhs):
+                        if a:
+                            b = other.data[k * other.cols + j]
+                            if b:
+                                acc = acc + a * b
+                    row.append(acc)
+                out.append(row)
+            return Matrix(out)
+        v = cyclo(other)
+        return Matrix([[x * v for x in self.row(i)] for i in range(self.rows)])
+
+    def __add__(self, other):
+        assert (self.rows, self.cols) == (other.rows, other.cols)
+        return Matrix([
+            [a + b for a, b in zip(self.row(i), other.row(i))]
+            for i in range(self.rows)
+        ])
+
+    def __sub__(self, other):
+        assert (self.rows, self.cols) == (other.rows, other.cols)
+        return Matrix([
+            [a - b for a, b in zip(self.row(i), other.row(i))]
+            for i in range(self.rows)
+        ])
+
+    def transpose(self) -> "Matrix":
+        return Matrix([self.column(j) for j in range(self.cols)])
+
+    def trace(self) -> Cyclotomic:
+        assert self.rows == self.cols
+        acc = ZERO
+        for i in range(self.rows):
+            acc = acc + self[i, i]
+        return acc
+
+    def inverse(self) -> "Matrix":
+        assert self.rows == self.cols
+        n = self.rows
+        rank, red, pivots = rref([
+            list(self.row(i)) + [ONE if j == i else ZERO for j in range(n)]
+            for i in range(n)
+        ])
+        if pivots[:n] != tuple(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix([red[i][n:] for i in range(n)])
+
+    def __repr__(self):
+        return f"Matrix({self.rows}x{self.cols})"
+
+
+def exact_elements(group):
+    """Every element of the group as an exact Matrix, in index order:
+    its rows (`arrays`) made exact by `exact_values`."""
+    d = group.dim
+    array, den = group.arrays(range(group.order))
+    values, codes = exact_values(den, array.reshape(-1, array.shape[-1]),
+                                 group.conductor)
+    entries = list(map(values.__getitem__, codes))
+    return tuple(Matrix([entries[i:i + d] for i in range(e, e + d * d, d)])
+                 for e in range(0, len(entries), d * d))
 
 
 def random_cyclo(rng, conductors=(1, 3, 4, 5, 8, 9, 12)):
@@ -30,9 +163,9 @@ def random_cyclo(rng, conductors=(1, 3, 4, 5, 8, 9, 12)):
 
 
 def matrix_rows(m):
-    """The entries of a Matrix as its rows, the nested values that
-    `int_array` takes."""
-    return [m.row(i) for i in range(m.rows)]
+    """The entries of a Matrix (or of its rows) as its rows, the nested
+    values that `int_array` takes."""
+    return list(m)
 
 
 def random_matrix(rng, rows, cols, conductors=(1, 3, 4)):
@@ -46,8 +179,9 @@ def exact_closure(generators):
     """Reference closure by exact products: (elements in canonical order,
     rmul with rmul[j][i] the index of e_i * e_j, identity index,
     conductor).  Breadth-first from the identity, multiplying on the
-    right by each generator; the canonical order sorts on printed
-    entries."""
+    right by each generator (a Matrix or its rows); the canonical order
+    sorts on printed entries."""
+    generators = list(map(Matrix, generators))
     d = generators[0].rows
     elements = [Matrix.identity(d)]
     index = {elements[0]: 0}
@@ -130,11 +264,11 @@ def dense_rref(rows, width=None):
 
 
 def commutant_of(mats, prime=None):
-    """`commutant_dimension` of exact matrices: their `int_array` over
-    the conductor of their entries."""
-    n = conductor_of(v for m in mats for v in m.data)
-    return commutant_dimension(int_array(list(map(matrix_rows, mats)), n)[0],
-                               n, prime)
+    """`commutant_dimension` of exact matrices, each a Matrix or its
+    rows: their `int_array` over the conductor of their entries."""
+    rows = list(map(matrix_rows, mats))
+    n = conductor_of(v for m in rows for row in m for v in row)
+    return commutant_dimension(int_array(rows, n)[0], n, prime)
 
 
 def exact_profile(n, traces, dim):
@@ -188,13 +322,14 @@ def _product(a: dict, b: dict) -> dict:
 
 def exact_substitution(g):
     """Reference substitution matrix by exact products: the 35x35 S with
-    S * coeffs(F) = coeffs(F(g^-1 x)), g^-1 by Matrix.inverse.  Column j
-    is the image of monomial j with x_i replaced by the linear form of
-    row i of g^-1, expanded as a product of three linear forms."""
+    S * coeffs(F) = coeffs(F(g^-1 x)), g^-1 by Matrix.inverse, g a
+    Matrix or its rows.  Column j is the image of monomial j with x_i
+    replaced by the linear form of row i of g^-1, expanded as a product
+    of three linear forms."""
     def factors(expo):
         return tuple(i for i, e in enumerate(expo) for _ in range(e))
 
-    inv = g.inverse()
+    inv = Matrix(g).inverse()
     d = inv.rows
     linear = [{(j,): inv[i, j] for j in range(d) if inv[i, j]}
               for i in range(d)]
@@ -212,8 +347,9 @@ def exact_substitution(g):
 
 def _inverse_array(g):
     """(A, den, n): g^-1, by Matrix.inverse, as a one-element `int_array`
-    over zeta_n, n the conductor of its entries."""
-    inv = g.inverse()
+    over zeta_n, n the conductor of its entries; g a Matrix or its
+    rows."""
+    inv = Matrix(g).inverse()
     n = conductor_of(inv.data)
     return (*int_array([matrix_rows(inv)], n), n)
 

@@ -17,9 +17,10 @@ from cubicmoduli.chars import det_character, dim_special_subvariety
 from cubicmoduli.cyclo import Cyclotomic, root_of_unity
 from cubicmoduli.errors import InconsistencyError, NotProjectivelyFaithfulError
 from cubicmoduli.groups import MatrixGroup
-from cubicmoduli.linalg import RANK_PRIME_ATTEMPTS, Matrix
+from cubicmoduli.linalg import RANK_PRIME_ATTEMPTS
 
 import fixtures as fx
+from helpers_math import Matrix
 
 
 def audit(gens, **kw):

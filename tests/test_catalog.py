@@ -56,15 +56,12 @@ def test_small_entries_load_and_validate():
 
 def test_entry_text_round_trip():
     from cubicmoduli.cyclo import parse_cyclo
-    from cubicmoduli.linalg import Matrix
 
     for name in EXPECTED_IDS:
         entry = catalog.load_entry(name)
         for g in entry.generators:
-            reparsed = Matrix([
-                [parse_cyclo(str(g[i, j])) for j in range(5)]
-                for i in range(5)
-            ])
+            reparsed = tuple(tuple(parse_cyclo(str(v)) for v in row)
+                             for row in g)
             assert reparsed == g
 
 
@@ -126,14 +123,48 @@ def _number_notes(doc):
     doc["notes"] = [1, 2]
 
 
+def _string_rows(doc):
+    # five characters, like five entries: read as an array, this is
+    # the sign involution again
+    doc["generators"][0][2:] = ["00100", "00010", "00001"]
+
+
+def _string_generator(doc):
+    doc["generators"][0] = "-1"
+
+
+def _string_character(doc):
+    # "5", "1" when read as an array
+    doc["contract"]["character"] = "51"
+
+
+def _number_character(doc):
+    doc["contract"]["character"] = [5, 1]
+
+
+def _fixed_form(value):
+    def change(doc):
+        doc["contract"]["fixed_form"] = value
+    return change
+
+
 @pytest.mark.parametrize("name, change, message", [
     ("c2-sign", _zero_denominator_generator, "division by zero"),
     ("z11-klein", _zero_denominator_form, "division by zero"),
     ("c2-sign", _no_generators, "at least one generator"),
     ("alt4-klein", _string_notes, "notes must be a list"),
     ("alt4-klein", _number_notes, "notes must be a list"),
+    ("c2-sign", _string_rows, "must be JSON arrays"),
+    ("c2-sign", _string_generator, "must be JSON arrays"),
+    ("c2-sign", _string_character, "character must be a list of strings"),
+    ("c2-sign", _number_character, "character must be a list of strings"),
+    ("z11-klein", _fixed_form(""), "fixed_form must be a non-empty string"),
+    ("z11-klein", _fixed_form(0), "fixed_form must be a non-empty string"),
+    ("z11-klein", _fixed_form(False), "fixed_form must be a non-empty string"),
 ], ids=["generator", "fixed-form", "no-generators", "string-notes",
-        "number-notes"])
+        "number-notes", "string-rows", "string-generator",
+        "string-character", "number-character", "empty-fixed-form",
+        "zero-fixed-form", "false-fixed-form"])
 def test_malformed_entry_is_a_parse_error(tmp_path, name, change, message):
     with pytest.raises(ParseError, match=message):
         catalog.load_entry(_write_variant(tmp_path, name, change))
@@ -195,6 +226,13 @@ def test_tampered_fixed_form(tmp_path):
     with pytest.raises(ContractViolationError) as exc:
         catalog.load(str(bad))
     assert "fixed form" in str(exc.value)
+
+
+def test_null_fixed_form_is_no_form(tmp_path):
+    entry = catalog.load_entry(_write_variant(
+        tmp_path, "z11-klein", _fixed_form(None)))
+    assert entry.fixed_form is None
+    assert catalog.validate(entry).order == 11
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -25,10 +25,10 @@ from cubicmoduli.cyclo import cyclo
 from cubicmoduli.errors import (BadPrimeError, GroupMismatchError,
                                 NonIntegralCharacterError)
 from cubicmoduli.groups import MatrixGroup
-from cubicmoduli.linalg import Matrix, int_array, reduce_mod_p, split_primes
+from cubicmoduli.linalg import int_array, reduce_mod_p, split_primes
 
 import fixtures as fx
-from helpers_math import commutant_of
+from helpers_math import Matrix, commutant_of, exact_elements
 
 
 def test_trivial_group_counts():
@@ -83,7 +83,7 @@ def test_matrix_group_matches_character_route():
         g = MatrixGroup.generate(gens)
         chi = character_of(g)
         assert commutant_dimension_from_character(chi) == \
-            commutant_of(g.elements)
+            commutant_of(exact_elements(g))
 
 
 def test_order55_group_values():
@@ -143,8 +143,9 @@ def _leibniz_det(m):
 def test_det_character_is_the_determinant(entry):
     g = catalog.load(entry)
     det = det_character(g)
+    elements = exact_elements(g)
     assert det.values == tuple(
-        _leibniz_det(g.elements[c.rep_index]) for c in g.classes)
+        _leibniz_det(elements[c.rep_index]) for c in g.classes)
 
 
 def test_structure_mismatch_rejected():

@@ -325,13 +325,14 @@ def test_one_parser_serves_every_call(capsys):
 
 def test_lattice_above_the_scan_limit_is_one_line_exit_1(tmp_path, capsys):
     from cubicmoduli.groups import SUBGROUP_SCAN_LIMIT, MatrixGroup
-    from cubicmoduli.linalg import Matrix
+    from helpers_math import exact_elements
 
     # diag(E(11)) on x0, x1 and x2 in turn: an abelian group of order 1331
     gens = [_diag(*["E(11)" if i == k else "1" for i in range(5)])
             for k in range(3)]
-    group = MatrixGroup.generate([Matrix(g) for g in gens])
+    group = MatrixGroup.generate(gens)
     assert group.order == 1331 > SUBGROUP_SCAN_LIMIT
+    elements = exact_elements(group)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
         "id": "big",
@@ -341,7 +342,7 @@ def test_lattice_above_the_scan_limit_is_one_line_exit_1(tmp_path, capsys):
         "notes": ["x0", "x1", "x2"],
         "contract": {
             "order": 1331,
-            "character": [str(group.elements[c.rep_index].trace())
+            "character": [str(elements[c.rep_index].trace())
                           for c in group.classes],
         },
     }))

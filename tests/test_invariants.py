@@ -18,12 +18,14 @@ from cubicmoduli.invariants import (
     invariant_basis,
     monomial_str,
 )
-from cubicmoduli.linalg import Matrix, int_array, rref, split_primes
+from cubicmoduli.linalg import int_array, rref, split_primes
 
 import fixtures as fx
 from helpers_math import (
+    Matrix,
     act,
     dense_rref,
+    exact_elements,
     exact_reynolds,
     exact_substitution,
     matrix_rows,
@@ -103,10 +105,11 @@ def test_action_is_homomorphism():
     # the kernel's composites against products of the exact reference
     rng = random.Random(11)
     g = MatrixGroup.generate([fx.ALT4_A, fx.ALT4_B])
+    elements = exact_elements(g)
     f = CubicForm.parse("x0^3 + 2*x1*x2^2 - x3*x4^2 + x2*x3*x4")
     for _ in range(6):
-        a = g.elements[rng.randrange(g.order)]
-        b = g.elements[rng.randrange(g.order)]
+        a = elements[rng.randrange(g.order)]
+        b = elements[rng.randrange(g.order)]
         product = exact_substitution(a) * exact_substitution(b)
         assert act(a, act(b, f)) == act(a * b, f) == _applied(product, f)
         assert substitution_matrix(a * b) == product
@@ -262,8 +265,9 @@ _SHEAR = fx.from_cols((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 0),
         "klein-55-large", "klein-55-huge", "scalar-9", "z11-sheared"])
 def test_reynolds_operator_is_the_group_average(gens):
     g = MatrixGroup.generate(gens)
-    total = exact_substitution(g.elements[0])
-    for m in g.elements[1:]:
+    elements = exact_elements(g)
+    total = exact_substitution(elements[0])
+    for m in elements[1:]:
         total = total + exact_substitution(m)
     assert exact_reynolds(g) == total * Fraction(1, g.order)
 
@@ -278,7 +282,8 @@ def test_reynolds_operator_is_the_group_average(gens):
 ])
 def test_large_entries_take_the_python_int_path(scale, den, dtype):
     g = MatrixGroup.generate(fx.conjugated([fx.KLEIN_D, fx.KLEIN_P], *scale))
-    arrays, got_den = int_array(list(map(matrix_rows, g.elements)),
+    elements = exact_elements(g)
+    arrays, got_den = int_array(list(map(matrix_rows, elements)),
                                 g.conductor)
     assert got_den == den and arrays.dtype == dtype
     # the group's own arrays are int_array's, for any index set
@@ -286,7 +291,7 @@ def test_large_entries_take_the_python_int_path(scale, den, dtype):
                     [g.inverse_index(i) for i in range(0, g.order, 3)]):
         got, got_den = g.arrays(indices)
         want, want_den = int_array(
-            [matrix_rows(g.elements[i]) for i in indices], g.conductor)
+            [matrix_rows(elements[i]) for i in indices], g.conductor)
         assert got_den == want_den and got.dtype == want.dtype
         assert np.array_equal(got, want)
     if max(scale) >= 10 ** 6:
@@ -335,21 +340,21 @@ def test_membership_on_a_non_monomial_family():
     # rank of the basis with the form appended says
     space = invariant_basis(catalog.load("alt5-sixpoint"))
     rows = [list(b.coefficients) for b in space.basis]
-    pivots = rref(Matrix(rows))[2]
+    pivots = rref(rows)[2]
     rng = random.Random(5)
     member = CubicForm.zero()
     for b in space.basis:
         assert space.contains(b)
         member = member + b.scale(random_cyclo(rng))
     assert space.contains(member)
-    assert rref(Matrix([*rows, member.coefficients]))[0] == len(rows)
+    assert rref([*rows, member.coefficients])[0] == len(rows)
     for j in range(35):
         if j in pivots:
             continue
         off = list(member.coefficients)
         off[j] = off[j] + 1
         assert not space.contains(CubicForm(off))
-        assert rref(Matrix([*rows, off]))[0] == len(rows) + 1
+        assert rref([*rows, off])[0] == len(rows) + 1
     # with no basis rows only the zero form is in
     zero = invariant_basis(MatrixGroup.generate(
         [Matrix.scalar(5, root_of_unity(9))]))
@@ -586,5 +591,5 @@ def test_audit_builds_no_exact_basis(monkeypatch, entry):
     monkeypatch.setattr(invariants, "rref", counted("rref", invariants.rref))
     check_criterion(g, group_id=entry)
     assert calls == []
-    # nor the exact element matrices, which are built on first use
-    assert "elements" not in vars(g)
+    # nor exact element matrices: the group holds integer rows only
+    assert not hasattr(g, "elements")

@@ -17,7 +17,7 @@ from cubicmoduli.invariants import (
     CubicForm,
     invariant_basis,
 )
-from cubicmoduli.linalg import Matrix, int_array, root_of_unity_mod
+from cubicmoduli.linalg import int_array, root_of_unity_mod
 from cubicmoduli.smoothprobe import (
     ProbeResult,
     ScanResult,
