@@ -18,7 +18,7 @@ generator as a tuple of rows of exact values.
 A load forms no exact product when the entry strings are sums of
 integers and powers E(n)^k: each E(n)^k parses to one row of the power
 table, the closure and the fixed-form check (`invariants.fixed_by`) run
-on integer rows, and the class traces are made exact from theirs.
+on integer rows; the contract reads the trace character's exact values.
 
 The environment variable CUBICMODULI_CATALOG may name a directory of
 extra entry files; entries there shadow built-in ones with the same
@@ -173,7 +173,7 @@ def validate(entry: CatalogEntry) -> MatrixGroup:
             f"{entry.id}: generated order {group.order}, contract says "
             f"{entry.order}"
         )
-    got = tuple(str(t) for t in group.class_traces())
+    got = tuple(str(t) for t in group.character.values)
     if got != entry.character:
         raise ContractViolationError(
             f"{entry.id}: class traces {got} do not match the contract "

@@ -13,29 +13,30 @@ the invariants in the cubic forms without ever touching matrices.  That
 gives an independent route to numbers that are also computed directly
 from matrix actions elsewhere.
 
-A class function holds its exact values (`ClassFunction.values`), and
-`sym_square`, `sym_cube`, `tensor`, `conjugate` and `inner_product` are
-the formulas above, class by class, in exact arithmetic.  The three
-dimensions that the audit checks (`dim_invariant_cubics`,
-`commutant_dimension_from_character`, `dim_special_subvariety`) make no
-exact product: each puts the values on integer rows (`linalg.int_array`)
-and reduces them once mod the first split prime p of their conductor
-(`linalg.reduce_mod_p`), applies
-its formula and (1/|G|) sum_c |c| f(c) to the residues, and reads the
-multiplicity off the residue.  For a character of degree d that
-multiplicity is an integer in [0, C(d+2, 3)], [0, d^2] or
-[0, C(d+1, 2)]; with that bound below p (p > 2^30) the residue is the
-integer itself, and a residue outside the range proves that the input
-is not a character (`NonIntegralCharacterError`).  A bound not below p
-is refused (`BadPrimeError`), and a value with p in its denominator
-moves the reading on to the next split prime.  This is the argument by
-which `groups` reads eigenvalue multiplicities off the class traces.
+A class function is integer rows, `linalg.int_array`'s form: row c
+holds the power-basis coefficients over zeta_n of den times its value on
+class c.  `class_function` is the one place that puts exact values on
+rows, and `values` makes them exact on first use, for printing, the
+catalog contract and the exact algebra (`sym_square`, `sym_cube`,
+`tensor`, `inner_product`: the formulas above, class by class).
+`residues(p)` is the one map to F_p (`linalg.reduce_mod_p`), cached.
 
-For a matrix group, the trace character comes from the class traces and
-the determinant character from the eigenvalue profiles of the class
-representatives (`MatrixGroup.class_profiles`, built from those same
-traces): the determinant is the product of the eigenvalues, so no
-matrix determinant is computed.
+The three dimensions that the audit checks (`dim_invariant_cubics`,
+`commutant_dimension_from_character`, `dim_special_subvariety`) make no
+exact value: each applies its formula and (1/|G|) sum_c |c| f(c) to the
+residues mod the first split prime p of the lcm of their conductors.
+For a character of degree d the multiplicity is an integer in
+[0, C(d+2, 3)], [0, d^2] or [0, C(d+1, 2)]; with that bound below p
+(p > 2^30) the residue is the integer itself, one outside the range
+proves that the input is no character (`NonIntegralCharacterError`),
+and a bound not below p is refused (`BadPrimeError`).  A denominator
+divisible by p moves on to the next split prime.  `groups` reads
+eigenvalue multiplicities off the same residues of the trace character.
+
+A matrix group's trace character is its own (`MatrixGroup.character`);
+its determinant character, the product of the eigenvalues in each class
+profile, is a root of unity: plus or minus a row of the conductor's
+power table.  No matrix determinant and no exact value is computed.
 """
 
 from __future__ import annotations
@@ -43,13 +44,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, cyclo, root_of_unity
+import numpy as np
+
+from .cyclo import Cyclotomic, _power_table, cyclo
 from .errors import (BadPrimeError, GroupMismatchError,
                      NonIntegralCharacterError)
-from .linalg import conductor_of, int_array, reduce_mod_p, split_primes
+from .linalg import (_big, _widen, conductor_of, exact_values, int_array,
+                     reduce_mod_p, split_primes)
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,16 @@ class ClassStructure:
     power_maps: tuple[tuple[int, tuple[int, ...]], ...]  # ((k, map), ...)
 
     def __post_init__(self):
-        assert sum(self.sizes) == self.order, "class sizes must sum to the order"
-        assert self.sizes[0] == 1 and self.element_orders[0] == 1, (
-            "identity class must come first"
-        )
+        if sum(self.sizes) != self.order:
+            raise ValueError("class sizes must sum to the order")
+        if self.sizes[0] != 1 or self.element_orders[0] != 1:
+            raise ValueError("identity class must come first")
         n = len(self.sizes)
-        assert len(self.element_orders) == n
+        if len(self.element_orders) != n:
+            raise ValueError("one element order per class")
         for k, pmap in self.power_maps:
-            assert len(pmap) == n and all(0 <= c < n for c in pmap), (
-                f"power map for k={k} malformed"
-            )
+            if len(pmap) != n or not all(0 <= c < n for c in pmap):
+                raise ValueError(f"power map for k={k} malformed")
 
     @property
     def n_classes(self) -> int:
@@ -82,24 +86,50 @@ class ClassStructure:
         raise KeyError(f"no power map for k={k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassFunction:
+    """rows[c] holds the phi(n) power-basis coefficients over zeta_n of
+    den times the value on class c, den > 0.  Equal class functions can
+    differ in n and den, so compare their `values`."""
+
     structure: ClassStructure
-    values: tuple[Cyclotomic, ...]
+    rows: np.ndarray
+    den: int
+    n: int
+    _residues: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        assert len(self.values) == self.structure.n_classes
+        if len(self.rows) != self.structure.n_classes:
+            raise ValueError(f"{len(self.rows)} values for "
+                             f"{self.structure.n_classes} classes")
+
+    @functools.cached_property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        """The exact values, made on first use."""
+        values, codes = exact_values(self.den, self.rows, self.n)
+        return tuple(map(values.__getitem__, codes))
+
+    def residues(self, p: int):
+        """Per class, its value mod p (int64 in [0, p)), zeta_n sent to
+        root_of_unity_mod(n, p); p = 1 mod n does not divide den."""
+        if p not in self._residues:
+            self._residues[p] = (reduce_mod_p(self.rows, self.n, p)
+                                 * pow(self.den, -1, p) % p)
+        return self._residues[p]
 
     def tensor(self, other: "ClassFunction") -> "ClassFunction":
         _same_structure(self, other)
-        return ClassFunction(self.structure, tuple(
-            a * b for a, b in zip(self.values, other.values)
-        ))
+        return class_function(self.structure, map(
+            operator.mul, self.values, other.values))
 
     def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.structure, tuple(
-            v.conjugate() for v in self.values
-        ))
+        """zeta_n^k sent to zeta_n^(-k): the rows times the rows of
+        zeta_n^(-k) in the power table."""
+        table = np.array(_power_table(self.n), dtype=np.int64)
+        flip = table[-np.arange(table.shape[1]) % self.n]
+        rows, flip = _widen(_big(self.rows) * _big(flip) * len(flip),
+                            self.rows, flip)
+        return ClassFunction(self.structure, rows @ flip, self.den, self.n)
 
 
 def _same_structure(a: ClassFunction, b: ClassFunction):
@@ -110,7 +140,10 @@ def _same_structure(a: ClassFunction, b: ClassFunction):
 
 
 def class_function(structure: ClassStructure, values) -> ClassFunction:
-    return ClassFunction(structure, tuple(cyclo(v) for v in values))
+    """The class function of the given values, on rows at their conductor."""
+    values = [cyclo(v) for v in values]
+    n = conductor_of(values)
+    return ClassFunction(structure, *int_array(values, n), n)
 
 
 def trivial_character(structure: ClassStructure) -> ClassFunction:
@@ -119,26 +152,18 @@ def trivial_character(structure: ClassStructure) -> ClassFunction:
 
 def sym_square(chi: ClassFunction) -> ClassFunction:
     p2 = chi.structure.power_map(2)
-    half = Fraction(1, 2)
-    values = tuple(
-        (chi.values[c] * chi.values[c] + chi.values[p2[c]]) * half
-        for c in range(chi.structure.n_classes)
-    )
-    return ClassFunction(chi.structure, values)
+    v = chi.values
+    return class_function(chi.structure, [
+        (x * x + v[p2[c]]) * Fraction(1, 2) for c, x in enumerate(v)])
 
 
 def sym_cube(chi: ClassFunction) -> ClassFunction:
     p2 = chi.structure.power_map(2)
     p3 = chi.structure.power_map(3)
-    sixth = Fraction(1, 6)
-    values = []
-    for c in range(chi.structure.n_classes):
-        v = chi.values[c]
-        values.append(
-            (v * v * v + v * chi.values[p2[c]] * 3 + chi.values[p3[c]] * 2)
-            * sixth
-        )
-    return ClassFunction(chi.structure, tuple(values))
+    v = chi.values
+    return class_function(chi.structure, [
+        (x * x * x + x * v[p2[c]] * 3 + v[p3[c]] * 2) * Fraction(1, 6)
+        for c, x in enumerate(v)])
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
@@ -167,55 +192,53 @@ def multiplicity(a: ClassFunction, b: ClassFunction) -> int:
 
 def character_of(group) -> ClassFunction:
     """Trace character of a matrix group in its given representation."""
-    return ClassFunction(group.class_structure(), group.class_traces())
+    return group.character
 
 
 def det_character(group) -> ClassFunction:
-    """Determinant of a matrix group in its given representation: on a
-    class whose profile has eigenvalue zeta_n^k with multiplicity m, the
-    product of the eigenvalues, zeta_n^(sum k*m)."""
-    values = tuple(
-        root_of_unity(prof.order, sum(k * m for k, m in prof.mults))
-        for prof in group.class_profiles()
-    )
-    return ClassFunction(group.class_structure(), values)
+    """Determinant of a matrix group in its given representation: the
+    product zeta_m^(sum k*m_k) of the eigenvalues zeta_m^k of a class's
+    profile.  It lies in Q(zeta_c), c the conductor, so as zeta_2c^e it
+    is row j of c's power table for e = 2j, and minus it for e = 2j + c
+    (c odd)."""
+    c = group.conductor
+    e = np.array([sum(k * m for k, m in prof.mults) * 2 * c // prof.order
+                  for prof in group.class_profiles()]) % (2 * c)
+    odd = e % 2
+    table = np.array(_power_table(c), dtype=np.int64)
+    rows = (1 - 2 * odd)[:, None] * table[(e + c * odd) // 2 % c]
+    return ClassFunction(group.class_structure(), rows, 1, c)
 
 
 def _degree(f: ClassFunction) -> int:
     """f(1), the degree when f is a character: a nonnegative integer."""
-    value = f.values[0]
-    d = value.as_rational() if value.is_rational() else None
-    if d is None or d.denominator != 1 or d < 0:
+    head, *rest = f.rows[0].tolist()
+    d, r = divmod(head, f.den)
+    if any(rest) or r or d < 0:
         raise NonIntegralCharacterError(
-            f"value {value} at the identity is not the degree of a "
+            f"value {f.values[0]} at the identity is not the degree of a "
             "character")
-    return int(d)
+    return d
 
 
 def _multiplicity_mod_p(fs, formula, divisor: int, bound: int) -> int:
-    """(1/(divisor |G|)) sum_c |c| h(c) mod p, where h = formula(*r) is
-    computed on r[i], the residues of fs[i]'s values: lists of ints in
-    [0, p), zeta_n sent to root_of_unity_mod(n, p), n the values'
-    conductor.  The values are reduced once, and read mod the first
-    split prime p of n that divides neither their denominator nor
-    divisor * |G|.  For characters the result is an integer in
-    [0, bound], so bound < p makes the residue the integer itself; a
-    residue past bound raises NonIntegralCharacterError.  A bound not
-    below p, or no usable split prime, raises BadPrimeError."""
+    """(1/(divisor |G|)) sum_c |c| h(c) mod p, h = formula(*r) on the
+    residues r[i] = fs[i].residues(p) as lists, p the first split prime
+    of the lcm of the fs' conductors that divides neither their
+    denominators nor divisor * |G|.  For characters the result is an
+    integer in [0, bound], so bound < p makes the residue the integer
+    itself; a residue past bound raises NonIntegralCharacterError.  A
+    bound not below p, or no usable split prime, raises BadPrimeError."""
     st = fs[0].structure
-    values = [v for f in fs for v in f.values]
-    n = conductor_of(values)
-    array, den = int_array(values, n)
-    primes = split_primes(n)
+    den = math.prod(f.den for f in fs)
+    primes = split_primes(math.lcm(*(f.n for f in fs)))
     for p in primes:
         if bound >= p:
             raise BadPrimeError(
                 f"a multiplicity bounded by {bound} cannot be read mod {p}")
         if den * divisor * st.order % p == 0:
             continue
-        r = (reduce_mod_p(array, n, p) * pow(den, -1, p) % p).tolist()
-        k = st.n_classes
-        h = formula(*(r[i:i + k] for i in range(0, len(r), k)))
+        h = formula(*(f.residues(p).tolist() for f in fs))
         value = (sum(map(operator.mul, st.sizes, h))
                  * pow(divisor * st.order, -1, p) % p)
         if value > bound:

@@ -22,10 +22,11 @@ Generators come in as square sequences of rows of values, and the
 group keeps these arrays, in canonical order, as its only element
 representation: `arrays` hands any index set to the invariant kernels in
 the form of `linalg.int_array`, over one denominator
-(`linalg.over_common_denominator`), and class traces, scalar and
+(`linalg.over_common_denominator`), and the trace character
+(`character`, a `chars.ClassFunction` on integer rows), scalar and
 diagonal elements are read off them in one numpy pass each.  Exact
-values are made by `linalg.exact_values` alone, for the class traces
-and the canonical order, one exact value per distinct entry.
+values are made for the canonical order alone (`linalg.exact_values`,
+one per distinct entry).
 
 A group is its closure tables: the generators' indices and one
 right-multiplication row per generator; the BFS tree is read off the
@@ -39,8 +40,8 @@ cached per element and give orders and inverses; one orbit walk gives
 classes, subgroup orbits and subgroups.  A subgroup is restricted from
 its parent (`subgroup`), with the parent's conductor: its entries lie in
 Q(zeta_conductor), not always the least such field.  Eigenvalue profiles
-come from the class traces, each multiplicity a small integer computed
-mod a split prime.
+come from the trace character's residues mod a split prime
+(`ClassFunction.residues`), each multiplicity a small integer.
 
 Elements get a canonical order (lexicographic on the printed entries),
 which makes every derived report reproducible across runs and generator
@@ -55,13 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import Cyclotomic, cyclo, root_of_unity
+from .cyclo import cyclo, root_of_unity
 from .errors import CapExceededError, NonIntegralCharacterError, NotFiniteError
 from .linalg import (_big, _pair_table, _row_bytes, _widen,
                      conductor_of, exact_values, int_array,
-                     over_common_denominator, reduce_mod_p,
-                     root_of_unity_mod, split_primes)
-from .chars import ClassStructure
+                     over_common_denominator, root_of_unity_mod,
+                     split_primes)
+from .chars import ClassFunction, ClassStructure
 
 DEFAULT_CAP = 20000
 # an element whose order exceeds this is taken to have infinite order
@@ -163,9 +164,6 @@ class MatrixGroup:
         self.order = len(dens)
         self.dim = nums.shape[1]
         self._powers = {}
-        self._class_traces = None
-        self._class_profiles = None
-        self._residues = {}  # prime -> per class, its trace mod the prime
 
     # ------------------------------------------------------------------
     # construction
@@ -350,45 +348,24 @@ class MatrixGroup:
         )
 
     @functools.cached_property
-    def class_trace_rows(self):
-        """(rows, den): row c holds the phi(conductor) power-basis
-        coefficients of den times the trace of class c's representative,
-        the sum of its diagonal rows, over
-        `linalg.over_common_denominator`."""
+    def character(self) -> ClassFunction:
+        """The trace character: per class, its representative's diagonal
+        rows summed, over `linalg.over_common_denominator`."""
         reps = [c.rep_index for c in self.classes]
         d = range(self.dim)
         diagonal = self._nums[reps][:, d, d]
         diagonal, = _widen(_big(diagonal) * self.dim, diagonal)
-        return over_common_denominator(diagonal.sum(axis=1),
-                                       self._dens[reps].tolist())
-
-    def class_traces(self) -> tuple[Cyclotomic, ...]:
-        """The trace of each class representative, exact: its row of
-        `class_trace_rows` over their denominator."""
-        if self._class_traces is None:
-            rows, den = self.class_trace_rows
-            values, codes = exact_values(den, rows, self.conductor)
-            self._class_traces = tuple(map(values.__getitem__, codes))
-        return self._class_traces
-
-    def _trace_residues(self, p: int):
-        """Per class, its trace mod p (int64 in [0, p)), zeta_conductor
-        sent to root_of_unity_mod(conductor, p); p = 1 mod conductor."""
-        got = self._residues.get(p)
-        if got is None:
-            rows, den = self.class_trace_rows
-            got = self._residues[p] = (reduce_mod_p(rows, self.conductor, p)
-                                       * pow(den, -1, p) % p)
-        return got
+        return ClassFunction(self.class_structure(), *over_common_denominator(
+            diagonal.sum(axis=1), self._dens[reps].tolist()), self.conductor)
 
     def class_profiles(self) -> tuple[EigenProfile, ...]:
         """Eigenvalue profile of each class representative, in class
         order."""
-        if self._class_profiles is None:
-            self._class_profiles = tuple(
-                self.eigen_profile_of(c.rep_index) for c in self.classes
-            )
         return self._class_profiles
+
+    @functools.cached_property
+    def _class_profiles(self) -> tuple[EigenProfile, ...]:
+        return tuple(self.eigen_profile_of(c.rep_index) for c in self.classes)
 
     def eigen_profile_of(self, i: int) -> EigenProfile:
         """Profile of element i using class data: trace(g^j) is the class
@@ -398,7 +375,7 @@ class MatrixGroup:
         powers = self.powers(i)
         n = len(powers)
         p = split_primes(math.lcm(n, self.conductor))[0]
-        residues = self._trace_residues(p)
+        residues = self.character.residues(p)
         class_of = self._class_of
         return _profile_from_traces(
             n, residues[[class_of[j] for j in powers]], p, self.dim)

@@ -300,3 +300,37 @@ def test_audit_dimensions_make_no_exact_products(entry, monkeypatch):
     assert (dim_u, comm, dim_z) == {"z11-z5-klein": (1, 1, 0),
                                     "alt5-sixpoint": (2, 1, 1)}[entry]
     assert calls == []
+
+
+def _exact_values_made(group, monkeypatch):
+    """The exact values made while the audit's character route reads
+    dim U, the commutant and dim Z of the group."""
+    real = Cyclotomic._make
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Cyclotomic, "_make", staticmethod(counted))
+        _, _, chi, _, _ = dims_dual_route(group)
+        dim_special_subvariety(chi, det_character(group))
+    return len(calls)
+
+
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_character_route_makes_no_exact_value(entry, monkeypatch):
+    # the trace character, the determinant and its conjugate stay on
+    # integer rows, read mod a split prime
+    g = MatrixGroup.generate(catalog.load_entry(entry).generators)
+    assert _exact_values_made(g, monkeypatch) == 0
+
+
+def test_character_route_makes_no_exact_value_on_the_lattice(monkeypatch):
+    g = MatrixGroup.generate(catalog.load_entry("psl2-11").generators)
+    records = g.subgroups_two_generated()
+    assert len(records) == 16
+    for rec in records:
+        sub = g.subgroup(rec.generator_indices)
+        assert _exact_values_made(sub, monkeypatch) == 0, rec.label

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from cubicmoduli import catalog
 from cubicmoduli.chars import (
+    ClassFunction,
+    ClassStructure,
     _six_sym_cube,
     character_of,
     class_function,
@@ -21,7 +24,7 @@ from cubicmoduli.chars import (
     sym_square,
     trivial_character,
 )
-from cubicmoduli.cyclo import cyclo
+from cubicmoduli.cyclo import _power_table, cyclo
 from cubicmoduli.errors import (BadPrimeError, GroupMismatchError,
                                 NonIntegralCharacterError)
 from cubicmoduli.groups import MatrixGroup
@@ -138,10 +141,13 @@ def _leibniz_det(m):
 
 @pytest.mark.parametrize("entry", [
     "c2-sign", "c3-double", "fermat-cyclic", "klein-four", "z3-z4",
-    "alt4-klein", "alt5-sixpoint", "z11-z5-klein",
+    "alt4-klein", "alt5-sixpoint", "z11-z5-klein", "diag(-E(3), E(5))",
 ])
 def test_det_character_is_the_determinant(entry):
-    g = catalog.load(entry)
+    # diag(-E(3), E(5), 1, 1, 1) has conductor 15 and determinants of
+    # order 30: minus a row of the power table
+    g = (MatrixGroup.generate([Matrix.diagonal([-fx.W, fx.Z5, 1, 1, 1])])
+         if entry.startswith("diag") else catalog.load(entry))
     det = det_character(g)
     elements = exact_elements(g)
     assert det.values == tuple(
@@ -218,13 +224,11 @@ def test_rows_past_int64_take_python_ints():
     chi = class_function(st, [big, 1, -1, 0, big * alpha, 1, alpha, -big])
     p = split_primes(11)[0]
 
-    def residues(values):
-        array, den = int_array(values, 11)
-        return array.dtype, reduce_mod_p(array, 11, p) * pow(
-            den, -1, p) % p
+    def residues(f):
+        return f.rows.dtype, f.residues(p)
 
-    dtype, x = residues(chi.values)
-    cube_dtype, cube = residues(sym_cube(chi).values)
+    dtype, x = residues(chi)
+    cube_dtype, cube = residues(sym_cube(chi))
     assert (dtype, cube_dtype) == (np.int64, object)
     assert (cube * 6 % p).tolist() == [v % p for v in _six_sym_cube(
         st, x.tolist())]
@@ -283,3 +287,51 @@ def test_a_bound_not_below_the_prime_is_refused():
     for read in _three_dimensions(big, trivial_character(st)):
         with pytest.raises(BadPrimeError, match="cannot be read mod"):
             read()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_match_the_exact_values(seed):
+    # random rows at conductors 1-12, some past int64 on Python ints:
+    # .values makes them exact, residues(p) is the residues of those
+    # values on the rows of a multiple of n, and conjugate() on rows is
+    # the exact conjugate
+    rng = random.Random(seed)
+    st = psl2_11_datum().structure
+    for n in range(1, 13):
+        phi = len(_power_table(n)[0])
+        big = 1 << rng.choice([3, 70])
+        rows = np.array([[rng.randrange(-big, big) for _ in range(phi)]
+                         for _ in range(st.n_classes)],
+                        dtype=np.int64 if big < 1 << 62 else object)
+        f = ClassFunction(st, rows, rng.randrange(1, big), n)
+        assert f.values == class_function(st, f.values).values
+        m = 2 * n * rng.choice([1, 3, 5])
+        array, den = int_array(list(f.values), m)
+        for p in split_primes(m)[:2]:
+            assert f.residues(p).tolist() == (reduce_mod_p(array, m, p)
+                                              * pow(den, -1, p) % p).tolist()
+        assert f.conjugate().values == tuple(
+            v.conjugate() for v in f.values)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda st: class_function(st, [1, 1, 1]), "3 values for 2 classes"),
+    (lambda st: ClassFunction(st, np.zeros((1, 1), dtype=np.int64), 1, 1),
+     "1 values for 2 classes"),
+    (lambda st: ClassStructure(3, (1, 1), (1, 2), ()),
+     "sizes must sum to the order"),
+    (lambda st: ClassStructure(2, (1, 1), (2, 1), ()),
+     "identity class must come first"),
+    (lambda st: ClassStructure(2, (1, 1), (1, 2, 2), ()),
+     "one element order per class"),
+    (lambda st: ClassStructure(2, (1, 1), (1, 2), ((2, (0, 2)),)),
+     "power map for k=2 malformed"),
+    (lambda st: ClassStructure(2, (1, 1), (1, 2), ((3, (0,)),)),
+     "power map for k=3 malformed"),
+], ids=["values", "rows", "sizes", "identity", "orders", "map-entry",
+        "map-length"])
+def test_malformed_class_data_is_a_value_error(make, match):
+    # typed errors, under python -O too, where an assert would not run
+    st = catalog.load("c2-sign").class_structure()
+    with pytest.raises(ValueError, match=match):
+        make(st)

@@ -273,6 +273,25 @@ def test_module_entry_point_runs_from_a_checkout(tmp_path):
     assert done.stdout.rstrip().endswith("all checks passed")
 
 
+def test_selftest_is_the_same_under_python_O(tmp_path):
+    # no golden rests on an assert, which python -O strips
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cubicmoduli
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cubicmoduli.__file__).parents[1]))
+    plain, optimized = (subprocess.run(
+        [sys.executable, *flags, "-m", "cubicmoduli", "selftest"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=300)
+        for flags in ([], ["-O"]))
+    assert optimized.returncode == 0, optimized.stdout + optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
 def test_readme_library_block_and_the_top_level_names(capsys):
     import re
     from pathlib import Path
