@@ -1,4 +1,4 @@
-"""Class functions and character arithmetic.
+"""Class functions and the character route to the audit's dimensions.
 
 A ClassStructure records just enough about a finite group to do character
 computations: class sizes, element orders, and where the power maps g ->
@@ -16,10 +16,10 @@ from matrix actions elsewhere.
 A class function is integer rows, `linalg.int_array`'s form: row c
 holds the power-basis coefficients over zeta_n of den times its value on
 class c.  `class_function` is the one place that puts exact values on
-rows, and `values` makes them exact on first use, for printing, the
-catalog contract and the exact algebra (`sym_square`, `sym_cube`,
-`tensor`, `inner_product`: the formulas above, class by class).
-`residues(p)` is the one map to F_p (`linalg.reduce_mod_p`), cached.
+rows, and `values` makes them exact on first use, for printing and the
+catalog contract.  `residues(p)` is the one map to F_p
+(`linalg.reduce_mod_p`), cached, and `conjugate` sends zeta_n to its
+inverse on the rows.
 
 The three dimensions that the audit checks (`dim_invariant_cubics`,
 `commutant_dimension_from_character`, `dim_special_subvariety`) make no
@@ -35,8 +35,8 @@ eigenvalue multiplicities off the same residues of the trace character.
 
 A matrix group's trace character is its own (`MatrixGroup.character`);
 its determinant character, the product of the eigenvalues in each class
-profile, is a root of unity: plus or minus a row of the conductor's
-power table.  No matrix determinant and no exact value is computed.
+profile, is a root of unity: a row of `linalg._root_rows`.  No matrix
+determinant and no exact value is computed.
 """
 
 from __future__ import annotations
@@ -45,15 +45,14 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import Cyclotomic, _power_table, cyclo
+from .cyclo import Cyclotomic, cyclo
 from .errors import (BadPrimeError, GroupMismatchError,
                      NonIntegralCharacterError)
-from .linalg import (_big, _widen, conductor_of, exact_values, int_array,
-                     reduce_mod_p, split_primes)
+from .linalg import (_big, _root_rows, _widen, conductor_of, exact_values,
+                     int_array, reduce_mod_p, split_primes)
 
 
 @dataclass(frozen=True)
@@ -117,16 +116,12 @@ class ClassFunction:
                                  * pow(self.den, -1, p) % p)
         return self._residues[p]
 
-    def tensor(self, other: "ClassFunction") -> "ClassFunction":
-        _same_structure(self, other)
-        return class_function(self.structure, map(
-            operator.mul, self.values, other.values))
-
     def conjugate(self) -> "ClassFunction":
         """zeta_n^k sent to zeta_n^(-k): the rows times the rows of
-        zeta_n^(-k) in the power table."""
-        table = np.array(_power_table(self.n), dtype=np.int64)
-        flip = table[-np.arange(table.shape[1]) % self.n]
+        zeta_n^(-k), zeta_m^(-k m/n) among the roots of unity."""
+        roots = _root_rows(self.n)
+        m = len(roots)
+        flip = roots[-np.arange(roots.shape[1]) * (m // self.n) % m]
         rows, flip = _widen(_big(self.rows) * _big(flip) * len(flip),
                             self.rows, flip)
         return ClassFunction(self.structure, rows @ flip, self.den, self.n)
@@ -150,46 +145,6 @@ def trivial_character(structure: ClassStructure) -> ClassFunction:
     return class_function(structure, [1] * structure.n_classes)
 
 
-def sym_square(chi: ClassFunction) -> ClassFunction:
-    p2 = chi.structure.power_map(2)
-    v = chi.values
-    return class_function(chi.structure, [
-        (x * x + v[p2[c]]) * Fraction(1, 2) for c, x in enumerate(v)])
-
-
-def sym_cube(chi: ClassFunction) -> ClassFunction:
-    p2 = chi.structure.power_map(2)
-    p3 = chi.structure.power_map(3)
-    v = chi.values
-    return class_function(chi.structure, [
-        (x * x * x + x * v[p2[c]] * 3 + v[p3[c]] * 2) * Fraction(1, 6)
-        for c, x in enumerate(v)])
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    _same_structure(a, b)
-    st = a.structure
-    acc = cyclo(0)
-    for c in range(st.n_classes):
-        acc = acc + a.values[c] * b.values[c].conjugate() * st.sizes[c]
-    acc = acc * Fraction(1, st.order)
-    if not acc.is_rational():
-        raise NonIntegralCharacterError(
-            f"inner product is not rational: {acc}"
-        )
-    return acc.as_rational()
-
-
-def multiplicity(a: ClassFunction, b: ClassFunction) -> int:
-    value = inner_product(a, b)
-    if value.denominator != 1 or value < 0:
-        raise NonIntegralCharacterError(
-            f"inner product {value} is not a nonnegative integer; "
-            "inputs are not characters of the same group"
-        )
-    return int(value)
-
-
 def character_of(group) -> ClassFunction:
     """Trace character of a matrix group in its given representation."""
     return group.character
@@ -198,16 +153,14 @@ def character_of(group) -> ClassFunction:
 def det_character(group) -> ClassFunction:
     """Determinant of a matrix group in its given representation: the
     product zeta_m^(sum k*m_k) of the eigenvalues zeta_m^k of a class's
-    profile.  It lies in Q(zeta_c), c the conductor, so as zeta_2c^e it
-    is row j of c's power table for e = 2j, and minus it for e = 2j + c
-    (c odd)."""
+    profile.  It lies in Q(zeta_c), c the conductor, so it is zeta_m^e,
+    row e of the roots of unity in Q(zeta_c), m = lcm(2, c)."""
     c = group.conductor
-    e = np.array([sum(k * m for k, m in prof.mults) * 2 * c // prof.order
-                  for prof in group.class_profiles()]) % (2 * c)
-    odd = e % 2
-    table = np.array(_power_table(c), dtype=np.int64)
-    rows = (1 - 2 * odd)[:, None] * table[(e + c * odd) // 2 % c]
-    return ClassFunction(group.class_structure(), rows, 1, c)
+    roots = _root_rows(c)
+    m = len(roots)
+    e = [sum(k * mult for k, mult in prof.mults) * m // prof.order % m
+         for prof in group.class_profiles()]
+    return ClassFunction(group.class_structure(), roots[e], 1, c)
 
 
 def _degree(f: ClassFunction) -> int:

@@ -20,10 +20,10 @@ import sys
 
 from . import audit, catalog
 from .chars import (
+    commutant_dimension_from_character,
+    dim_invariant_cubics,
     dim_special_subvariety,
-    inner_product,
     psl2_11_datum,
-    sym_cube,
     trivial_character,
 )
 from .errors import CubicModuliError
@@ -172,9 +172,8 @@ def _golden_checks():
     def abstract_psl():
         chi = psl2_11_datum().character("chi2")
         return (
-            inner_product(chi, chi),
-            inner_product(sym_cube(chi),
-                          trivial_character(chi.structure)),
+            commutant_dimension_from_character(chi),
+            dim_invariant_cubics(chi),
             dim_special_subvariety(chi, trivial_character(chi.structure)),
         )
 

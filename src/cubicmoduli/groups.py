@@ -350,13 +350,19 @@ class MatrixGroup:
     @functools.cached_property
     def character(self) -> ClassFunction:
         """The trace character: per class, its representative's diagonal
-        rows summed, over `linalg.over_common_denominator`."""
+        rows summed, over `linalg.over_common_denominator`, in lowest
+        terms.  A trace is an algebraic integer, on the integral power
+        basis of Z[zeta_n], so den is 1 whatever the entries' own
+        denominators."""
         reps = [c.rep_index for c in self.classes]
         d = range(self.dim)
         diagonal = self._nums[reps][:, d, d]
         diagonal, = _widen(_big(diagonal) * self.dim, diagonal)
-        return ClassFunction(self.class_structure(), *over_common_denominator(
-            diagonal.sum(axis=1), self._dens[reps].tolist()), self.conductor)
+        rows, den = over_common_denominator(diagonal.sum(axis=1),
+                                            self._dens[reps].tolist())
+        g = math.gcd(den, *rows.ravel().tolist())
+        return ClassFunction(self.class_structure(), rows // g, den // g,
+                             self.conductor)
 
     def class_profiles(self) -> tuple[EigenProfile, ...]:
         """Eigenvalue profile of each class representative, in class

@@ -38,8 +38,7 @@ cannot overflow; otherwise `linalg._widen` runs the same code on Python
 ints.  This kernel, `_sum_of_images`, is the package's only
 substitution: `fixed_by` runs it on the array of one g^-1 and combines
 its output with the form's coefficients, put on integer rows by
-`linalg.int_array`, through a table of roots of unity like the pair
-table.
+`linalg.int_array`, through the pair table of n and the form's field.
 
 Forms are read by the package's one expression parser
 (`cyclo.parse_polynomial`); `CubicForm.parse` only adds the check that
@@ -82,16 +81,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from types import MappingProxyType
 
 import numpy as np
 
-from .cyclo import ONE, Cyclotomic, _power_table, cyclo, parse_polynomial
+from .cyclo import ONE, Cyclotomic, cyclo, parse_polynomial
 from .errors import ContractViolationError
 from .groups import _orbit
 from .linalg import (
     _big,
     _pair_table,
+    _root_rows,
     _widen,
     conductor_of,
     exact_values,
@@ -170,7 +169,9 @@ class CubicForm:
     def __init__(self, coeffs):
         coeffs = tuple([c if isinstance(c, Cyclotomic) else cyclo(c)
                         for c in coeffs])
-        assert len(coeffs) == 35
+        if len(coeffs) != 35:
+            raise ValueError(f"a cubic form has 35 coefficients, not "
+                             f"{len(coeffs)}")
         object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
@@ -284,45 +285,19 @@ def fixed_by(group, i: int, forms) -> bool:
     return True
 
 
-def _shifted_table(n: int, field: int):
-    """(phi(n), phi(field), phi(field)) integers, n dividing field:
-    entry (a, b) holds zeta_field^(a field/n + b), which is zeta_n^a
-    times zeta_field^b, on the power basis; the pair table of n when
-    field = n."""
-    if field == n:
-        return _pair_table(n)
-    powers = np.array(_power_table(field), dtype=np.int64)
-    exponents = (np.arange(len(_power_table(n)[0]))[:, None] * (field // n)
-                 + np.arange(powers.shape[1]))
-    return powers[exponents % field]
-
-
-@functools.cache
-def _root_exponents(c: int) -> MappingProxyType:
-    """Per root of unity of order dividing 2c, its power-basis row over
-    zeta_c mapped to its exponent e as zeta_2c^e.  zeta_c^j = zeta_2c^(2j)
-    is row j of the power table and its negative is zeta_2c^(2j + c):
-    for odd c an entry of order 2c is only the negative of a row."""
-    exponents = {}
-    for j, row in enumerate(_power_table(c)):
-        exponents.setdefault(row, 2 * j)
-        exponents.setdefault(tuple(-v for v in row), 2 * j + c)
-    return MappingProxyType(exponents)  # shared by every caller
-
-
 def _diagonal_of_largest_order(group):
     """The diagonal element h of largest order n (the identity when no
     other element is diagonal) and its exponents: entry i of h is
     zeta_n^k_i."""
     h_idx = max(group.diagonal_indices(), key=group.element_order)
     n = group.element_order(h_idx)
-    c = group.conductor
-    exponents = _root_exponents(c)
+    roots = _root_rows(group.conductor)
     array, den = group.arrays([h_idx])
-    # entry i is zeta_2c^e of order dividing n, so 2c divides e * n
-    return n, h_idx, [
-        exponents[tuple(v // den for v in array[0, i, i].tolist())]
-        * n // (2 * c) % n for i in range(N_VARS)]
+    diagonal = array[0, range(N_VARS), range(N_VARS)] // den
+    # entry i is row e of the roots, zeta_m^e of order dividing n, so m
+    # divides e * n
+    _, e = (diagonal[:, None] == roots).all(axis=2).nonzero()
+    return n, h_idx, (e * n // len(roots) % n).tolist()
 
 
 def _reynolds_array(group):
@@ -440,7 +415,7 @@ def _fixes(S, s_den, R, support, n, field=None) -> bool:
     holds the columns of a substitution matrix at those indices."""
     phi, phi_r = S.shape[-1], R.shape[-1]
     # entry (b, a) of the table: zeta_field^b * zeta_n^a
-    table = _shifted_table(n, field or n).transpose(1, 0, 2).reshape(
+    table = _pair_table(n, field).transpose(1, 0, 2).reshape(
         phi_r, phi * phi_r)
     # a coefficient of a multiplication matrix of R is a sum of phi_r
     # products, and one of S R a sum of len(support) * phi products of

@@ -22,9 +22,11 @@ rank, so the F_p value is an upper bound for the exact commutant
 dimension; the audit certifies it against the character inner product
 <chi, chi>.
 
-The table of zeta_n^(a + b) on the power basis (`_pair_table`), through
-which the closure and the substitution kernel multiply coefficient
-rows, lives here too.
+The roots of unity on the power basis live here too, the one reader of
+`cyclo`'s power table outside `cyclo`: `_root_rows(c)`, every root of
+unity in Q(zeta_c) by exponent, and `_pair_table`, zeta_n^a
+zeta_field^b, through which the closure and the substitution kernel
+multiply coefficient rows.
 """
 
 from __future__ import annotations
@@ -64,14 +66,32 @@ def _big(array) -> int:
 
 
 @functools.cache
-def _pair_table(n: int):
-    """(phi(n), phi(n), phi(n)) int64, read-only: entry (a, b) holds
-    zeta_n^(a + b) on the power basis.  For a coefficient vector y,
-    y @ table is the matrix of multiplication by y (row a holds zeta_n^a
-    y), so the product of x and y is x @ (y @ table)."""
-    table = np.array(_power_table(n), dtype=np.int64)
-    phi = table.shape[1]
-    pairs = table[(np.arange(phi)[:, None] + np.arange(phi)) % n]
+def _root_rows(c: int):
+    """(m, phi(c)) int64, read-only, m = lcm(2, c) the number of roots
+    of unity in Q(zeta_c): row e holds zeta_m^e on the zeta_c power
+    basis.  For even c that is the power table; for odd c, zeta_2c^(2j)
+    is row j of it and zeta_2c^(2j + c) = -zeta_c^j."""
+    table = np.array(_power_table(c), dtype=np.int64)
+    if c % 2:
+        table = np.stack([table, -np.roll(table, -(c + 1) // 2, axis=0)],
+                         axis=1).reshape(2 * c, -1)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _pair_table(n: int, field: int | None = None):
+    """(phi(n), phi(field), phi(field)) int64, read-only, n dividing
+    field (n when not given): entry (a, b) holds zeta_field^(a field/n +
+    b), that is zeta_n^a times zeta_field^b, on the zeta_field power
+    basis.  For field = n and a coefficient vector y, y @ table is the
+    matrix of multiplication by y (row a holds zeta_n^a y), so the
+    product of x and y is x @ (y @ table)."""
+    field = field or n
+    table = np.array(_power_table(field), dtype=np.int64)
+    exponents = (np.arange(len(_power_table(n)[0]))[:, None] * (field // n)
+                 + np.arange(table.shape[1]))
+    pairs = table[exponents % field]
     pairs.flags.writeable = False
     return pairs
 
@@ -93,7 +113,8 @@ def int_array(values, n: int):
     shape, flat = [], [values]
     while isinstance(flat[0], (list, tuple)):
         shape.append(len(flat[0]))
-        assert set(map(len, flat)) == {shape[-1]}, "ragged values"
+        if set(map(len, flat)) != {shape[-1]}:
+            raise ValueError("ragged values")
         flat = list(itertools.chain.from_iterable(flat))
     # keyed by identity: equal values held as one object (the zeros,
     # shared entries) convert once, without hashing a Cyclotomic

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
+from cubicmoduli.chars import ClassFunction, _same_structure, class_function
 from cubicmoduli.cyclo import (ONE, ZERO, Cyclotomic, cyclo,
                                from_power_basis, root_of_unity)
+from cubicmoduli.errors import NonIntegralCharacterError
 from cubicmoduli.invariants import (
     MONOMIALS,
     N_VARS,
@@ -299,6 +302,55 @@ def matrix_profile(m):
         power = power * m
     n = len(traces)
     return n, exact_profile(n, traces, m.rows)
+
+
+# the character formulas in exact arithmetic, class by class: the
+# oracle that the package's residue route (`chars._multiplicity_mod_p`)
+# is checked against
+
+def tensor(a: ClassFunction, b: ClassFunction) -> ClassFunction:
+    _same_structure(a, b)
+    return class_function(a.structure, map(operator.mul, a.values, b.values))
+
+
+def sym_square(chi: ClassFunction) -> ClassFunction:
+    p2 = chi.structure.power_map(2)
+    v = chi.values
+    return class_function(chi.structure, [
+        (x * x + v[p2[c]]) * Fraction(1, 2) for c, x in enumerate(v)])
+
+
+def sym_cube(chi: ClassFunction) -> ClassFunction:
+    p2 = chi.structure.power_map(2)
+    p3 = chi.structure.power_map(3)
+    v = chi.values
+    return class_function(chi.structure, [
+        (x * x * x + x * v[p2[c]] * 3 + v[p3[c]] * 2) * Fraction(1, 6)
+        for c, x in enumerate(v)])
+
+
+def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    _same_structure(a, b)
+    st = a.structure
+    acc = cyclo(0)
+    for c in range(st.n_classes):
+        acc = acc + a.values[c] * b.values[c].conjugate() * st.sizes[c]
+    acc = acc * Fraction(1, st.order)
+    if not acc.is_rational():
+        raise NonIntegralCharacterError(
+            f"inner product is not rational: {acc}"
+        )
+    return acc.as_rational()
+
+
+def multiplicity(a: ClassFunction, b: ClassFunction) -> int:
+    value = inner_product(a, b)
+    if value.denominator != 1 or value < 0:
+        raise NonIntegralCharacterError(
+            f"inner product {value} is not a nonnegative integer; "
+            "inputs are not characters of the same group"
+        )
+    return int(value)
 
 
 def exact_reynolds(group):

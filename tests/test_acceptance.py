@@ -20,18 +20,15 @@ from cubicmoduli.chars import (
     commutant_dimension_from_character,
     dim_invariant_cubics,
     dim_special_subvariety,
-    inner_product,
-    multiplicity,
     psl2_11_datum,
-    sym_cube,
-    sym_square,
     trivial_character,
 )
 from cubicmoduli.invariants import CubicForm, invariant_basis
 from cubicmoduli.linalg import rref
 from cubicmoduli.smoothprobe import probe_nonempty, singular_scan
 
-from helpers_math import commutant_of, exact_elements
+from helpers_math import (commutant_of, exact_elements, inner_product,
+                          multiplicity, sym_cube, sym_square)
 
 KLEIN = CubicForm.parse("x0*x1^2 + x1*x2^2 + x2*x3^2 + x3*x4^2 + x4*x0^2")
 FERMAT = CubicForm.parse("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")

@@ -17,11 +17,7 @@ from cubicmoduli.chars import (
     det_character,
     dim_invariant_cubics,
     dim_special_subvariety,
-    inner_product,
-    multiplicity,
     psl2_11_datum,
-    sym_cube,
-    sym_square,
     trivial_character,
 )
 from cubicmoduli.cyclo import _power_table, cyclo
@@ -31,7 +27,9 @@ from cubicmoduli.groups import MatrixGroup
 from cubicmoduli.linalg import int_array, reduce_mod_p, split_primes
 
 import fixtures as fx
-from helpers_math import Matrix, commutant_of, exact_elements
+from helpers_math import (Matrix, commutant_of, exact_elements,
+                          inner_product, multiplicity, sym_cube, sym_square,
+                          tensor)
 
 
 def test_trivial_group_counts():
@@ -160,7 +158,9 @@ def test_structure_mismatch_rejected():
     with pytest.raises(GroupMismatchError):
         inner_product(a, b)
     with pytest.raises(GroupMismatchError):
-        a.tensor(b)
+        tensor(a, b)
+    with pytest.raises(GroupMismatchError):
+        dim_special_subvariety(a, b)
 
 
 def test_non_character_rejected():
@@ -169,6 +169,8 @@ def test_non_character_rejected():
     fake = class_function(st, [Fraction(1, 2), 0])
     with pytest.raises(NonIntegralCharacterError):
         multiplicity(fake, trivial_character(st))
+    with pytest.raises(NonIntegralCharacterError):
+        dim_invariant_cubics(fake)
     # inner products that are rational but fractional still come through
     assert inner_product(fake, trivial_character(st)) == Fraction(1, 4)
 
@@ -182,7 +184,7 @@ def _assert_residues_match_exact(chi, det):
     assert dim_invariant_cubics(chi) == multiplicity(sym_cube(chi), one)
     assert commutant_dimension_from_character(chi) == multiplicity(chi, chi)
     assert dim_special_subvariety(chi, det) == multiplicity(
-        sym_square(det.tensor(chi)), one)
+        sym_square(tensor(det, chi)), one)
 
 
 @pytest.mark.parametrize("entry", catalog.entry_ids())

@@ -1,12 +1,16 @@
 """Command line behaviour: formats, exit codes, error paths."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cubicmoduli import catalog
 from cubicmoduli.cli import main
+from cubicmoduli.cyclo import cyclo
+from cubicmoduli.invariants import MONOMIALS, CubicForm
+from cubicmoduli.linalg import split_primes
 
 # `invariants <e>` for every catalog entry, byte for byte: the printed
 # echelon bases are part of the contract
@@ -253,6 +257,45 @@ def test_audit_file_path(tmp_path, capsys):
     shutil.copy(src, dst)
     assert main(["audit", str(dst)]) == 0
     assert "dim moduli       6" in capsys.readouterr().out
+
+
+AUDIT_FIELDS = ("dim_U", "commutant_dim", "dim_moduli", "dim_special",
+                "criterion_holds")
+
+
+def _non_diagonal_entries():
+    return [e for e in catalog.entry_ids()
+            if any(v for g in catalog.load_entry(e).generators
+                   for i, row in enumerate(g)
+                   for j, v in enumerate(row) if i != j)]
+
+
+@pytest.mark.parametrize("entry", _non_diagonal_entries())
+def test_audit_of_a_conjugate_with_the_split_prime_in_denominators(
+        tmp_path, capsys, entry):
+    # each generator g becomes D g D^-1 for D = diag(p, 1, 1, 1, 1), p
+    # the first split prime of conductor 1, and the fixed form F(x)
+    # becomes F(D^-1 x): entries over p, traces and numbers unchanged
+    p = split_primes(1)[0]
+    scale = [p, 1, 1, 1, 1]
+    doc = json.loads(Path(catalog.load_entry(entry).path).read_text())
+    doc["generators"] = [
+        [[str(cyclo(v) * Fraction(scale[i], scale[j]))
+          for j, v in enumerate(row)] for i, row in enumerate(g)]
+        for g in doc["generators"]]
+    fixed = doc["contract"].get("fixed_form")
+    if fixed:
+        form = CubicForm.parse(fixed)
+        doc["contract"]["fixed_form"] = str(CubicForm(
+            [c * Fraction(1, p ** MONOMIALS[m][0])
+             for m, c in enumerate(form.coefficients)]))
+    path = tmp_path / f"{entry}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["audit", entry, "--json"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert main(["audit", str(path), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert [got[k] for k in AUDIT_FIELDS] == [want[k] for k in AUDIT_FIELDS]
 
 
 def test_module_entry_point_runs_from_a_checkout(tmp_path):

@@ -74,6 +74,13 @@ def test_parse_and_print():
     assert h.coefficient((3, 0, 0, 0, 0)) == cyclo("1/2")
 
 
+@pytest.mark.parametrize("count", [0, 34, 36])
+def test_cubic_form_needs_35_coefficients(count):
+    # a ValueError, under python -O too, where an assert would not run
+    with pytest.raises(ValueError, match="35 coefficients"):
+        CubicForm([1] * count)
+
+
 @pytest.mark.parametrize("text", [
     "x5^3", "y0^3", "x0/x1", "x0^-1*x1^4", "x0^3/0", "1/0", "E(3) +",
     "2 ** 3", "x0^3 + 1", "x00^3",

@@ -2,6 +2,7 @@
 between exact values and integer rows."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -333,6 +334,33 @@ def _values_back(values, n):
     for size in reversed(shape[1:]):
         flat = [flat[i:i + size] for i in range(0, len(flat), size)]
     return flat, array.dtype
+
+
+@pytest.mark.parametrize("field", range(1, 25))
+def test_root_rows_and_pair_tables_hold_the_roots(field):
+    # every root of unity of Q(zeta_field) once, by exponent, and
+    # zeta_n^a zeta_field^b for every n dividing field
+    roots = linalg._root_rows(field)
+    m = len(roots)
+    assert m == math.lcm(2, field) == len(set(map(tuple, roots.tolist())))
+    assert [from_power_basis(field, row) for row in roots.tolist()] == [
+        root_of_unity(m, e) for e in range(m)]
+    assert not roots.flags.writeable
+    for n in (n for n in range(1, field + 1) if field % n == 0):
+        pairs = linalg._pair_table(n, field)
+        assert not pairs.flags.writeable
+        assert [[from_power_basis(field, v) for v in row]
+                for row in pairs.tolist()] == [
+            [root_of_unity(n, a) * root_of_unity(field, b)
+             for b in range(pairs.shape[1])] for a in range(len(pairs))]
+
+
+@pytest.mark.parametrize("values", [
+    [[1, 2], [3]], [[[1], [2]], [[3], [4, 5]]]])
+def test_int_array_rejects_ragged_values(values):
+    # a ValueError, under python -O too, where an assert would not run
+    with pytest.raises(ValueError, match="ragged"):
+        int_array(values, 1)
 
 
 def test_exact_values_of_int_array_give_the_values_back():
